@@ -13,9 +13,7 @@ where the bounds are sharp the true margins drop below 1e-30.
 from __future__ import annotations
 
 import math
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum, unique
 
@@ -33,6 +31,8 @@ from .means import (
     SEIFFERT_SECOND,
     MeanKind,
     PositivePair,
+    _mean,
+    _shape_fn,
     evaluate_mean,
     generalized_log,
     mean_shape,
@@ -59,7 +59,6 @@ __all__ = [
     "STRICTNESS_FLOOR",
     "GRID_EDGE",
     "REPORT_ONLY_CORPUS_CLAIMS",
-    "THREADS_ENV_VAR",
     "gap_grid",
     "theorem_claims",
     "verify_bound",
@@ -73,8 +72,6 @@ STRICTNESS_FLOOR = 1e-15
 
 # closest approach of the certification grid to the gap endpoints
 GRID_EDGE = 1e-8
-
-THREADS_ENV_VAR = "MEANS_LAB_THREADS"
 
 # normalized margin below which a sharpness witness is not yet considered
 # definitive (well above the ~1e-15 evaluation noise)
@@ -194,54 +191,40 @@ def gap_grid(n: int) -> list[float]:
     return gaps
 
 
-def _resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        raw = os.environ.get(THREADS_ENV_VAR)
-        if raw is None:
-            return 1
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise DomainError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from None
-    return max(1, min(workers, os.cpu_count() or 1))
+def _margin_fn(claim: BoundClaim, weight: float):
+    """x -> the claim's normalized margin at gap x, with its combination
+    weighted by weight."""
+    m = _shape_fn(NEUMAN_SANDOR)
+    first = _shape_fn(claim.combination.first)
+    second = _shape_fn(claim.combination.second)
+    rest = 1.0 - weight
+    lower = claim.relation is Relation.LESS_THAN_M
+
+    def margin(x: float) -> float:
+        v = 1.0 - x
+        m_x = m(x, v)
+        combo = weight * first(x, v) + rest * second(x, v)
+        return m_x - combo if lower else combo - m_x
+
+    return margin
 
 
-def _margin_shape(claim: BoundClaim, weight: float, x: float) -> float:
-    m = mean_shape(NEUMAN_SANDOR, x)
-    combo = (weight * mean_shape(claim.combination.first, x)
-             + (1.0 - weight) * mean_shape(claim.combination.second, x))
-    if claim.relation is Relation.LESS_THAN_M:
-        return m - combo
-    return combo - m
-
-
-@dataclass(frozen=True)
-class _ScanResult:
-    min_margin: float
-    worst_x: float
-    near_zero: int
-
-    def merge(self, other: "_ScanResult") -> "_ScanResult":
-        near = self.near_zero + other.near_zero
-        if (other.min_margin, other.worst_x) < (self.min_margin, self.worst_x):
-            return _ScanResult(other.min_margin, other.worst_x, near)
-        return _ScanResult(self.min_margin, self.worst_x, near)
-
-
-def _scan_margins(pairs_of_x_and_margin) -> _ScanResult:
-    best = _ScanResult(math.inf, 0.5, 0)
+def _scan(margins, where):
+    """(min_margin, where, near_zero) over (margin, where) pairs.  Margins
+    below STRICTNESS_FLOOR in magnitude are counted, not ranked; a strictly
+    smaller margin replaces the minimum, so the first of equal minima wins.
+    The where argument is returned when no margin is ranked."""
+    best = math.inf
     near = 0
-    for x, margin in pairs_of_x_and_margin:
+    for margin, at in margins:
         if abs(margin) < STRICTNESS_FLOOR:
             near += 1
-            continue
-        if (margin, x) < (best.min_margin, best.worst_x):
-            best = _ScanResult(margin, x, 0)
-    return _ScanResult(best.min_margin, best.worst_x, near)
+        elif margin < best:
+            best, where = margin, at
+    return best, where, near
 
 
-def verify_bound(claim: BoundClaim, grid_size: int, scale: float = 1.0,
-                 workers: int | None = None) -> CertificationReport:
+def verify_bound(claim: BoundClaim, grid_size: int, scale: float = 1.0) -> CertificationReport:
     """Evaluate the claim's normalized margin over an endpoint-dense gap
     grid; holds iff every resolvable margin is positive."""
     if not isinstance(claim, BoundClaim):
@@ -249,28 +232,14 @@ def verify_bound(claim: BoundClaim, grid_size: int, scale: float = 1.0,
     if not isinstance(grid_size, int) or grid_size < 100:
         raise DomainError(f"grid_size must be an integer >= 100, got {grid_size!r}")
     grid = gap_grid(grid_size)
-    w = claim.combination.weight
-    nworkers = _resolve_workers(workers)
-
-    def scan(chunk: list[float]) -> _ScanResult:
-        return _scan_margins((x, _margin_shape(claim, w, x)) for x in chunk)
-
-    if nworkers == 1 or len(grid) < 2 * nworkers:
-        result = scan(grid)
-    else:
-        size = (len(grid) + nworkers - 1) // nworkers
-        chunks = [grid[i:i + size] for i in range(0, len(grid), size)]
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            parts = list(pool.map(scan, chunks))
-        result = parts[0]
-        for part in parts[1:]:
-            result = result.merge(part)
+    margin = _margin_fn(claim, claim.combination.weight)
+    min_margin, worst_x, near = _scan(((margin(x), x) for x in grid), 0.5)
     return CertificationReport(
         grid_size=len(grid),
-        min_margin=result.min_margin,
-        worst_pair=pair_from_gap(result.worst_x, scale),
-        holds=math.isinf(result.min_margin) or result.min_margin > 0.0,
-        near_zero=result.near_zero,
+        min_margin=min_margin,
+        worst_pair=pair_from_gap(worst_x, scale),
+        holds=min_margin > 0.0,
+        near_zero=near,
         scale=scale,
     )
 
@@ -289,11 +258,11 @@ def sharpness_probe(claim: BoundClaim, epsilon: float) -> SharpnessReport:
         weight = claim.claimed_sharp_weight + epsilon
     if not 0.0 <= weight <= 1.0:
         raise DomainError(f"perturbed weight {weight} leaves [0, 1]")
+    margin = _margin_fn(claim, weight)
     offset = 0.5
     while offset >= 1e-15:
         x = offset if claim.sharp_at is SharpAt.GAP_ZERO else 1.0 - offset
-        margin = _margin_shape(claim, weight, x)
-        if margin < -_VIOLATION_THRESHOLD:
+        if margin(x) < -_VIOLATION_THRESHOLD:
             return SharpnessReport(epsilon, pair_from_gap(x, 1.0), True, x)
         offset *= 0.5
     return SharpnessReport(epsilon, None, False, None)
@@ -357,12 +326,28 @@ def recover_constant(fn: RatioFunctionKind, objective: Objective, tol: float = 1
     return max(candidates) if maximize else min(candidates)
 
 
-def _chain_rng_pair(rng: random.Random) -> PositivePair:
+def _chain_draw(rng: random.Random) -> tuple[float, float]:
+    """A random pair (a, b), as pair_from_gap builds it, at a log-uniform
+    scale and a uniform gap."""
     scale = 10.0 ** rng.uniform(-3.0, 3.0)
     x = rng.random()
     while x == 0.0:
         x = rng.random()
-    return pair_from_gap(x, scale)
+    return scale * (1.0 + x), scale * (1.0 - x)
+
+
+def _sampled_report(margins, sample_count: int, seed: int) -> CertificationReport:
+    """Report over (margin, (a, b)) pairs; with no resolvable margin the
+    worst pair is the gap-0.5 pair at unit scale."""
+    min_margin, worst, near = _scan(margins, (1.5, 0.5))
+    return CertificationReport(
+        grid_size=sample_count,
+        min_margin=min_margin,
+        worst_pair=PositivePair(*worst),
+        holds=min_margin > 0.0,
+        near_zero=near,
+        seed=seed,
+    )
 
 
 def verify_chain(sample_count: int, seed: int) -> CertificationReport:
@@ -371,30 +356,17 @@ def verify_chain(sample_count: int, seed: int) -> CertificationReport:
     if not isinstance(sample_count, int) or sample_count < 1:
         raise DomainError(f"sample_count must be a positive integer, got {sample_count!r}")
     rng = random.Random(seed)
-    best = _ScanResult(math.inf, 0.0, 0)
-    worst_pair = None
-    near = 0
-    for _ in range(sample_count):
-        pair = _chain_rng_pair(rng)
-        a_mean = evaluate_mean(ARITHMETIC, pair)
-        values = [evaluate_mean(kind, pair) for kind in CHAIN_ORDER]
-        for prev, nxt in zip(values, values[1:]):
-            margin = (nxt - prev) / a_mean
-            if abs(margin) < STRICTNESS_FLOOR:
-                near += 1
-            elif margin < best.min_margin:
-                best = _ScanResult(margin, 0.0, 0)
-                worst_pair = pair
-    if worst_pair is None:
-        worst_pair = pair_from_gap(0.5, 1.0)
-    return CertificationReport(
-        grid_size=sample_count,
-        min_margin=best.min_margin,
-        worst_pair=worst_pair,
-        holds=math.isinf(best.min_margin) or best.min_margin > 0.0,
-        near_zero=near,
-        seed=seed,
-    )
+
+    def margins():
+        for _ in range(sample_count):
+            pair = _chain_draw(rng)
+            lo, hi = min(pair), max(pair)
+            a_mean = _mean(ARITHMETIC, lo, hi)
+            values = [_mean(kind, lo, hi) for kind in CHAIN_ORDER]
+            for prev, nxt in zip(values, values[1:]):
+                yield (nxt - prev) / a_mean, pair
+
+    return _sampled_report(margins(), sample_count, seed)
 
 
 # The two weighted Q/A displays cannot both be sharp as printed; they are
@@ -410,71 +382,80 @@ _KY_FAN_KINDS = (GEOMETRIC, LOGARITHMIC, SEIFFERT_FIRST, ARITHMETIC,
                  NEUMAN_SANDOR, SEIFFERT_SECOND)
 
 
+def _ky_fan_draw(rng: random.Random) -> tuple[float, float]:
+    """A random pair (a, b) of distinct reals in (0, 1/2)."""
+    while True:
+        a = rng.uniform(0.0, 0.5)
+        b = rng.uniform(0.0, 0.5)
+        if 0.0 < a < 0.5 and 0.0 < b < 0.5 and a != b:
+            return a, b
+
+
 def _corpus_claims():
-    """(claim_id, sampler, margin_fn) triples; margin_fn maps a pair to the
-    smallest normalized margin of the claim's strict inequalities."""
+    """(claim_id, draw, margin_fn) triples; draw samples a pair (a, b) from
+    an rng, margin_fn maps its (lo, hi) to the smallest normalized margin of
+    the claim's strict inequalities."""
     c = sharp_constants()
     p0_kind = generalized_log(c.p0)
     l2_kind = generalized_log(2.0)
     neuman_alpha = (1.0 - ASINH_ONE) / ((math.sqrt(2.0) - 1.0) * ASINH_ONE)
     neuman_lambda = (1.0 - ASINH_ONE) / ASINH_ONE
 
-    def ky_fan(pair: PositivePair) -> float:
-        ratios = []
-        mirror = PositivePair(1.0 - pair.a, 1.0 - pair.b)
-        for kind in _KY_FAN_KINDS:
-            ratios.append(evaluate_mean(kind, pair) / evaluate_mean(kind, mirror))
+    def ky_fan(lo, hi):
+        # the mirror pair (1-a, 1-b), ordered
+        ratios = [_mean(kind, lo, hi) / _mean(kind, 1.0 - hi, 1.0 - lo) for kind in _KY_FAN_KINDS]
         return min(nxt - prev for prev, nxt in zip(ratios, ratios[1:]))
 
-    def pm_lt_a2(pair):
-        a = evaluate_mean(ARITHMETIC, pair)
-        return (a * a - evaluate_mean(SEIFFERT_FIRST, pair) * evaluate_mean(NEUMAN_SANDOR, pair)) / (a * a)
+    def pm_lt_a2(lo, hi):
+        a = _mean(ARITHMETIC, lo, hi)
+        return (a * a - _mean(SEIFFERT_FIRST, lo, hi) * _mean(NEUMAN_SANDOR, lo, hi)) / (a * a)
 
-    def at_lt_m2(pair):
-        a = evaluate_mean(ARITHMETIC, pair)
-        m = evaluate_mean(NEUMAN_SANDOR, pair)
-        return (m * m - a * evaluate_mean(SEIFFERT_SECOND, pair)) / (a * a)
+    def at_lt_m2(lo, hi):
+        a = _mean(ARITHMETIC, lo, hi)
+        m = _mean(NEUMAN_SANDOR, lo, hi)
+        return (m * m - a * _mean(SEIFFERT_SECOND, lo, hi)) / (a * a)
 
-    def m2_lt_square_mean(pair):
-        a = evaluate_mean(ARITHMETIC, pair)
-        m = evaluate_mean(NEUMAN_SANDOR, pair)
-        t = evaluate_mean(SEIFFERT_SECOND, pair)
+    def m2_lt_square_mean(lo, hi):
+        a = _mean(ARITHMETIC, lo, hi)
+        m = _mean(NEUMAN_SANDOR, lo, hi)
+        t = _mean(SEIFFERT_SECOND, lo, hi)
         return ((a * a + t * t) / 2.0 - m * m) / (a * a)
 
-    def lp0_lt_m(pair):
-        a_mean = evaluate_mean(ARITHMETIC, pair)
-        return (evaluate_mean(NEUMAN_SANDOR, pair) - evaluate_mean(p0_kind, pair)) / a_mean
+    def lp0_lt_m(lo, hi):
+        a_mean = _mean(ARITHMETIC, lo, hi)
+        return (_mean(NEUMAN_SANDOR, lo, hi) - _mean(p0_kind, lo, hi)) / a_mean
 
-    def m_lt_l2(pair):
-        a_mean = evaluate_mean(ARITHMETIC, pair)
-        return (evaluate_mean(l2_kind, pair) - evaluate_mean(NEUMAN_SANDOR, pair)) / a_mean
+    def m_lt_l2(lo, hi):
+        a_mean = _mean(ARITHMETIC, lo, hi)
+        return (_mean(l2_kind, lo, hi) - _mean(NEUMAN_SANDOR, lo, hi)) / a_mean
 
-    def qa_margin(pair: PositivePair, weight: float, lower: bool) -> float:
-        a_mean = evaluate_mean(ARITHMETIC, pair)
-        combo = weight * evaluate_mean(QUADRATIC, pair) + (1.0 - weight) * a_mean
-        m = evaluate_mean(NEUMAN_SANDOR, pair)
-        return ((m - combo) if lower else (combo - m)) / a_mean
+    def qa_margin(weight: float, lower: bool):
+        def margin(lo, hi):
+            a_mean = _mean(ARITHMETIC, lo, hi)
+            combo = weight * _mean(QUADRATIC, lo, hi) + (1.0 - weight) * a_mean
+            m = _mean(NEUMAN_SANDOR, lo, hi)
+            return ((m - combo) if lower else (combo - m)) / a_mean
+        return margin
 
     return [
-        ("ky-fan", "unit-interval", ky_fan),
-        ("pm-lt-a2", "chain", pm_lt_a2),
-        ("at-lt-m2", "chain", at_lt_m2),
-        ("m2-lt-square-mean", "chain", m2_lt_square_mean),
-        ("lp0-lt-m", "chain", lp0_lt_m),
-        ("m-lt-l2", "chain", m_lt_l2),
-        ("neuman-qa-alpha-lower", "chain", lambda pr: qa_margin(pr, neuman_alpha, True)),
-        ("neuman-qa-beta-upper", "chain", lambda pr: qa_margin(pr, 1.0 / 3.0, False)),
-        ("neuman-qa-lambda-lower", "chain", lambda pr: qa_margin(pr, neuman_lambda, True)),
-        ("neuman-qa-mu-upper", "chain", lambda pr: qa_margin(pr, 1.0 / 6.0, False)),
+        ("ky-fan", _ky_fan_draw, ky_fan),
+        ("pm-lt-a2", _chain_draw, pm_lt_a2),
+        ("at-lt-m2", _chain_draw, at_lt_m2),
+        ("m2-lt-square-mean", _chain_draw, m2_lt_square_mean),
+        ("lp0-lt-m", _chain_draw, lp0_lt_m),
+        ("m-lt-l2", _chain_draw, m_lt_l2),
+        ("neuman-qa-alpha-lower", _chain_draw, qa_margin(neuman_alpha, True)),
+        ("neuman-qa-beta-upper", _chain_draw, qa_margin(1.0 / 3.0, False)),
+        ("neuman-qa-lambda-lower", _chain_draw, qa_margin(neuman_lambda, True)),
+        ("neuman-qa-mu-upper", _chain_draw, qa_margin(1.0 / 6.0, False)),
     ]
 
 
-def _ky_fan_pair(rng: random.Random) -> PositivePair:
-    while True:
-        a = rng.uniform(0.0, 0.5)
-        b = rng.uniform(0.0, 0.5)
-        if 0.0 < a < 0.5 and 0.0 < b < 0.5 and a != b:
-            return PositivePair(a, b)
+def _sampled_margins(draw, rng: random.Random, sample_count: int, margin_fn):
+    """(margin, (a, b)) for sample_count pairs drawn from rng."""
+    for _ in range(sample_count):
+        pair = draw(rng)
+        yield margin_fn(min(pair), max(pair)), pair
 
 
 def verify_corpus(sample_count: int, seed: int) -> list[tuple[str, CertificationReport]]:
@@ -482,31 +463,8 @@ def verify_corpus(sample_count: int, seed: int) -> list[tuple[str, Certification
     if not isinstance(sample_count, int) or sample_count < 1:
         raise DomainError(f"sample_count must be a positive integer, got {sample_count!r}")
     results = []
-    for claim_id, sampler, margin_fn in _corpus_claims():
+    for claim_id, draw, margin_fn in _corpus_claims():
         rng = random.Random(f"{seed}:{claim_id}")
-        best_margin = math.inf
-        worst_pair = None
-        near = 0
-        violated = False
-        for _ in range(sample_count):
-            pair = _ky_fan_pair(rng) if sampler == "unit-interval" else _chain_rng_pair(rng)
-            margin = margin_fn(pair)
-            if abs(margin) < STRICTNESS_FLOOR:
-                near += 1
-                continue
-            if margin < best_margin:
-                best_margin = margin
-                worst_pair = pair
-            if margin < 0.0:
-                violated = True
-        if worst_pair is None:
-            worst_pair = pair_from_gap(0.5, 1.0)
-        results.append((claim_id, CertificationReport(
-            grid_size=sample_count,
-            min_margin=best_margin,
-            worst_pair=worst_pair,
-            holds=not violated,
-            near_zero=near,
-            seed=seed,
-        )))
+        margins = _sampled_margins(draw, rng, sample_count, margin_fn)
+        results.append((claim_id, _sampled_report(margins, sample_count, seed)))
     return results

@@ -29,15 +29,7 @@ from .certify import (
 )
 from .exceptions import DomainError, EvaluationError
 from .means import (
-    ARITHMETIC,
-    CONTRA_HARMONIC,
-    GEOMETRIC,
-    HARMONIC,
-    LOGARITHMIC,
-    NEUMAN_SANDOR,
-    QUADRATIC,
-    SEIFFERT_FIRST,
-    SEIFFERT_SECOND,
+    CHAIN_ORDER,
     MeanKind,
     PositivePair,
     evaluate_mean,
@@ -49,17 +41,7 @@ from .series import CoefficientKind, ratio_sequence_verdict, coefficient_exact
 
 __all__ = ["main", "build_parser", "parse_mean_token"]
 
-_NAMED_MEANS = {
-    "H": HARMONIC,
-    "G": GEOMETRIC,
-    "L": LOGARITHMIC,
-    "P": SEIFFERT_FIRST,
-    "A": ARITHMETIC,
-    "M": NEUMAN_SANDOR,
-    "T": SEIFFERT_SECOND,
-    "Q": QUADRATIC,
-    "C": CONTRA_HARMONIC,
-}
+_NAMED_MEANS = {kind.token: kind for kind in CHAIN_ORDER}
 
 
 def parse_mean_token(token: str) -> MeanKind:

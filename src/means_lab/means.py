@@ -133,7 +133,8 @@ class PositivePair:
 
     def __post_init__(self) -> None:
         for v in (self.a, self.b):
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            if not (isinstance(v, (int, float)) and not isinstance(v, bool)
+                    and math.isfinite(v) and v > 0):
                 raise DomainError(f"pair entries must be finite positive reals, got {v!r}")
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "b", float(self.b))
@@ -186,19 +187,20 @@ def stable_asinh(x: float) -> float:
 
 # --- shape factors ------------------------------------------------------
 #
-# Each helper returns mean((1+x, 1-x)) for the unit arithmetic mean.  The
-# series below are the Maclaurin expansions of f(x)/x truncated after x^6;
-# at the SMALL_GAP switch the omitted x^8 term is below 1e-32 relative.
+# Each shape(x, v) returns mean((1+x, 1-x)) for the unit arithmetic mean,
+# with v the exact complement 1-x of the gap.  The series below are the
+# Maclaurin expansions of f(x)/x truncated after x^6; at the SMALL_GAP
+# switch the omitted x^8 term is below 1e-32 relative.
 
 
-def _shape_neuman_sandor(x: float) -> float:
+def _shape_neuman_sandor(x: float, v: float) -> float:
     if x < SMALL_GAP:
         s = x * x
         return 1.0 / (1.0 + s * (-1.0 / 6.0 + s * (3.0 / 40.0 + s * (-15.0 / 336.0))))
     return x / stable_asinh(x)
 
 
-def _shape_seiffert_second(x: float) -> float:
+def _shape_seiffert_second(x: float, v: float) -> float:
     if x < SMALL_GAP:
         s = x * x
         return 1.0 / (1.0 + s * (-1.0 / 3.0 + s * (1.0 / 5.0 + s * (-1.0 / 7.0))))
@@ -206,7 +208,6 @@ def _shape_seiffert_second(x: float) -> float:
 
 
 def _shape_seiffert_first(x: float, v: float) -> float:
-    # v is the exact complement 1-x of the gap.
     if x < SMALL_GAP:
         s = x * x
         return 1.0 / (1.0 + s * (1.0 / 6.0 + s * (3.0 / 40.0 + s * (15.0 / 336.0))))
@@ -223,6 +224,21 @@ def _shape_logarithmic(x: float, v: float) -> float:
     if x <= 0.5:
         return x / math.atanh(x)
     return 2.0 * x / math.log((1.0 + x) / v)
+
+
+# The shape of every parameter-free family; L_p binds its exponent in
+# _shape_fn.
+_SHAPES = {
+    MeanFamily.HARMONIC: lambda x, v: (1.0 + x) * v,
+    MeanFamily.GEOMETRIC: lambda x, v: math.sqrt((1.0 + x) * v),
+    MeanFamily.LOGARITHMIC: _shape_logarithmic,
+    MeanFamily.SEIFFERT_FIRST: _shape_seiffert_first,
+    MeanFamily.ARITHMETIC: lambda x, v: 1.0,
+    MeanFamily.NEUMAN_SANDOR: _shape_neuman_sandor,
+    MeanFamily.SEIFFERT_SECOND: _shape_seiffert_second,
+    MeanFamily.QUADRATIC: lambda x, v: math.sqrt(1.0 + x * x),
+    MeanFamily.CONTRA_HARMONIC: lambda x, v: 1.0 + x * x,
+}
 
 
 def _half_log_ratio(x: float, v: float) -> float:
@@ -276,21 +292,34 @@ def _glog_shape_cumulant(p: float, x: float, v: float) -> float:
     return math.exp(f)
 
 
+def _glog_log_shape(p: float, x: float, half_log_ratio: float) -> float:
+    """Log of the L_p shape by the direct log-space formula."""
+    q = p + 1.0
+    w = 2.0 * q * half_log_ratio
+    return (q * math.log1p(x) + _log_expm1_ratio(w) + math.log(half_log_ratio / x)) / p
+
+
 def _glog_shape(p: float, x: float, v: float, half_log_ratio: float) -> float:
-    """Shape of L_p at gap x; v is the exact complement of x, half_log_ratio
-    is atanh(x) (equivalently log(hi/lo)/2 of the underlying pair)."""
+    """Shape of L_p, p not near -1, at gap x; v is the exact complement of
+    x, half_log_ratio is atanh(x) (equivalently log(hi/lo)/2 of the
+    underlying pair)."""
     if x == 0.0:
         return 1.0
-    if abs(p + 1.0) < _GLOG_SPECIAL_EPS:
-        return _shape_logarithmic(x, v)
     if abs(p) < _GLOG_CUMULANT_LIMIT:
         if abs(p) < _GLOG_SPECIAL_EPS:
             p = 0.0
         return _glog_shape_cumulant(p, x, v)
-    q = p + 1.0
-    w = 2.0 * q * half_log_ratio
-    f = (q * math.log1p(x) + _log_expm1_ratio(w) + math.log(half_log_ratio / x)) / p
-    return math.exp(f)
+    return math.exp(_glog_log_shape(p, x, half_log_ratio))
+
+
+def _shape_fn(kind: MeanKind):
+    """The unchecked shape(x, v) of a kind, for 0 <= x < 1 and v = 1-x."""
+    p = kind.p
+    if p is None:
+        return _SHAPES[kind.family]
+    if abs(p + 1.0) < _GLOG_SPECIAL_EPS:
+        return _shape_logarithmic
+    return lambda x, v: _glog_shape(p, x, v, _half_log_ratio(x, v))
 
 
 def mean_shape(kind: MeanKind, x: float) -> float:
@@ -300,29 +329,42 @@ def mean_shape(kind: MeanKind, x: float) -> float:
         raise DomainError(f"not a MeanKind: {kind!r}")
     if not (isinstance(x, (int, float)) and 0.0 <= x < 1.0):
         raise DomainError(f"gap must lie in [0, 1), got {x!r}")
-    if x == 0.0:
-        return 1.0
-    v = 1.0 - x
+    return _shape_fn(kind)(x, 1.0 - x)
+
+
+def _mean(kind: MeanKind, lo: float, hi: float) -> float:
+    """evaluate_mean without the argument checks: 0 < lo <= hi, both finite."""
+    if lo == hi:
+        return lo
+    s = lo + hi
+    if math.isinf(s):
+        # exact power-of-two rescale keeps homogeneity bit-clean
+        return 4.0 * _mean(kind, 0.25 * lo, 0.25 * hi)
     fam = kind.family
-    if fam is MeanFamily.ARITHMETIC:
-        return 1.0
     if fam is MeanFamily.HARMONIC:
-        return (1.0 + x) * v
+        return 2.0 * lo * (hi / s)
     if fam is MeanFamily.GEOMETRIC:
-        return math.sqrt((1.0 + x) * v)
-    if fam is MeanFamily.QUADRATIC:
-        return math.sqrt(1.0 + x * x)
-    if fam is MeanFamily.CONTRA_HARMONIC:
-        return 1.0 + x * x
-    if fam is MeanFamily.NEUMAN_SANDOR:
-        return _shape_neuman_sandor(x)
-    if fam is MeanFamily.SEIFFERT_SECOND:
-        return _shape_seiffert_second(x)
-    if fam is MeanFamily.SEIFFERT_FIRST:
-        return _shape_seiffert_first(x, v)
-    if fam is MeanFamily.LOGARITHMIC:
-        return _shape_logarithmic(x, v)
-    return _glog_shape(kind.p, x, v, _half_log_ratio(x, v))
+        return math.sqrt(lo) * math.sqrt(hi)
+    x = min((hi - lo) / s, _LARGEST_GAP)
+    # 2*lo/s keeps the gap complement accurate where 1-x has already rounded
+    # away; once it is below 1e-300 the log forms read log(hi/lo) directly
+    v = 2.0 * lo / s
+    extreme = x > 0.5 and v < 1e-300
+    if fam is MeanFamily.GENERALIZED_LOG:
+        p = kind.p
+        if abs(p + 1.0) < _GLOG_SPECIAL_EPS:
+            fam = MeanFamily.LOGARITHMIC  # extreme-ratio fallback included
+        else:
+            hlr = 0.5 * (math.log(hi) - math.log(lo)) if extreme else _half_log_ratio(x, v)
+            shape = _glog_shape(p, x, v, hlr)
+            if shape > 0.0 or abs(p) < _GLOG_CUMULANT_LIMIT:
+                return 0.5 * s * shape
+            # shape underflowed; reassemble in log space (possible only for
+            # huge |p| combined with an extreme lo/hi ratio)
+            return math.exp(_glog_log_shape(p, x, hlr) + math.log(0.5 * s))
+    if extreme and fam is MeanFamily.LOGARITHMIC:
+        return (hi - lo) / (math.log(hi) - math.log(lo))
+    return 0.5 * s * _SHAPES[fam](x, v)
 
 
 def evaluate_mean(kind: MeanKind, pair) -> float:
@@ -334,50 +376,4 @@ def evaluate_mean(kind: MeanKind, pair) -> float:
     if not isinstance(kind, MeanKind):
         raise DomainError(f"not a MeanKind: {kind!r}")
     p = as_pair(pair)
-    lo, hi = p.lo, p.hi
-    if lo == hi:
-        return lo
-    s = lo + hi
-    if math.isinf(s):
-        # exact power-of-two rescale keeps homogeneity bit-clean
-        return 4.0 * evaluate_mean(kind, PositivePair(0.25 * lo, 0.25 * hi))
-    x = min((hi - lo) / s, _LARGEST_GAP)
-    mean_of_pair = 0.5 * s
-    fam = kind.family
-    if fam is MeanFamily.ARITHMETIC:
-        return mean_of_pair
-    if fam is MeanFamily.HARMONIC:
-        return 2.0 * lo * (hi / s)
-    if fam is MeanFamily.GEOMETRIC:
-        return math.sqrt(lo) * math.sqrt(hi)
-    if fam is MeanFamily.QUADRATIC:
-        return mean_of_pair * math.sqrt(1.0 + x * x)
-    if fam is MeanFamily.CONTRA_HARMONIC:
-        return mean_of_pair * (1.0 + x * x)
-    if fam is MeanFamily.NEUMAN_SANDOR:
-        return mean_of_pair * _shape_neuman_sandor(x)
-    if fam is MeanFamily.SEIFFERT_SECOND:
-        return mean_of_pair * _shape_seiffert_second(x)
-    # the remaining families need the gap complement at full relative
-    # accuracy; 2*lo/s keeps it accurate where 1-x has already rounded away
-    v = 2.0 * lo / s
-    if fam is MeanFamily.SEIFFERT_FIRST:
-        return mean_of_pair * _shape_seiffert_first(x, v)
-    if fam is MeanFamily.LOGARITHMIC:
-        if x <= 0.5 or v >= 1e-300:
-            return mean_of_pair * _shape_logarithmic(x, v)
-        return (hi - lo) / (math.log(hi) - math.log(lo))
-    # generalized log
-    if x <= 0.5 or v >= 1e-300:
-        hlr = _half_log_ratio(x, v)
-    else:
-        hlr = 0.5 * (math.log(hi) - math.log(lo))
-    shape = _glog_shape(kind.p, x, v, hlr)
-    if shape > 0.0 or abs(kind.p) < _GLOG_CUMULANT_LIMIT:
-        return mean_of_pair * shape
-    # shape underflowed; reassemble in log space (possible only for huge
-    # |p| combined with an extreme lo/hi ratio)
-    q = kind.p + 1.0
-    w = 2.0 * q * hlr
-    f = (q * math.log1p(x) + _log_expm1_ratio(w) + math.log(hlr / x)) / kind.p
-    return math.exp(f + math.log(mean_of_pair))
+    return _mean(kind, p.lo, p.hi)

@@ -9,6 +9,7 @@ also makes them exact at t = 0 (first-coefficient ratio).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum, unique
@@ -151,6 +152,12 @@ def ratio_sequence_verdict(numerator_kind: CoefficientKind,
     return MonotonicityVerdict(direction, N)
 
 
+@functools.lru_cache(maxsize=32)
+def _float_coefficients(kind: CoefficientKind, N: int) -> tuple[float, ...]:
+    """The first N coefficients of a sequence, rounded to floats."""
+    return tuple(float(coefficient(kind, n)) for n in range(1, N + 1))
+
+
 def truncated_quotient(numerator_kind: CoefficientKind,
                        denominator_kind: CoefficientKind,
                        t: float, N: int = 40) -> float:
@@ -164,13 +171,10 @@ def truncated_quotient(numerator_kind: CoefficientKind,
     s = t * t
     num = 0.0
     den = 0.0
-    for n in range(N, 0, -1):
-        cn = coefficient_exact(numerator_kind, n) if n <= EXACT_TERM_LIMIT \
-            else coefficient_float(numerator_kind, n)
-        dn = coefficient_exact(denominator_kind, n) if n <= EXACT_TERM_LIMIT \
-            else coefficient_float(denominator_kind, n)
-        num = num * s + float(cn)
-        den = den * s + float(dn)
+    for cn, dn in zip(reversed(_float_coefficients(numerator_kind, N)),
+                      reversed(_float_coefficients(denominator_kind, N))):
+        num = num * s + cn
+        den = den * s + dn
     if den == 0.0:
         raise EvaluationError("denominator series underflowed to zero")
     return num / den

@@ -131,21 +131,6 @@ class TestVerifyBound:
                 normalized_gap(r2.worst_pair), rel=1e-12)
             assert r2.worst_pair.a == pytest.approx(1e3 * r1.worst_pair.a, rel=1e-12)
 
-    def test_worker_count_does_not_change_result(self):
-        claim = dict(ALL_CLAIMS)["1.1-upper"]
-        serial = verify_bound(claim, 1000, workers=1)
-        threaded = verify_bound(claim, 1000, workers=4)
-        assert serial == threaded
-
-    def test_threads_env_var(self, monkeypatch):
-        claim = dict(ALL_CLAIMS)["1.1-lower"]
-        baseline = verify_bound(claim, 500)
-        monkeypatch.setenv("MEANS_LAB_THREADS", "3")
-        assert verify_bound(claim, 500) == baseline
-        monkeypatch.setenv("MEANS_LAB_THREADS", "zebra")
-        with pytest.raises(DomainError):
-            verify_bound(claim, 500)
-
 
 class TestSharpness:
     @pytest.mark.parametrize("claim_id,claim", ALL_CLAIMS)

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -25,6 +26,7 @@ from means_lab import (
     pair_from_gap,
     stable_asinh,
 )
+from means_lab.cli import main
 from oracles import mean_oracle, rel_err
 
 # the ten families, with representative exponents for the generalized log
@@ -56,7 +58,8 @@ class TestSpecExamples:
         assert got == pytest.approx(math.e - 1.0, rel=1e-13)
 
     def test_invalid_pairs(self):
-        for bad in ((0, 1), (-1, 2), (1, float("nan")), (1, float("inf")), (1,)):
+        for bad in ((0, 1), (-1, 2), (1, float("nan")), (1, float("inf")), (1,),
+                    (True, 3), (2, False)):
             with pytest.raises(DomainError):
                 evaluate_mean(HARMONIC, bad)
 
@@ -246,6 +249,14 @@ class TestGeneralizedLogConsistency:
         for _ in range(200):
             pair = pair_from_gap(rng.random(), 10 ** rng.uniform(-2, 2))
             assert evaluate_mean(generalized_log(-1.0), pair) == evaluate_mean(LOGARITHMIC, pair)
+
+    def test_p_minus_one_extreme_ratio_is_logarithmic(self, capsys):
+        # the gap complement underflows to 0 here; L_-1 takes L's log fallback
+        pair = (1e-308, 1e308)
+        assert evaluate_mean(generalized_log(-1.0), pair) == evaluate_mean(LOGARITHMIC, pair)
+        assert main(["eval", "--means", "Lp:-1", "--pair", "1e-308,1e308", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdicts"][0]["value"] == \
+            evaluate_mean(LOGARITHMIC, pair)
 
     def test_p_one_is_arithmetic(self):
         rng = random.Random(73)

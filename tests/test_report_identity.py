@@ -1,0 +1,45 @@
+"""Report identity: the JSON documents of small verify/sharpness runs must
+equal the recorded goldens exactly, so a refactor of the kernels or sweeps
+cannot move a single number unnoticed.
+
+Regenerate (only for an intended numerical change) with
+``PYTHONPATH=src python tests/test_report_identity.py``.
+"""
+
+import io
+import json
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from means_lab.cli import main
+
+GOLDEN = Path(__file__).parent / "golden" / "reports_small.json"
+
+COMMANDS = (
+    [["verify", t, "--grid", "2000"] for t in ("1.1", "1.2", "1.3")]
+    + [["verify", "chain", "--samples", "2000", "--seed", "7"],
+       ["verify", "corpus", "--samples", "500", "--seed", "7"]]
+    + [["sharpness", t, "--side", side, "--epsilon", "1e-3"]
+       for t in ("1.1", "1.2", "1.3") for side in ("lower", "upper")]
+)
+
+
+def _document(argv: list[str]) -> dict:
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(argv + ["--format", "json"])
+    assert code == 0, argv
+    return json.loads(buf.getvalue())
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_report_matches_golden(argv):
+    golden = json.loads(GOLDEN.read_text())
+    assert _document(argv) == golden[" ".join(argv)]
+
+
+if __name__ == "__main__":
+    docs = {" ".join(argv): _document(argv) for argv in COMMANDS}
+    GOLDEN.write_text(json.dumps(docs, indent=2) + "\n")
