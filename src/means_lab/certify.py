@@ -12,12 +12,13 @@ where the bounds are sharp the true margins drop below 1e-30.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
 from enum import Enum, unique
 
-from .exceptions import DomainError
+from .exceptions import DomainError, check_int, check_real
 from .means import (
     ARITHMETIC,
     CHAIN_ORDER,
@@ -110,8 +111,7 @@ class ConvexCombination:
     second: MeanKind
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.weight, (int, float)) and 0.0 <= self.weight <= 1.0):
-            raise DomainError(f"weight must lie in [0, 1], got {self.weight!r}")
+        check_real("weight", self.weight, 0.0, 1.0)
         for k in (self.first, self.second):
             if not isinstance(k, MeanKind):
                 raise DomainError(f"not a MeanKind: {k!r}")
@@ -175,8 +175,7 @@ def gap_grid(n: int) -> list[float]:
     """n gaps log-dense toward both endpoints: a geometric ladder from
     GRID_EDGE to 0.5 and its mirror 1-x, because every sharp constant lives
     in an endpoint limit and uniform grids under-sample there."""
-    if n < 2:
-        raise DomainError("grid needs at least 2 points")
+    check_int("grid size n", n, 2)
     m = n // 2
     lo_count, hi_count = m, n - m
     span = math.log(0.5) - math.log(GRID_EDGE)
@@ -229,8 +228,7 @@ def verify_bound(claim: BoundClaim, grid_size: int, scale: float = 1.0) -> Certi
     grid; holds iff every resolvable margin is positive."""
     if not isinstance(claim, BoundClaim):
         raise DomainError(f"not a BoundClaim: {claim!r}")
-    if not isinstance(grid_size, int) or grid_size < 100:
-        raise DomainError(f"grid_size must be an integer >= 100, got {grid_size!r}")
+    check_int("grid_size", grid_size, 100)
     grid = gap_grid(grid_size)
     margin = _margin_fn(claim, claim.combination.weight)
     min_margin, worst_x, near = _scan(((margin(x), x) for x in grid), 0.5)
@@ -250,14 +248,12 @@ def sharpness_probe(claim: BoundClaim, epsilon: float) -> SharpnessReport:
     geometric ladder toward the sharp endpoint until the bound breaks."""
     if not isinstance(claim, BoundClaim):
         raise DomainError(f"not a BoundClaim: {claim!r}")
-    if not (isinstance(epsilon, (int, float)) and 0.0 < epsilon <= 1e-2):
-        raise DomainError(f"epsilon must lie in (0, 1e-2], got {epsilon!r}")
+    check_real("epsilon", epsilon, 0.0, 1e-2, lo_open=True)
     if claim.relation is Relation.LESS_THAN_M:
         weight = claim.claimed_sharp_weight - epsilon
     else:
         weight = claim.claimed_sharp_weight + epsilon
-    if not 0.0 <= weight <= 1.0:
-        raise DomainError(f"perturbed weight {weight} leaves [0, 1]")
+    check_real("perturbed weight", weight, 0.0, 1.0)
     margin = _margin_fn(claim, weight)
     offset = 0.5
     while offset >= 1e-15:
@@ -294,19 +290,13 @@ def recover_constant(fn: RatioFunctionKind, objective: Objective, tol: float = 1
     """Numerically extremize a ratio function over its open domain: uniform
     scan, geometric endpoint approach, golden-section refinement of the best
     interior bracket, plus the continuous endpoint extensions."""
-    if not isinstance(fn, RatioFunctionKind):
-        raise DomainError(f"not a RatioFunctionKind: {fn!r}")
     if not isinstance(objective, Objective):
         raise DomainError(f"not an Objective: {objective!r}")
-    if not (isinstance(tol, (int, float)) and tol >= 1e-12):
-        raise DomainError(f"tolerance must be >= 1e-12, got {tol!r}")
+    check_real("tolerance", tol, 1e-12)
     lo, hi = ratio_function_domain(fn)
     span = hi - lo
     maximize = objective is Objective.SUPREMUM
-
-    def value(x: float) -> float:
-        return evaluate_ratio_function(fn, x)
-
+    value = functools.partial(evaluate_ratio_function, fn)
     scan_points = [lo + span * (i + 0.5) / 2001 for i in range(2001)]
     scan_points += [lo + span * 10.0**-j for j in range(2, 13)]
     scan_points += [hi - span * 10.0**-j for j in range(2, 13)]
@@ -353,8 +343,7 @@ def _sampled_report(margins, sample_count: int, seed: int) -> CertificationRepor
 def verify_chain(sample_count: int, seed: int) -> CertificationReport:
     """Strict ordering H < G < L < P < A < M < T < Q < C on random pairs,
     reporting the smallest resolvable normalized margin."""
-    if not isinstance(sample_count, int) or sample_count < 1:
-        raise DomainError(f"sample_count must be a positive integer, got {sample_count!r}")
+    check_int("sample_count", sample_count, 1)
     rng = random.Random(seed)
 
     def margins():
@@ -460,8 +449,7 @@ def _sampled_margins(draw, rng: random.Random, sample_count: int, margin_fn):
 
 def verify_corpus(sample_count: int, seed: int) -> list[tuple[str, CertificationReport]]:
     """Evaluate every corpus claim on its own seeded sample stream."""
-    if not isinstance(sample_count, int) or sample_count < 1:
-        raise DomainError(f"sample_count must be a positive integer, got {sample_count!r}")
+    check_int("sample_count", sample_count, 1)
     results = []
     for claim_id, draw, margin_fn in _corpus_claims():
         rng = random.Random(f"{seed}:{claim_id}")

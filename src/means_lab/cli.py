@@ -2,8 +2,9 @@
 probing, constant recovery, and series verdicts, with table/JSON/CSV output.
 
 Exit codes: 0 = all claims hold / expected witness found, 1 = a verification
-failed, 2 = usage or domain error.  Every JSON document carries the same
-top-level keys: command, seed, grid_size, samples, verdicts, worst_case.
+failed, 2 = usage or domain error, 3 = internal error.  Every JSON document
+carries the same top-level keys: command, seed, grid_size, samples, verdicts,
+worst_case; it is strict JSON, with every non-finite float written as null.
 """
 
 from __future__ import annotations
@@ -58,20 +59,11 @@ def parse_mean_token(token: str) -> MeanKind:
 
 
 def _parse_pair(text: str) -> PositivePair:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise DomainError(f"--pair expects 'a,b', got {text!r}")
     try:
-        a, b = float(parts[0]), float(parts[1])
+        a, b = map(float, text.split(","))
     except ValueError:
-        raise DomainError(f"--pair entries must be decimal literals, got {text!r}") from None
+        raise DomainError(f"--pair expects two decimal literals 'a,b', got {text!r}") from None
     return PositivePair(a, b)
-
-
-def _resolve_format(fmt: str | None) -> str:
-    if fmt is not None:
-        return fmt
-    return "table" if sys.stdout.isatty() else "json"
 
 
 def _document(command: str, verdicts: list[dict], *, seed: int | None = None,
@@ -95,25 +87,21 @@ def _cell(value) -> str:
 
 def _render(doc: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(doc, indent=2))
+        # dumped leniently and parsed back, Infinity and NaN become null
+        strict = json.loads(json.dumps(doc), parse_constant=lambda _: None)
+        print(json.dumps(strict, indent=2, allow_nan=False))
         return
     rows = doc["verdicts"]
-    if fmt == "csv":
-        writer = csv.writer(sys.stdout)
-        if rows:
-            header = list(rows[0].keys())
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_cell(row.get(k, "")) for k in header])
-        return
-    if not rows:
-        print("(no rows)")
-        return
-    header = list(rows[0].keys())
+    header = list(rows[0].keys()) if rows else []
     table = [header] + [[_cell(row.get(k, "")) for k in header] for row in rows]
-    widths = [max(len(r[i]) for r in table) for i in range(len(header))]
-    for r in table:
-        print("  ".join(cell.ljust(width) for cell, width in zip(r, widths)))
+    if fmt == "csv":
+        csv.writer(sys.stdout).writerows(table if rows else [])
+    elif not rows:
+        print("(no rows)")
+    else:
+        widths = [max(len(r[i]) for r in table) for i in range(len(header))]
+        for r in table:
+            print("  ".join(cell.ljust(width) for cell, width in zip(r, widths)))
 
 
 def _report_row(claim_id: str, report) -> dict:
@@ -141,17 +129,17 @@ def _worst_case(rows: list[dict]) -> dict | None:
     }
 
 
-def cmd_eval(args) -> int:
+# Each handler returns (document, ok); main renders the document and maps ok
+# to the exit code.
+
+def cmd_eval(args) -> tuple[dict, bool]:
     pair = _parse_pair(args.pair)
     kinds = [parse_mean_token(tok) for tok in args.means.split(",")]
     rows = [{"id": kind.token, "value": evaluate_mean(kind, pair)} for kind in kinds]
-    _render(_document("eval", rows), _resolve_format(args.format))
-    return 0
+    return _document("eval", rows), True
 
 
 def _theorem_reports(args) -> list[dict]:
-    if args.grid < 100:
-        raise DomainError(f"--grid must be >= 100, got {args.grid}")
     rows = []
     for claim_id, claim in theorem_claims(args.target):
         override = args.weight_lower if claim.relation is Relation.LESS_THAN_M else args.weight_upper
@@ -164,34 +152,25 @@ def _theorem_reports(args) -> list[dict]:
     return rows
 
 
-def cmd_verify(args) -> int:
-    fmt = _resolve_format(args.format)
+def cmd_verify(args) -> tuple[dict, bool]:
     if args.target in ("1.1", "1.2", "1.3"):
         rows = _theorem_reports(args)
         doc = _document("verify", rows, grid_size=args.grid, worst_case=_worst_case(rows))
-        _render(doc, fmt)
-        return 0 if all(r["holds"] for r in rows) else 1
+        return doc, all(r["holds"] for r in rows)
     if args.target == "chain":
-        report = verify_chain(args.samples, args.seed)
-        rows = [_report_row("chain", report)]
-        doc = _document("verify", rows, seed=args.seed, samples=args.samples,
-                        worst_case=_worst_case(rows))
-        _render(doc, fmt)
-        return 0 if report.holds else 1
+        reports = [("chain", verify_chain(args.samples, args.seed))]
+    else:
+        reports = verify_corpus(args.samples, args.seed)
+    rows = [_report_row(claim_id, report) for claim_id, report in reports]
     if args.target == "corpus":
-        rows = []
-        for claim_id, report in verify_corpus(args.samples, args.seed):
-            row = _report_row(claim_id, report)
-            row["gating"] = claim_id not in REPORT_ONLY_CORPUS_CLAIMS
-            rows.append(row)
-        doc = _document("verify", rows, seed=args.seed, samples=args.samples,
-                        worst_case=_worst_case(rows))
-        _render(doc, fmt)
-        return 0 if all(r["holds"] for r in rows if r["gating"]) else 1
-    raise DomainError(f"unknown verification target {args.target!r}")
+        for row in rows:
+            row["gating"] = row["id"] not in REPORT_ONLY_CORPUS_CLAIMS
+    doc = _document("verify", rows, seed=args.seed, samples=args.samples,
+                    worst_case=_worst_case(rows))
+    return doc, all(r["holds"] for r in rows if r.get("gating", True))
 
 
-def cmd_sharpness(args) -> int:
+def cmd_sharpness(args) -> tuple[dict, bool]:
     claims = dict(theorem_claims(args.theorem))
     claim = claims[f"{args.theorem}-{args.side}"]
     report = sharpness_probe(claim, args.epsilon)
@@ -207,8 +186,7 @@ def cmd_sharpness(args) -> int:
     if report.violated:
         worst = {"claim": row["id"], "min_margin": None,
                  "pair": [report.witness.a, report.witness.b], "gap": report.witness_gap}
-    _render(_document("sharpness", [row], worst_case=worst), _resolve_format(args.format))
-    return 0 if report.violated else 1
+    return _document("sharpness", [row], worst_case=worst), report.violated
 
 
 def _recover_p0() -> float:
@@ -221,7 +199,7 @@ def _recover_p0() -> float:
     return p
 
 
-def cmd_constants(args) -> int:
+def cmd_constants(args) -> tuple[dict, bool]:
     c = sharp_constants()
     lam_form = "1 - 1/(sqrt(2)*log(1+sqrt(2)))"
     recoveries = {
@@ -251,13 +229,10 @@ def cmd_constants(args) -> int:
         "recovered": p0_recovered,
         "abs_diff": abs(c.p0 - p0_recovered),
     })
-    _render(_document("constants", rows), _resolve_format(args.format))
-    return 0 if all(row["abs_diff"] < 1e-9 for row in rows) else 1
+    return _document("constants", rows), all(row["abs_diff"] < 1e-9 for row in rows)
 
 
-def cmd_series(args) -> int:
-    if args.terms < 2:
-        raise DomainError(f"--terms must be >= 2, got {args.terms}")
+def cmd_series(args) -> tuple[dict, bool]:
     pairing = {"HQ": (CoefficientKind.A, CoefficientKind.B),
                "HC": (CoefficientKind.C, CoefficientKind.D)}[args.pairing]
     verdict = ratio_sequence_verdict(pairing[0], pairing[1], args.terms)
@@ -272,8 +247,7 @@ def cmd_series(args) -> int:
         })
     doc = _document("series", rows)
     doc["first_violation"] = verdict.first_violation
-    _render(doc, _resolve_format(args.format))
-    return 0
+    return doc, True
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,10 +306,14 @@ def main(argv=None) -> int:
     if args.command == "verify" and args.samples is None:
         args.samples = 100_000 if args.target == "chain" else 10_000
     try:
-        return args.handler(args)
-    except (DomainError, EvaluationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        doc, ok = args.handler(args)
+        _render(doc, args.format or ("table" if sys.stdout.isatty() else "json"))
+    except Exception as exc:  # the one exit path: no traceback leaves the CLI
+        expected = isinstance(exc, (DomainError, EvaluationError))
+        detail = str(exc) if expected else f"internal {type(exc).__name__}: {exc}"
+        print(f"error: {detail}", file=sys.stderr)
+        return 2 if expected else 3
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one argument check
+every public function uses."""
+
+import math
 
 
 class DomainError(ValueError):
@@ -7,3 +10,21 @@ class DomainError(ValueError):
 
 class EvaluationError(ArithmeticError):
     """A numerical evaluation could not produce a meaningful result."""
+
+
+def check_real(name: str, x, lo: float = -math.inf, hi: float = math.inf, *,
+               lo_open: bool = False, hi_open: bool = False) -> float:
+    """x as a float if it is a real number (not a bool) in the interval from
+    lo to hi, each end closed unless marked open; NaN is never inside."""
+    if (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and (lo < x if lo_open else lo <= x) and (x < hi if hi_open else x <= hi)):
+        return float(x)
+    interval = f"{'(' if lo_open else '['}{lo!r}, {hi!r}{')' if hi_open else ']'}"
+    raise DomainError(f"{name} must be a real number in {interval}, got {x!r}")
+
+
+def check_int(name: str, n, lo: int) -> int:
+    """n if it is an integer (not a bool) of at least lo."""
+    if isinstance(n, int) and not isinstance(n, bool) and n >= lo:
+        return n
+    raise DomainError(f"{name} must be an integer >= {lo}, got {n!r}")

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum, unique
 
-from .exceptions import DomainError
+from .exceptions import DomainError, check_real
 
 __all__ = [
     "MeanFamily",
@@ -81,8 +81,8 @@ class MeanKind:
 
     def __post_init__(self) -> None:
         if self.family is MeanFamily.GENERALIZED_LOG:
-            if self.p is None or not math.isfinite(self.p):
-                raise DomainError("GeneralizedLog requires a finite exponent p")
+            object.__setattr__(self, "p", check_real("exponent p", self.p, -math.inf, math.inf,
+                                                     lo_open=True, hi_open=True))
         elif self.p is not None:
             raise DomainError(f"{self.family.value} does not take a parameter")
 
@@ -121,7 +121,7 @@ CHAIN_ORDER = (
 def generalized_log(p: float) -> MeanKind:
     """Generalized logarithmic mean L_p; L_-1 is logarithmic, L_0 identric,
     L_1 arithmetic."""
-    return MeanKind(MeanFamily.GENERALIZED_LOG, float(p))
+    return MeanKind(MeanFamily.GENERALIZED_LOG, p)
 
 
 @dataclass(frozen=True)
@@ -132,12 +132,9 @@ class PositivePair:
     b: float
 
     def __post_init__(self) -> None:
-        for v in (self.a, self.b):
-            if not (isinstance(v, (int, float)) and not isinstance(v, bool)
-                    and math.isfinite(v) and v > 0):
-                raise DomainError(f"pair entries must be finite positive reals, got {v!r}")
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", float(self.b))
+        for name in ("a", "b"):
+            object.__setattr__(self, name, check_real(
+                "pair entry", getattr(self, name), 0.0, math.inf, lo_open=True, hi_open=True))
 
     @property
     def lo(self) -> float:
@@ -170,10 +167,8 @@ def normalized_gap(pair) -> float:
 
 def pair_from_gap(x: float, scale: float) -> PositivePair:
     """The pair (scale*(1+x), scale*(1-x)), whose normalized gap is x."""
-    if not (isinstance(x, (int, float)) and 0.0 <= x < 1.0):
-        raise DomainError(f"gap must lie in [0, 1), got {x!r}")
-    if not (isinstance(scale, (int, float)) and math.isfinite(scale) and scale > 0):
-        raise DomainError(f"scale must be a finite positive real, got {scale!r}")
+    x = check_real("gap", x, 0.0, 1.0, hi_open=True)
+    scale = check_real("scale", scale, 0.0, math.inf, lo_open=True, hi_open=True)
     return PositivePair(scale * (1.0 + x), scale * (1.0 - x))
 
 
@@ -296,6 +291,11 @@ def _glog_log_shape(p: float, x: float, half_log_ratio: float) -> float:
     """Log of the L_p shape by the direct log-space formula."""
     q = p + 1.0
     w = 2.0 * q * half_log_ratio
+    if math.isinf(w):
+        # exp(-|w|) is nil: log((1 - e^-w)/w) = max(-w, 0) - log|w|, with the
+        # -w = -2q*atanh(x) part folded into q*log(1-x), all divided by p
+        log_end = math.log1p(x) - (2.0 * half_log_ratio if q < 0.0 else 0.0)
+        return (q / p) * log_end - (math.log(2.0 * x) + math.log(abs(q))) / p
     return (q * math.log1p(x) + _log_expm1_ratio(w) + math.log(half_log_ratio / x)) / p
 
 
@@ -327,8 +327,7 @@ def mean_shape(kind: MeanKind, x: float) -> float:
     by the certification grids.  Requires 0 <= x < 1."""
     if not isinstance(kind, MeanKind):
         raise DomainError(f"not a MeanKind: {kind!r}")
-    if not (isinstance(x, (int, float)) and 0.0 <= x < 1.0):
-        raise DomainError(f"gap must lie in [0, 1), got {x!r}")
+    x = check_real("gap", x, 0.0, 1.0, hi_open=True)
     return _shape_fn(kind)(x, 1.0 - x)
 
 
@@ -357,11 +356,13 @@ def _mean(kind: MeanKind, lo: float, hi: float) -> float:
         else:
             hlr = 0.5 * (math.log(hi) - math.log(lo)) if extreme else _half_log_ratio(x, v)
             shape = _glog_shape(p, x, v, hlr)
-            if shape > 0.0 or abs(p) < _GLOG_CUMULANT_LIMIT:
-                return 0.5 * s * shape
-            # shape underflowed; reassemble in log space (possible only for
-            # huge |p| combined with an extreme lo/hi ratio)
-            return math.exp(_glog_log_shape(p, x, hlr) + math.log(0.5 * s))
+            if shape > 1e-300 or abs(p) < _GLOG_CUMULANT_LIMIT:
+                mean = 0.5 * s * shape
+            else:
+                # shape at or past underflow, where it loses precision;
+                # reassemble in log space (only for p < -1, extreme lo/hi)
+                mean = math.exp(_glog_log_shape(p, x, hlr) + math.log(0.5 * s))
+            return min(max(mean, lo), hi)
     if extreme and fam is MeanFamily.LOGARITHMIC:
         return (hi - lo) / (math.log(hi) - math.log(lo))
     return 0.5 * s * _SHAPES[fam](x, v)

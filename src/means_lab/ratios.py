@@ -15,8 +15,9 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum, unique
+from typing import Callable, NamedTuple
 
-from .exceptions import DomainError
+from .exceptions import DomainError, check_int, check_real
 from .means import stable_asinh
 from .series import CoefficientKind, solve_p0, truncated_quotient
 
@@ -90,6 +91,10 @@ class RatioFunctionKind(Enum):
     PHI_HC = "phi-hc"
     RATIO_GQ = "ratio-gq"
 
+    # members are singletons, so identity hashing is exact; Enum's default
+    # hash runs Python code and costs more than the table lookup it serves
+    __hash__ = object.__hash__
+
 
 @unique
 class Endpoint(Enum):
@@ -105,35 +110,12 @@ def _phi_hq_closed(t: float) -> float:
     return (t * ch - sh) / (t * (sh * sh + 2.0 * sh_half * sh_half))
 
 
-def phi_hq(t: float) -> float:
-    """(Q-M)/(Q-H) in the t-coordinate; strictly decreasing on
-    (0, log(1+sqrt(2))) from 2/9 down to lambda0."""
-    if not (isinstance(t, (int, float)) and 0.0 < t < ASINH_ONE):
-        raise DomainError(f"phi_hq needs 0 < t < log(1+sqrt(2)), got {t!r}")
-    if t < SERIES_SWITCH:
-        return truncated_quotient(CoefficientKind.A, CoefficientKind.B, t, _SERIES_TERMS)
-    return _phi_hq_closed(t)
-
-
 def _phi_hc_closed(t: float) -> float:
     ch = math.cosh(t)
     sh = math.sinh(t)
     # numerator t*(cosh(2t)+1) - 2*sinh(t) == 2*(t*cosh(t)^2 - sinh(t)),
     # denominator 2t*(cosh(2t)-1) == 4t*sinh(t)^2
     return (t * ch * ch - sh) / (2.0 * t * sh * sh)
-
-
-def phi_hc(t: float) -> float:
-    """(C-M)/(C-H) in the t-coordinate; even, strictly increasing on
-    (0, log(1+sqrt(2))) from 5/12 up to 1 - 1/(2 log(1+sqrt(2)))."""
-    if not isinstance(t, (int, float)):
-        raise DomainError(f"phi_hc needs a real argument, got {t!r}")
-    u = abs(t)
-    if not 0.0 < u < ASINH_ONE:
-        raise DomainError(f"phi_hc needs 0 < |t| < log(1+sqrt(2)), got {t!r}")
-    if u < SERIES_SWITCH:
-        return truncated_quotient(CoefficientKind.C, CoefficientKind.D, u, _SERIES_TERMS)
-    return _phi_hc_closed(u)
 
 
 # Series of (sqrt(1+x^2)*asinh(x) - x)/x^3 and of
@@ -163,68 +145,96 @@ def _ratio_gq_closed(x: float) -> float:
     return (s1 * ah - x) / ((2.0 * x * x / (s1 + s2)) * ah)
 
 
+class _RatioRow(NamedTuple):
+    """One ratio function: its series form (used below SERIES_SWITCH and
+    exact at 0), its closed form, the upper end hi of its open domain
+    (0, hi), and the SharpConstants fields of its limits at 0 and at hi.
+    An even function also accepts -hi < t < 0."""
+
+    series: Callable[[float], float]
+    closed: Callable[[float], float]
+    hi: float
+    lower: str
+    upper: str
+    even: bool = False
+
+
+# The series lambdas read truncated_quotient at call time, so a rebinding of
+# the module global is seen.
+_RATIO_ROWS = {
+    RatioFunctionKind.PHI_HQ: _RatioRow(
+        lambda t: truncated_quotient(CoefficientKind.A, CoefficientKind.B, t, _SERIES_TERMS),
+        _phi_hq_closed, ASINH_ONE, "alpha1", "lambda0"),
+    RatioFunctionKind.PHI_HC: _RatioRow(
+        lambda t: truncated_quotient(CoefficientKind.C, CoefficientKind.D, t, _SERIES_TERMS),
+        _phi_hc_closed, ASINH_ONE, "beta3", "alpha3", even=True),
+    RatioFunctionKind.RATIO_GQ: _RatioRow(
+        lambda x: _poly(_GQ_NUM_COEFFS, x * x) / _poly(_GQ_DEN_COEFFS, x * x),
+        _ratio_gq_closed, 1.0, "alpha2", "lambda0"),
+}
+
+
+def _row(kind: RatioFunctionKind) -> _RatioRow:
+    if isinstance(kind, RatioFunctionKind):
+        return _RATIO_ROWS[kind]
+    raise DomainError(f"unknown ratio function {kind!r}")
+
+
+def _is_lower(end: Endpoint) -> bool:
+    if isinstance(end, Endpoint):
+        return end is Endpoint.LOWER
+    raise DomainError(f"unknown endpoint {end!r}")
+
+
+def evaluate_ratio_function(kind: RatioFunctionKind, t: float) -> float:
+    """The ratio function kind at t, from its series below SERIES_SWITCH
+    and its closed form above."""
+    # checked inline, not by calls: this runs once per sample of recover_constant
+    if isinstance(kind, RatioFunctionKind) and isinstance(t, (int, float)) and not isinstance(t, bool):
+        row = _RATIO_ROWS[kind]
+        u = -t if row.even and t < 0.0 else t
+        if 0.0 < u < row.hi:
+            return row.series(u) if u < SERIES_SWITCH else row.closed(u)
+    row = _row(kind)
+    raise DomainError(f"{kind.value} needs 0 < {'|t|' if row.even else 't'} < {row.hi!r}, got {t!r}")
+
+
+def phi_hq(t: float) -> float:
+    """(Q-M)/(Q-H) in the t-coordinate; strictly decreasing on
+    (0, log(1+sqrt(2))) from 2/9 down to lambda0."""
+    return evaluate_ratio_function(RatioFunctionKind.PHI_HQ, t)
+
+
+def phi_hc(t: float) -> float:
+    """(C-M)/(C-H) in the t-coordinate; even, strictly increasing on
+    (0, log(1+sqrt(2))) from 5/12 up to 1 - 1/(2 log(1+sqrt(2)))."""
+    return evaluate_ratio_function(RatioFunctionKind.PHI_HC, t)
+
+
 def ratio_gq(x: float) -> float:
     """(Q-M)/(Q-G) in the gap coordinate; range (lambda0, 1/3) on (0, 1)
     with the endpoints attained in the limits."""
-    if not (isinstance(x, (int, float)) and 0.0 < x < 1.0):
-        raise DomainError(f"ratio_gq needs 0 < x < 1, got {x!r}")
-    if x < SERIES_SWITCH:
-        s = x * x
-        return _poly(_GQ_NUM_COEFFS, s) / _poly(_GQ_DEN_COEFFS, s)
-    return _ratio_gq_closed(x)
+    return evaluate_ratio_function(RatioFunctionKind.RATIO_GQ, x)
 
 
 def ratio_function_domain(kind: RatioFunctionKind) -> tuple[float, float]:
     """Open domain endpoints of a ratio function's argument."""
-    if kind is RatioFunctionKind.RATIO_GQ:
-        return (0.0, 1.0)
-    return (0.0, ASINH_ONE)
-
-
-def evaluate_ratio_function(kind: RatioFunctionKind, t: float) -> float:
-    if kind is RatioFunctionKind.PHI_HQ:
-        return phi_hq(t)
-    if kind is RatioFunctionKind.PHI_HC:
-        return phi_hc(t)
-    if kind is RatioFunctionKind.RATIO_GQ:
-        return ratio_gq(t)
-    raise DomainError(f"unknown ratio function {kind!r}")
+    return (0.0, _row(kind).hi)
 
 
 def limit_at(kind: RatioFunctionKind, end: Endpoint) -> float:
     """Closed-form endpoint limits: these are the sharp constants, exposed
     directly rather than extrapolated."""
-    c = sharp_constants()
-    table = {
-        (RatioFunctionKind.PHI_HQ, Endpoint.LOWER): c.alpha1,
-        (RatioFunctionKind.PHI_HQ, Endpoint.UPPER): c.lambda0,
-        (RatioFunctionKind.PHI_HC, Endpoint.LOWER): c.beta3,
-        (RatioFunctionKind.PHI_HC, Endpoint.UPPER): c.alpha3,
-        (RatioFunctionKind.RATIO_GQ, Endpoint.LOWER): c.alpha2,
-        (RatioFunctionKind.RATIO_GQ, Endpoint.UPPER): c.lambda0,
-    }
-    try:
-        return table[(kind, end)]
-    except KeyError:
-        raise DomainError(f"unknown ratio function/endpoint {kind!r}/{end!r}") from None
+    row = _row(kind)
+    return getattr(sharp_constants(), row.lower if _is_lower(end) else row.upper)
 
 
 def endpoint_value(kind: RatioFunctionKind, end: Endpoint) -> float:
     """Continuous-extension value at a domain endpoint, computed numerically
     from the defining expressions (the recovery-side counterpart of the
-    closed-form limit_at)."""
-    if end is Endpoint.LOWER:
-        # at 0 the common t^3 factor cancels: the quotient of leading terms
-        if kind is RatioFunctionKind.PHI_HQ:
-            return truncated_quotient(CoefficientKind.A, CoefficientKind.B, 0.0, 1)
-        if kind is RatioFunctionKind.PHI_HC:
-            return truncated_quotient(CoefficientKind.C, CoefficientKind.D, 0.0, 1)
-        return _GQ_NUM_COEFFS[0] / _GQ_DEN_COEFFS[0]
-    if kind is RatioFunctionKind.PHI_HQ:
-        return _phi_hq_closed(ASINH_ONE)
-    if kind is RatioFunctionKind.PHI_HC:
-        return _phi_hc_closed(ASINH_ONE)
-    return _ratio_gq_closed(1.0)
+    closed-form limit_at): the series at 0, the closed form at hi."""
+    row = _row(kind)
+    return row.series(0.0) if _is_lower(end) else row.closed(row.hi)
 
 
 # --- auxiliary sign functions -------------------------------------------
@@ -244,13 +254,6 @@ def _asinh_deficit(x: float) -> float:
     return x - stable_asinh(x)
 
 
-def _check_unit_interval(x, closed: bool = True) -> float:
-    lo_ok = x >= 0.0 if closed else x > 0.0
-    if not (isinstance(x, (int, float)) and lo_ok and x <= 1.0):
-        raise DomainError(f"argument must lie in the unit interval, got {x!r}")
-    return float(x)
-
-
 def f_p(p: float, x: float) -> float:
     """asinh(x) - x/(sqrt(1+x^2) - p(sqrt(1+x^2) - sqrt(1-x^2))): negative
     on (0,1) for p = 1/3, positive for p = lambda0.
@@ -258,9 +261,8 @@ def f_p(p: float, x: float) -> float:
     Rearranged as x*(den-1)/den - (x - asinh(x)) so both O(x^3) pieces keep
     full relative accuracy; the naive form loses the sign for x below ~1e-3.
     """
-    if not (isinstance(p, (int, float)) and 0.0 < p < 1.0):
-        raise DomainError(f"f_p needs p in (0, 1), got {p!r}")
-    x = _check_unit_interval(x)
+    p = check_real("weight p", p, 0.0, 1.0, lo_open=True, hi_open=True)
+    x = check_real("x", x, 0.0, 1.0)
     if x == 0.0:
         return 0.0
     s1 = math.sqrt(1.0 + x * x)
@@ -274,9 +276,8 @@ def f_p(p: float, x: float) -> float:
 
 def g_p(p: float, x: float) -> float:
     """Numerator of f_p's derivative: sign analysis auxiliary."""
-    if not (isinstance(p, (int, float)) and 0.0 < p < 1.0):
-        raise DomainError(f"g_p needs p in (0, 1), got {p!r}")
-    x = _check_unit_interval(x)
+    p = check_real("weight p", p, 0.0, 1.0, lo_open=True, hi_open=True)
+    x = check_real("x", x, 0.0, 1.0)
     s1 = math.sqrt(1.0 + x * x)
     s2 = math.sqrt(1.0 - x * x)
     w = s1 + p * (s2 - s1)
@@ -285,7 +286,7 @@ def g_p(p: float, x: float) -> float:
 
 def h_onethird(x: float) -> float:
     """Scaled derivative factor of g at weight 1/3; strictly negative on (0,1]."""
-    x = _check_unit_interval(x)
+    x = check_real("x", x, 0.0, 1.0)
     s1 = math.sqrt(1.0 + x * x)
     s2 = math.sqrt(1.0 - x * x)
     return 14.0 / (9.0 * (s1 + s2)) - (s1 + s2) - s2 / 3.0
@@ -294,7 +295,7 @@ def h_onethird(x: float) -> float:
 def h_lambda0(x: float) -> float:
     """Scaled derivative factor of g at weight lambda0; positive then
     negative on (0, 1) with a single sign change."""
-    x = _check_unit_interval(x)
+    x = check_real("x", x, 0.0, 1.0)
     lam = sharp_constants().lambda0
     s1 = math.sqrt(1.0 + x * x)
     s2 = math.sqrt(1.0 - x * x)
@@ -306,8 +307,7 @@ def h_lambda0(x: float) -> float:
 
 def mu_lambda0(x: float) -> float:
     """Scaled derivative factor of h_lambda0; strictly negative on (0, 0.9]."""
-    if not (isinstance(x, (int, float)) and 0.0 <= x <= 0.9):
-        raise DomainError(f"mu_lambda0 needs x in [0, 0.9], got {x!r}")
+    x = check_real("x", x, 0.0, 0.9)
     lam = sharp_constants().lambda0
     s1 = math.sqrt(1.0 + x * x)
     s2 = math.sqrt(1.0 - x * x)
@@ -320,10 +320,8 @@ def mu_lambda0(x: float) -> float:
 def locate_h_lambda0_sign_change(grid_points: int = 10_000, tol: float = 1e-12) -> float:
     """The unique root x0 of h_lambda0 in (0, 0.9): grid scan to isolate the
     bracket (verifying there is exactly one sign change), then bisection."""
-    if grid_points < 10:
-        raise DomainError("need at least 10 grid points")
-    if tol <= 0.0:
-        raise DomainError("tolerance must be positive")
+    check_int("grid_points", grid_points, 10)
+    check_real("tol", tol, 0.0, math.inf, lo_open=True)
     xs = [0.9 * k / grid_points for k in range(grid_points + 1)]
     values = [h_lambda0(x) for x in xs]
     brackets = [i for i in range(grid_points) if values[i] > 0.0 >= values[i + 1]]

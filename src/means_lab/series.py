@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum, unique
 from fractions import Fraction
 
-from .exceptions import DomainError, EvaluationError
+from .exceptions import DomainError, EvaluationError, check_int, check_real
 
 __all__ = [
     "CoefficientKind",
@@ -49,15 +49,9 @@ class CoefficientKind(Enum):
     D = "D"  # 2^(2n+1) / (2n)!
 
 
-def _check_index(n: int) -> int:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"coefficient index must be an integer >= 1, got {n!r}")
-    return n
-
-
 def coefficient_exact(kind: CoefficientKind, n: int) -> Fraction:
     """Exact rational value of the n-th coefficient."""
-    n = _check_index(n)
+    check_int("coefficient index n", n, 1)
     fact = math.factorial(2 * n)
     if kind is CoefficientKind.A:
         return Fraction(2 * n, (2 * n + 1) * fact)
@@ -73,7 +67,7 @@ def coefficient_exact(kind: CoefficientKind, n: int) -> Fraction:
 def coefficient_float(kind: CoefficientKind, n: int) -> float:
     """Log-space float value of the n-th coefficient; usable far past the
     point where (2n)! overflows."""
-    n = _check_index(n)
+    check_int("coefficient index n", n, 1)
     lgf = math.lgamma(2 * n + 1)
     if kind is CoefficientKind.A:
         return math.exp(math.log(2 * n) - math.log(2 * n + 1) - lgf)
@@ -91,7 +85,7 @@ def coefficient_float(kind: CoefficientKind, n: int) -> float:
 
 def coefficient(kind: CoefficientKind, n: int):
     """Exact Fraction for n <= EXACT_TERM_LIMIT, float (log-space) beyond."""
-    n = _check_index(n)
+    check_int("coefficient index n", n, 1)
     if n <= EXACT_TERM_LIMIT:
         return coefficient_exact(kind, n)
     return coefficient_float(kind, n)
@@ -101,7 +95,6 @@ def ratio_difference(numerator_kind: CoefficientKind, denominator_kind: Coeffici
                      n: int) -> Fraction:
     """Exact consecutive-ratio difference r_(n+1) - r_n of the coefficient
     ratio sequence r_n = num_n / den_n."""
-    n = _check_index(n)
     r_n = coefficient_exact(numerator_kind, n) / coefficient_exact(denominator_kind, n)
     r_next = coefficient_exact(numerator_kind, n + 1) / coefficient_exact(denominator_kind, n + 1)
     return r_next - r_n
@@ -130,8 +123,7 @@ def ratio_sequence_verdict(numerator_kind: CoefficientKind,
     represent the C/D ratio differences (~4^-n around 1/2) past n ~ 26, so
     no floating comparison is used at any index.
     """
-    if not isinstance(N, int) or N < 2:
-        raise DomainError(f"need N >= 2 ratios to compare, got {N!r}")
+    check_int("number of terms N", N, 2)
     ratios = []
     for n in range(1, N + 1):
         den = coefficient_exact(denominator_kind, n)
@@ -164,10 +156,8 @@ def truncated_quotient(numerator_kind: CoefficientKind,
     """(sum_{n<=N} num_n t^(2n+1)) / (sum_{n<=N} den_n t^(2n+1)), with the
     common t^3 factor cancelled so t = 0 returns the first-coefficient
     ratio exactly."""
-    if not (isinstance(t, (int, float)) and math.isfinite(t) and abs(t) < 1.5):
-        raise DomainError(f"series argument must satisfy |t| < 1.5, got {t!r}")
-    if not isinstance(N, int) or N < 1:
-        raise DomainError(f"need N >= 1 terms, got {N!r}")
+    check_real("series argument t", t, -1.5, 1.5, lo_open=True, hi_open=True)
+    check_int("number of terms N", N, 1)
     s = t * t
     num = 0.0
     den = 0.0
@@ -183,8 +173,7 @@ def truncated_quotient(numerator_kind: CoefficientKind,
 def solve_p0(tolerance: float) -> float:
     """Bisection root of (p+1)^(1/p) = 2*log(1+sqrt(2)) on [1, 3];
     the left side is strictly decreasing in p, so the root is unique."""
-    if not (isinstance(tolerance, (int, float)) and tolerance > 0):
-        raise DomainError(f"tolerance must be positive, got {tolerance!r}")
+    check_real("tolerance", tolerance, 0.0, math.inf, lo_open=True)
     target = 2.0 * math.log1p(math.sqrt(2.0))
 
     def residual(p: float) -> float:

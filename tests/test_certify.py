@@ -68,6 +68,8 @@ class TestClaimConstruction:
             ConvexCombination(1.2, HARMONIC, QUADRATIC)
         with pytest.raises(DomainError):
             ConvexCombination(-0.1, HARMONIC, QUADRATIC)
+        with pytest.raises(DomainError):
+            ConvexCombination(True, HARMONIC, QUADRATIC)
 
     def test_combination_value(self):
         combo = ConvexCombination(0.25, HARMONIC, QUADRATIC)
@@ -121,6 +123,8 @@ class TestVerifyBound:
         claim = ALL_CLAIMS[0][1]
         with pytest.raises(DomainError):
             verify_bound(claim, 99)
+        with pytest.raises(DomainError):
+            gap_grid(2.5)
 
     def test_scale_invariance(self):
         for claim_id, claim in ALL_CLAIMS:
@@ -177,6 +181,8 @@ class TestRecoverConstant:
     def test_tolerance_floor(self):
         with pytest.raises(DomainError):
             recover_constant(RatioFunctionKind.PHI_HQ, Objective.SUPREMUM, 1e-13)
+        with pytest.raises(DomainError):
+            recover_constant(RatioFunctionKind.PHI_HQ, Objective.SUPREMUM, True)
 
     def test_monotone_recovery_no_interior_extremum(self):
         # no interior sample may exceed the endpoint-limit envelope
@@ -207,6 +213,8 @@ class TestChain:
     def test_sample_count_validation(self):
         with pytest.raises(DomainError):
             verify_chain(0, seed=1)
+        with pytest.raises(DomainError):
+            verify_chain(True, 1)
 
     def test_deterministic(self):
         assert verify_chain(500, seed=7) == verify_chain(500, seed=7)

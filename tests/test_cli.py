@@ -1,4 +1,6 @@
 import json
+import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,17 +8,21 @@ from pathlib import Path
 import pytest
 
 from means_lab import evaluate_mean, generalized_log, NEUMAN_SANDOR, sharp_constants
+from means_lab import cli
 from means_lab.cli import main, parse_mean_token
-from means_lab import HARMONIC, GEOMETRIC, QUADRATIC, DomainError
+from means_lab import HARMONIC, GEOMETRIC, QUADRATIC, CertificationReport, DomainError, PositivePair
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 SCHEMA_KEYS = {"command", "seed", "grid_size", "samples", "verdicts", "worst_case"}
 
 
 def run_cli(*args):
+    # the child imports this checkout's package, as the test process does
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-m", "means_lab", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -213,6 +219,33 @@ class TestFormats:
     def test_usage_error_exit_2(self):
         code, _, err = run_cli("verify", "nonsense")
         assert code == 2
+
+    def test_unexpected_error_exit_3_without_traceback(self, capsys, monkeypatch):
+        def boom(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_eval", boom)
+        code, out, err = run_main(capsys, "eval", "--means", "H", "--pair", "1,2")
+        assert code == 3
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    def test_strict_json_writes_non_finite_as_null(self, capsys, monkeypatch):
+        # _scan reports min_margin = inf when every margin is near zero
+        report = CertificationReport(grid_size=50, min_margin=math.inf,
+                                     worst_pair=PositivePair(1.5, 0.5), holds=True,
+                                     near_zero=50, seed=42)
+        monkeypatch.setattr(cli, "verify_chain", lambda samples, seed: report)
+        code, out, _ = run_main(capsys, "verify", "chain", "--samples", "50", "--format", "json")
+        assert code == 0
+
+        def reject(constant):
+            raise AssertionError(f"non-standard JSON constant {constant}")
+
+        doc = json.loads(out, parse_constant=reject)
+        assert doc["verdicts"][0]["min_margin"] is None
+        assert doc["worst_case"] is None
 
     def test_json_schema_keys_everywhere(self, capsys):
         invocations = [

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,8 @@ from means_lab import (
 )
 from means_lab.cli import main
 from oracles import mean_oracle, rel_err
+
+MAX_FLOAT = sys.float_info.max
 
 # the ten families, with representative exponents for the generalized log
 ALL_KINDS = list(CHAIN_ORDER) + [generalized_log(2.0)]
@@ -70,6 +73,10 @@ class TestSpecExamples:
             generalized_log(float("inf"))
         with pytest.raises(DomainError):
             MeanKind(MeanFamily.HARMONIC, 2.0)
+        with pytest.raises(DomainError):
+            generalized_log("a")
+        with pytest.raises(DomainError):
+            MeanKind(MeanFamily.GENERALIZED_LOG, "a")
 
 
 class TestNormalizedGap:
@@ -94,7 +101,7 @@ class TestPairFromGap:
         assert pair_from_gap(0.5, 1.0) == PositivePair(1.5, 0.5)
 
     def test_domain(self):
-        for x in (-0.1, 1.0, 1.5):
+        for x in (-0.1, 1.0, 1.5, False):
             with pytest.raises(DomainError):
                 pair_from_gap(x, 1.0)
         for scale in (0.0, -2.0, float("inf")):
@@ -300,11 +307,39 @@ class TestGeneralizedLogConsistency:
         assert evaluate_mean(generalized_log(-1e8), pair) == pytest.approx(2.0, rel=1e-6)
 
     def test_huge_exponent_with_extreme_ratio_stays_between(self):
-        # the shape underflows binary64 here; the log-space reassembly keeps
-        # the mean inside [lo, hi]
-        for p in (-1e6, 1e6):
-            got = evaluate_mean(generalized_log(p), (1e-300, 1e300))
-            assert 1e-300 <= got <= 1e300
+        # at (1e-300, 1e300) the shape underflows binary64 and the log-space
+        # reassembly keeps the mean inside [lo, hi]; at p = 1.7e308 the
+        # log-space argument 2(p+1)atanh(x) overflows; the last two round
+        # past an endpoint unless clamped
+        for p, pair in ((-1e6, (1e-300, 1e300)), (1e6, (1e-300, 1e300)),
+                        (1.7e308, (1.0, 1e300)), (1e300, (MAX_FLOAT, MAX_FLOAT / 2)),
+                        (-1e300, (2.0, 3.0))):
+            got = evaluate_mean(generalized_log(p), pair)
+            assert min(pair) <= got <= max(pair), (p, pair)
+
+    def test_extreme_exponent_fuzz(self):
+        # seeded differential: every family, exponents up to the float range,
+        # pairs from subnormal to max_float (half of them within 2^40 of each
+        # other); finite and between everywhere, and within 1e-12 of the
+        # 40-digit oracle on every 16th case with both entries >= 1e-300
+        rng = random.Random(331)
+        exponents = [s * 10.0 ** e for s in (-1.0, 1.0) for e in (-6, 0.5, 3, 10, 100, 300)]
+        exponents += [-MAX_FLOAT, MAX_FLOAT, -1.0 + 1e-7, 2e-3]
+        kinds = list(CHAIN_ORDER) + [generalized_log(p) for p in exponents]
+        checked = 0
+        for i in range(4000):
+            kind = rng.choice(kinds)
+            a = min(2.0 ** rng.uniform(-1074.0, 1024.0), MAX_FLOAT)
+            b = a * 2.0 ** rng.uniform(-40.0, 40.0) if rng.random() < 0.5 else \
+                min(2.0 ** rng.uniform(-1074.0, 1024.0), MAX_FLOAT)
+            if not 0.0 < b <= MAX_FLOAT:
+                continue
+            got = evaluate_mean(kind, (a, b))
+            assert math.isfinite(got) and min(a, b) <= got <= max(a, b), (kind, a, b, got)
+            if i % 16 == 0 and a >= 1e-300 and b >= 1e-300:
+                checked += 1
+                assert rel_err(got, mean_oracle(kind, a, b)) < 1e-12, (kind, a, b)
+        assert checked > 200
 
 
 class TestStableAsinh:

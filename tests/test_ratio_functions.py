@@ -75,6 +75,13 @@ class TestPhiHq:
         for t in (0.0, -0.1, ASINH_ONE, 1.0):
             with pytest.raises(DomainError):
                 phi_hq(t)
+        # unknown kinds and endpoints
+        with pytest.raises(DomainError):
+            ratio_function_domain("x")
+        with pytest.raises(DomainError):
+            endpoint_value("x", Endpoint.LOWER)
+        with pytest.raises(DomainError):
+            endpoint_value(RatioFunctionKind.PHI_HQ, "up")
 
     def test_branch_seam(self):
         below = phi_hq(SERIES_SWITCH * (1.0 - 1e-12))
@@ -226,6 +233,8 @@ class TestLemmaSignFunctions:
                 f_p(p, 0.5)
         with pytest.raises(DomainError):
             f_p(0.5, 1.5)
+        with pytest.raises(DomainError):
+            f_p(0.5, True)
 
     def test_g_values(self):
         assert g_p(1.0 / 3.0, 0.0) == pytest.approx(0.0, abs=1e-15)
@@ -272,6 +281,8 @@ class TestLemmaSignFunctions:
     def test_mu_domain(self):
         with pytest.raises(DomainError):
             mu_lambda0(0.95)
+        with pytest.raises(DomainError):
+            locate_h_lambda0_sign_change(100, float("nan"))
 
     def test_subcase_bracket_values(self):
         lam = C.lambda0

@@ -1,6 +1,7 @@
-"""Report identity: the JSON documents of small verify/sharpness runs must
-equal the recorded goldens exactly, so a refactor of the kernels or sweeps
-cannot move a single number unnoticed.
+"""Report identity: the JSON documents of small verify/sharpness runs and of
+the constants and series commands must equal the recorded goldens exactly,
+so a refactor of the kernels, sweeps or ratio functions cannot move a single
+number unnoticed.
 
 Regenerate (only for an intended numerical change) with
 ``PYTHONPATH=src python tests/test_report_identity.py``.
@@ -23,6 +24,7 @@ COMMANDS = (
        ["verify", "corpus", "--samples", "500", "--seed", "7"]]
     + [["sharpness", t, "--side", side, "--epsilon", "1e-3"]
        for t in ("1.1", "1.2", "1.3") for side in ("lower", "upper")]
+    + [["constants"], ["series", "HQ", "--terms", "50"], ["series", "HC", "--terms", "50"]]
 )
 
 

@@ -126,6 +126,8 @@ class TestTruncatedQuotient:
             truncated_quotient(A, B, 1.5, 10)
         with pytest.raises(DomainError):
             truncated_quotient(A, B, 0.5, 0)
+        with pytest.raises(DomainError):
+            truncated_quotient(A, B, 0.01, True)
 
 
 class TestSolveP0:
@@ -145,6 +147,6 @@ class TestSolveP0:
         assert (1.0 + 1.0) ** 1.0 > target > (3.0 + 1.0) ** (1.0 / 3.0)
 
     def test_bad_tolerance(self):
-        for tol in (0.0, -1e-9):
+        for tol in (0.0, -1e-9, True):
             with pytest.raises(DomainError):
                 solve_p0(tol)
