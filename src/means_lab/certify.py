@@ -264,7 +264,8 @@ def sharpness_probe(claim: BoundClaim, epsilon: float) -> SharpnessReport:
     return SharpnessReport(epsilon, None, False, None)
 
 
-def _golden_refine(fn, lo: float, hi: float, maximize: bool, iterations: int = 120) -> float:
+def _golden_refine(fn, lo: float, hi: float, maximize: bool, width: float,
+                   iterations: int = 120) -> float:
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     sign = 1.0 if maximize else -1.0
     a, b = lo, hi
@@ -272,7 +273,7 @@ def _golden_refine(fn, lo: float, hi: float, maximize: bool, iterations: int = 1
     d = a + inv_phi * (b - a)
     fc, fd = sign * fn(c), sign * fn(d)
     for _ in range(iterations):
-        if b - a < 1e-14:
+        if b - a < width:
             break
         if fc > fd:
             b, d, fd = d, c, fc
@@ -289,7 +290,8 @@ def _golden_refine(fn, lo: float, hi: float, maximize: bool, iterations: int = 1
 def recover_constant(fn: RatioFunctionKind, objective: Objective, tol: float = 1e-9) -> float:
     """Numerically extremize a ratio function over its open domain: uniform
     scan, geometric endpoint approach, golden-section refinement of the best
-    interior bracket, plus the continuous endpoint extensions."""
+    interior bracket down to width tol, plus the continuous endpoint
+    extensions."""
     if not isinstance(objective, Objective):
         raise DomainError(f"not an Objective: {objective!r}")
     check_real("tolerance", tol, 1e-12)
@@ -309,7 +311,7 @@ def recover_constant(fn: RatioFunctionKind, objective: Objective, tol: float = 1
     step = span / 2001
     bracket_lo = max(lo + span * 1e-13, best_x - step)
     bracket_hi = min(hi - span * 1e-13, best_x + step)
-    refined = _golden_refine(value, bracket_lo, bracket_hi, maximize)
+    refined = _golden_refine(value, bracket_lo, bracket_hi, maximize, tol)
     candidates = [best_v, refined,
                   endpoint_value(fn, Endpoint.LOWER),
                   endpoint_value(fn, Endpoint.UPPER)]

@@ -2,6 +2,7 @@
 every public function uses."""
 
 import math
+import sys
 
 
 class DomainError(ValueError):
@@ -15,9 +16,11 @@ class EvaluationError(ArithmeticError):
 def check_real(name: str, x, lo: float = -math.inf, hi: float = math.inf, *,
                lo_open: bool = False, hi_open: bool = False) -> float:
     """x as a float if it is a real number (not a bool) in the interval from
-    lo to hi, each end closed unless marked open; NaN is never inside."""
+    lo to hi, each end closed unless marked open; NaN is never inside, nor
+    an int beyond the float range."""
     if (isinstance(x, (int, float)) and not isinstance(x, bool)
-            and (lo < x if lo_open else lo <= x) and (x < hi if hi_open else x <= hi)):
+            and (lo < x if lo_open else lo <= x) and (x < hi if hi_open else x <= hi)
+            and (isinstance(x, float) or abs(x) <= sys.float_info.max)):
         return float(x)
     interval = f"{'(' if lo_open else '['}{lo!r}, {hi!r}{')' if hi_open else ']'}"
     raise DomainError(f"{name} must be a real number in {interval}, got {x!r}")

@@ -172,12 +172,10 @@ def pair_from_gap(x: float, scale: float) -> PositivePair:
     return PositivePair(scale * (1.0 + x), scale * (1.0 - x))
 
 
-def stable_asinh(x: float) -> float:
-    """asinh via log1p(x + x^2/(1+sqrt(1+x^2))); log(x + sqrt(1+x^2))
-    cancels for x < 0, this form does not."""
-    if x < 0.0:
-        return -stable_asinh(-x)
-    return math.log1p(x + x * x / (1.0 + math.sqrt(1.0 + x * x)))
+# libm's asinh.  glibc evaluates it for |x| <= 2 in the cancellation-free
+# form log1p(x + x^2/(1 + sqrt(1 + x^2))), and it stays finite to the top of
+# the float range.
+stable_asinh = math.asinh
 
 
 # --- shape factors ------------------------------------------------------
@@ -216,9 +214,7 @@ def _shape_logarithmic(x: float, v: float) -> float:
     if x < SMALL_GAP:
         s = x * x
         return 1.0 / (1.0 + s * (1.0 / 3.0 + s * (1.0 / 5.0 + s * (1.0 / 7.0))))
-    if x <= 0.5:
-        return x / math.atanh(x)
-    return 2.0 * x / math.log((1.0 + x) / v)
+    return x / _half_log_ratio(x, v)
 
 
 # The shape of every parameter-free family; L_p binds its exponent in
@@ -258,7 +254,7 @@ def _log_near_one(t: float) -> float:
     return math.log1p(t - 1.0) if t >= 0.5 else math.log(t)
 
 
-def _glog_shape_cumulant(p: float, x: float, v: float) -> float:
+def _glog_log_shape_cumulant(p: float, x: float, v: float) -> float:
     # Cumulant expansion of log[(u^q - v^q)/(q(u-v))]/p around p = 0, with
     # raw log-moments I_k = S_k - k*I_{k-1}; exact at p = 0 (identric mean).
     # Every ingredient is built from the same u, v floats: mixing x-based
@@ -266,7 +262,7 @@ def _glog_shape_cumulant(p: float, x: float, v: float) -> float:
     u = 1.0 + x
     d = u - v
     if d <= 0.0:
-        return 1.0
+        return 0.0
     lu = _log_near_one(u)
     lv = _log_near_one(v) if v > 0.0 else 0.0
     s_prev_u = u * lu
@@ -283,12 +279,17 @@ def _glog_shape_cumulant(p: float, x: float, v: float) -> float:
     k4 = i4 - 4.0 * i1 * i3 - 3.0 * i2 * i2 + 12.0 * i1 * i1 * i2 - 6.0 * i1**4
     k5 = (i5 - 5.0 * i4 * i1 - 10.0 * i3 * i2 + 20.0 * i3 * i1 * i1
           + 30.0 * i2 * i2 * i1 - 60.0 * i2 * i1**3 + 24.0 * i1**5)
-    f = k1 + p * (k2 / 2.0 + p * (k3 / 6.0 + p * (k4 / 24.0 + p * k5 / 120.0)))
-    return math.exp(f)
+    return k1 + p * (k2 / 2.0 + p * (k3 / 6.0 + p * (k4 / 24.0 + p * k5 / 120.0)))
 
 
-def _glog_log_shape(p: float, x: float, half_log_ratio: float) -> float:
-    """Log of the L_p shape by the direct log-space formula."""
+def _glog_log_shape(p: float, x: float, v: float, half_log_ratio: float) -> float:
+    """Log of the L_p shape, p not near -1, at gap x; v is the exact
+    complement of x, half_log_ratio is atanh(x) (equivalently log(hi/lo)/2
+    of the underlying pair)."""
+    if x == 0.0:
+        return 0.0
+    if abs(p) < _GLOG_CUMULANT_LIMIT:
+        return _glog_log_shape_cumulant(0.0 if abs(p) < _GLOG_SPECIAL_EPS else p, x, v)
     q = p + 1.0
     w = 2.0 * q * half_log_ratio
     if math.isinf(w):
@@ -299,19 +300,6 @@ def _glog_log_shape(p: float, x: float, half_log_ratio: float) -> float:
     return (q * math.log1p(x) + _log_expm1_ratio(w) + math.log(half_log_ratio / x)) / p
 
 
-def _glog_shape(p: float, x: float, v: float, half_log_ratio: float) -> float:
-    """Shape of L_p, p not near -1, at gap x; v is the exact complement of
-    x, half_log_ratio is atanh(x) (equivalently log(hi/lo)/2 of the
-    underlying pair)."""
-    if x == 0.0:
-        return 1.0
-    if abs(p) < _GLOG_CUMULANT_LIMIT:
-        if abs(p) < _GLOG_SPECIAL_EPS:
-            p = 0.0
-        return _glog_shape_cumulant(p, x, v)
-    return math.exp(_glog_log_shape(p, x, half_log_ratio))
-
-
 def _shape_fn(kind: MeanKind):
     """The unchecked shape(x, v) of a kind, for 0 <= x < 1 and v = 1-x."""
     p = kind.p
@@ -319,16 +307,18 @@ def _shape_fn(kind: MeanKind):
         return _SHAPES[kind.family]
     if abs(p + 1.0) < _GLOG_SPECIAL_EPS:
         return _shape_logarithmic
-    return lambda x, v: _glog_shape(p, x, v, _half_log_ratio(x, v))
+    return lambda x, v: math.exp(_glog_log_shape(p, x, v, _half_log_ratio(x, v)))
 
 
 def mean_shape(kind: MeanKind, x: float) -> float:
     """Value of the mean on the pair (1+x, 1-x): the scale-free profile used
-    by the certification grids.  Requires 0 <= x < 1."""
+    by the certification grids, clamped into [1-x, 1+x].  Requires
+    0 <= x < 1."""
     if not isinstance(kind, MeanKind):
         raise DomainError(f"not a MeanKind: {kind!r}")
     x = check_real("gap", x, 0.0, 1.0, hi_open=True)
-    return _shape_fn(kind)(x, 1.0 - x)
+    v = 1.0 - x
+    return min(max(_shape_fn(kind)(x, v), v), 1.0 + x)
 
 
 def _mean(kind: MeanKind, lo: float, hi: float) -> float:
@@ -348,24 +338,20 @@ def _mean(kind: MeanKind, lo: float, hi: float) -> float:
     # 2*lo/s keeps the gap complement accurate where 1-x has already rounded
     # away; once it is below 1e-300 the log forms read log(hi/lo) directly
     v = 2.0 * lo / s
-    extreme = x > 0.5 and v < 1e-300
-    if fam is MeanFamily.GENERALIZED_LOG:
-        p = kind.p
-        if abs(p + 1.0) < _GLOG_SPECIAL_EPS:
-            fam = MeanFamily.LOGARITHMIC  # extreme-ratio fallback included
-        else:
-            hlr = 0.5 * (math.log(hi) - math.log(lo)) if extreme else _half_log_ratio(x, v)
-            shape = _glog_shape(p, x, v, hlr)
-            if shape > 1e-300 or abs(p) < _GLOG_CUMULANT_LIMIT:
-                mean = 0.5 * s * shape
-            else:
-                # shape at or past underflow, where it loses precision;
-                # reassemble in log space (only for p < -1, extreme lo/hi)
-                mean = math.exp(_glog_log_shape(p, x, hlr) + math.log(0.5 * s))
-            return min(max(mean, lo), hi)
-    if extreme and fam is MeanFamily.LOGARITHMIC:
-        return (hi - lo) / (math.log(hi) - math.log(lo))
-    return 0.5 * s * _SHAPES[fam](x, v)
+    p = kind.p
+    shape = _SHAPES[fam] if p is None else _shape_fn(kind)
+    if v < 1e-300 and (p is not None or shape is _shape_logarithmic):
+        log_ratio = math.log(hi) - math.log(lo)
+        if shape is _shape_logarithmic:  # L, and L_p near p = -1
+            return (hi - lo) / log_ratio
+        log_shape = _glog_log_shape(p, x, v, 0.5 * log_ratio)
+        unit = math.exp(log_shape)
+        # a shape at or past underflow has lost precision (only p < -1):
+        # reassemble the mean in log space
+        mean = 0.5 * s * unit if unit > 1e-300 else math.exp(log_shape + math.log(0.5 * s))
+    else:
+        mean = 0.5 * s * shape(x, v)
+    return mean if p is None else min(max(mean, lo), hi)
 
 
 def evaluate_mean(kind: MeanKind, pair) -> float:

@@ -21,22 +21,12 @@ __all__ = [
     "CoefficientKind",
     "Direction",
     "MonotonicityVerdict",
-    "EXACT_TERM_LIMIT",
-    "coefficient",
     "coefficient_exact",
-    "coefficient_float",
     "ratio_difference",
     "ratio_sequence_verdict",
     "truncated_quotient",
     "solve_p0",
 ]
-
-# Largest index served as an exact rational by coefficient(); beyond it the
-# log-space float path is returned.
-EXACT_TERM_LIMIT = 20
-
-_LN2 = math.log(2.0)
-
 
 @unique
 class CoefficientKind(Enum):
@@ -62,33 +52,6 @@ def coefficient_exact(kind: CoefficientKind, n: int) -> Fraction:
     if kind is CoefficientKind.D:
         return Fraction(2 ** (2 * n + 1), fact)
     raise DomainError(f"unknown coefficient kind {kind!r}")
-
-
-def coefficient_float(kind: CoefficientKind, n: int) -> float:
-    """Log-space float value of the n-th coefficient; usable far past the
-    point where (2n)! overflows."""
-    check_int("coefficient index n", n, 1)
-    lgf = math.lgamma(2 * n + 1)
-    if kind is CoefficientKind.A:
-        return math.exp(math.log(2 * n) - math.log(2 * n + 1) - lgf)
-    if kind is CoefficientKind.B:
-        l1 = (2 * n - 1) * _LN2 - lgf
-        return math.exp(l1 + math.log1p(math.exp(-(2 * n - 1) * _LN2)))
-    if kind is CoefficientKind.C:
-        l1 = 2 * n * _LN2 - lgf
-        l2 = _LN2 - math.lgamma(2 * n + 2)
-        return math.exp(l1 + math.log1p(-math.exp(l2 - l1)))
-    if kind is CoefficientKind.D:
-        return math.exp((2 * n + 1) * _LN2 - lgf)
-    raise DomainError(f"unknown coefficient kind {kind!r}")
-
-
-def coefficient(kind: CoefficientKind, n: int):
-    """Exact Fraction for n <= EXACT_TERM_LIMIT, float (log-space) beyond."""
-    check_int("coefficient index n", n, 1)
-    if n <= EXACT_TERM_LIMIT:
-        return coefficient_exact(kind, n)
-    return coefficient_float(kind, n)
 
 
 def ratio_difference(numerator_kind: CoefficientKind, denominator_kind: CoefficientKind,
@@ -146,8 +109,13 @@ def ratio_sequence_verdict(numerator_kind: CoefficientKind,
 
 @functools.lru_cache(maxsize=32)
 def _float_coefficients(kind: CoefficientKind, N: int) -> tuple[float, ...]:
-    """The first N coefficients of a sequence, rounded to floats."""
-    return tuple(float(coefficient(kind, n)) for n in range(1, N + 1))
+    """The first N coefficients of a sequence, each correctly rounded from
+    its exact value.  Every sequence strictly decreases in n, so past the
+    first coefficient that underflows to 0.0 the rest are 0.0 unbuilt."""
+    coeffs = []
+    for n in range(1, N + 1):
+        coeffs.append(float(coefficient_exact(kind, n)) if n == 1 or coeffs[-1] else 0.0)
+    return tuple(coeffs)
 
 
 def truncated_quotient(numerator_kind: CoefficientKind,

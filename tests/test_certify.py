@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from means_lab import certify
 from means_lab import (
     BoundClaim,
     ConvexCombination,
@@ -183,6 +184,21 @@ class TestRecoverConstant:
             recover_constant(RatioFunctionKind.PHI_HQ, Objective.SUPREMUM, 1e-13)
         with pytest.raises(DomainError):
             recover_constant(RatioFunctionKind.PHI_HQ, Objective.SUPREMUM, True)
+
+    def test_tolerance_sets_refinement_width(self, monkeypatch):
+        calls = []
+
+        def counting(kind, t):
+            calls.append(t)
+            return evaluate_ratio_function(kind, t)
+
+        monkeypatch.setattr(certify, "evaluate_ratio_function", counting)
+        counts = []
+        for tol in (1e-3, 1e-12):
+            calls.clear()
+            recover_constant(RatioFunctionKind.PHI_HQ, Objective.INFIMUM, tol)
+            counts.append(len(calls))
+        assert counts[0] < counts[1]
 
     def test_monotone_recovery_no_interior_extremum(self):
         # no interior sample may exceed the endpoint-limit envelope

@@ -62,7 +62,7 @@ class TestSpecExamples:
 
     def test_invalid_pairs(self):
         for bad in ((0, 1), (-1, 2), (1, float("nan")), (1, float("inf")), (1,),
-                    (True, 3), (2, False)):
+                    (True, 3), (2, False), (10**400, 1)):
             with pytest.raises(DomainError):
                 evaluate_mean(HARMONIC, bad)
 
@@ -71,6 +71,8 @@ class TestSpecExamples:
             generalized_log(float("nan"))
         with pytest.raises(DomainError):
             generalized_log(float("inf"))
+        with pytest.raises(DomainError):
+            generalized_log(10**400)
         with pytest.raises(DomainError):
             MeanKind(MeanFamily.HARMONIC, 2.0)
         with pytest.raises(DomainError):
@@ -104,7 +106,7 @@ class TestPairFromGap:
         for x in (-0.1, 1.0, 1.5, False):
             with pytest.raises(DomainError):
                 pair_from_gap(x, 1.0)
-        for scale in (0.0, -2.0, float("inf")):
+        for scale in (0.0, -2.0, float("inf"), 10**400):
             with pytest.raises(DomainError):
                 pair_from_gap(0.5, scale)
 
@@ -321,8 +323,10 @@ class TestGeneralizedLogConsistency:
         # seeded differential: every family, exponents up to the float range,
         # pairs from subnormal to max_float (half of them within 2^40 of each
         # other); finite and between everywhere, and within 1e-12 of the
-        # 40-digit oracle on every 16th case with both entries >= 1e-300
+        # 40-digit oracle on every 16th case with both entries >= 1e-300;
+        # the shape at a uniform gap stays within [1-x, 1+x]
         rng = random.Random(331)
+        gaps = random.Random(332)
         exponents = [s * 10.0 ** e for s in (-1.0, 1.0) for e in (-6, 0.5, 3, 10, 100, 300)]
         exponents += [-MAX_FLOAT, MAX_FLOAT, -1.0 + 1e-7, 2e-3]
         kinds = list(CHAIN_ORDER) + [generalized_log(p) for p in exponents]
@@ -336,6 +340,8 @@ class TestGeneralizedLogConsistency:
                 continue
             got = evaluate_mean(kind, (a, b))
             assert math.isfinite(got) and min(a, b) <= got <= max(a, b), (kind, a, b, got)
+            x = gaps.random()
+            assert 1.0 - x <= mean_shape(kind, x) <= 1.0 + x, (kind, x)
             if i % 16 == 0 and a >= 1e-300 and b >= 1e-300:
                 checked += 1
                 assert rel_err(got, mean_oracle(kind, a, b)) < 1e-12, (kind, a, b)
@@ -356,6 +362,6 @@ class TestStableAsinh:
     def test_against_oracle(self):
         import mpmath as mp
         rng = random.Random(89)
-        for _ in range(500):
-            x = 10 ** rng.uniform(-30, 0)
-            assert rel_err(stable_asinh(x), mp.asinh(mp.mpf(x))) < 5e-16
+        for _ in range(1000):
+            x = rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(-30, 308)
+            assert rel_err(stable_asinh(x), mp.asinh(mp.mpf(x))) < 5e-16, x

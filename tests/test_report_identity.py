@@ -1,7 +1,8 @@
-"""Report identity: the JSON documents of small verify/sharpness runs and of
-the constants and series commands must equal the recorded goldens exactly,
-so a refactor of the kernels, sweeps or ratio functions cannot move a single
-number unnoticed.
+"""Report identity: the JSON documents of small verify/sharpness runs, of
+the constants and series commands and of eval on three pairs (one ordinary,
+two at the extreme ratios of the float range) must equal the recorded
+goldens exactly, so a refactor of the kernels, sweeps or ratio functions
+cannot move a single number unnoticed.
 
 Regenerate (only for an intended numerical change) with
 ``PYTHONPATH=src python tests/test_report_identity.py``.
@@ -25,6 +26,8 @@ COMMANDS = (
     + [["sharpness", t, "--side", side, "--epsilon", "1e-3"]
        for t in ("1.1", "1.2", "1.3") for side in ("lower", "upper")]
     + [["constants"], ["series", "HQ", "--terms", "50"], ["series", "HC", "--terms", "50"]]
+    + [["eval", "--means", "H,G,L,P,A,M,T,Q,C,Lp:-3.16,Lp:-1,Lp:0,Lp:2,Lp:1e300,Lp:-1e300",
+        "--pair", pair] for pair in ("1,2", "1e-308,1e308", "1.5e-201,1.2e272")]
 )
 
 

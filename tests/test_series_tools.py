@@ -7,9 +7,7 @@ from means_lab import (
     CoefficientKind,
     Direction,
     DomainError,
-    coefficient,
     coefficient_exact,
-    coefficient_float,
     phi_hc,
     phi_hq,
     ratio_difference,
@@ -17,17 +15,18 @@ from means_lab import (
     solve_p0,
     truncated_quotient,
 )
+from means_lab.series import _float_coefficients
 
 A, B, C, D = (CoefficientKind.A, CoefficientKind.B, CoefficientKind.C, CoefficientKind.D)
 
 
 class TestCoefficients:
     def test_first_values(self):
-        assert coefficient(A, 1) == Fraction(1, 3)
-        assert coefficient(B, 1) == Fraction(3, 2)
-        assert coefficient(C, 1) == Fraction(5, 3)
-        assert coefficient(D, 1) == Fraction(4)
-        assert coefficient(C, 1) / coefficient(D, 1) == Fraction(5, 12)
+        assert coefficient_exact(A, 1) == Fraction(1, 3)
+        assert coefficient_exact(B, 1) == Fraction(3, 2)
+        assert coefficient_exact(C, 1) == Fraction(5, 3)
+        assert coefficient_exact(D, 1) == Fraction(4)
+        assert coefficient_exact(C, 1) / coefficient_exact(D, 1) == Fraction(5, 12)
 
     def test_exact_formulas(self):
         for n in range(1, 21):
@@ -41,21 +40,16 @@ class TestCoefficients:
             for n in range(1, 30):
                 assert coefficient_exact(kind, n) > 0
 
-    def test_float_agrees_with_exact_on_overlap(self):
+    def test_float_coefficients_are_the_rounded_exact_values(self):
+        # past n ~ 100 every coefficient underflows; the filled zeros must agree
         for kind in (A, B, C, D):
-            for n in range(1, 21):
-                exact = float(coefficient_exact(kind, n))
-                approx = coefficient_float(kind, n)
-                assert approx == pytest.approx(exact, rel=1e-13)
-
-    def test_switch_at_limit(self):
-        assert isinstance(coefficient(A, 20), Fraction)
-        assert isinstance(coefficient(A, 21), float)
+            assert _float_coefficients(kind, 150) == tuple(
+                float(coefficient_exact(kind, n)) for n in range(1, 151))
 
     def test_bad_index(self):
         for n in (0, -1, 1.5, "2"):
             with pytest.raises(DomainError):
-                coefficient(A, n)
+                coefficient_exact(A, n)
 
 
 class TestRatioIdentities:
