@@ -17,6 +17,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum, unique
+from itertools import chain, repeat
 
 from .exceptions import DomainError, check_int, check_real
 from .means import (
@@ -32,7 +33,7 @@ from .means import (
     SEIFFERT_SECOND,
     MeanKind,
     PositivePair,
-    _mean,
+    _means_fn,
     _shape_fn,
     evaluate_mean,
     generalized_log,
@@ -347,17 +348,18 @@ def verify_chain(sample_count: int, seed: int) -> CertificationReport:
     reporting the smallest resolvable normalized margin."""
     check_int("sample_count", sample_count, 1)
     rng = random.Random(seed)
+    means = _means_fn(CHAIN_ORDER)
+    a_index = CHAIN_ORDER.index(ARITHMETIC)
 
     def margins():
         for _ in range(sample_count):
             pair = _chain_draw(rng)
-            lo, hi = min(pair), max(pair)
-            a_mean = _mean(ARITHMETIC, lo, hi)
-            values = [_mean(kind, lo, hi) for kind in CHAIN_ORDER]
-            for prev, nxt in zip(values, values[1:]):
-                yield (nxt - prev) / a_mean, pair
+            values = means(min(pair), max(pair))
+            a_mean = values[a_index]
+            yield zip([(nxt - prev) / a_mean for prev, nxt in zip(values, values[1:])],
+                      repeat(pair))
 
-    return _sampled_report(margins(), sample_count, seed)
+    return _sampled_report(chain.from_iterable(margins()), sample_count, seed)
 
 
 # The two weighted Q/A displays cannot both be sharp as printed; they are
@@ -392,39 +394,43 @@ def _corpus_claims():
     neuman_alpha = (1.0 - ASINH_ONE) / ((math.sqrt(2.0) - 1.0) * ASINH_ONE)
     neuman_lambda = (1.0 - ASINH_ONE) / ASINH_ONE
 
+    ky_fan_means = _means_fn(_KY_FAN_KINDS)
+    apm = _means_fn((ARITHMETIC, SEIFFERT_FIRST, NEUMAN_SANDOR))
+    amt = _means_fn((ARITHMETIC, NEUMAN_SANDOR, SEIFFERT_SECOND))
+    am_lp0 = _means_fn((ARITHMETIC, NEUMAN_SANDOR, p0_kind))
+    am_l2 = _means_fn((ARITHMETIC, NEUMAN_SANDOR, l2_kind))
+    amq = _means_fn((ARITHMETIC, NEUMAN_SANDOR, QUADRATIC))
+
     def ky_fan(lo, hi):
         # the mirror pair (1-a, 1-b), ordered
-        ratios = [_mean(kind, lo, hi) / _mean(kind, 1.0 - hi, 1.0 - lo) for kind in _KY_FAN_KINDS]
+        ratios = [m / mirror for m, mirror in
+                  zip(ky_fan_means(lo, hi), ky_fan_means(1.0 - hi, 1.0 - lo))]
         return min(nxt - prev for prev, nxt in zip(ratios, ratios[1:]))
 
     def pm_lt_a2(lo, hi):
-        a = _mean(ARITHMETIC, lo, hi)
-        return (a * a - _mean(SEIFFERT_FIRST, lo, hi) * _mean(NEUMAN_SANDOR, lo, hi)) / (a * a)
+        a, p, m = apm(lo, hi)
+        return (a * a - p * m) / (a * a)
 
     def at_lt_m2(lo, hi):
-        a = _mean(ARITHMETIC, lo, hi)
-        m = _mean(NEUMAN_SANDOR, lo, hi)
-        return (m * m - a * _mean(SEIFFERT_SECOND, lo, hi)) / (a * a)
+        a, m, t = amt(lo, hi)
+        return (m * m - a * t) / (a * a)
 
     def m2_lt_square_mean(lo, hi):
-        a = _mean(ARITHMETIC, lo, hi)
-        m = _mean(NEUMAN_SANDOR, lo, hi)
-        t = _mean(SEIFFERT_SECOND, lo, hi)
+        a, m, t = amt(lo, hi)
         return ((a * a + t * t) / 2.0 - m * m) / (a * a)
 
     def lp0_lt_m(lo, hi):
-        a_mean = _mean(ARITHMETIC, lo, hi)
-        return (_mean(NEUMAN_SANDOR, lo, hi) - _mean(p0_kind, lo, hi)) / a_mean
+        a_mean, m, lp0 = am_lp0(lo, hi)
+        return (m - lp0) / a_mean
 
     def m_lt_l2(lo, hi):
-        a_mean = _mean(ARITHMETIC, lo, hi)
-        return (_mean(l2_kind, lo, hi) - _mean(NEUMAN_SANDOR, lo, hi)) / a_mean
+        a_mean, m, l2 = am_l2(lo, hi)
+        return (l2 - m) / a_mean
 
     def qa_margin(weight: float, lower: bool):
         def margin(lo, hi):
-            a_mean = _mean(ARITHMETIC, lo, hi)
-            combo = weight * _mean(QUADRATIC, lo, hi) + (1.0 - weight) * a_mean
-            m = _mean(NEUMAN_SANDOR, lo, hi)
+            a_mean, m, q = amq(lo, hi)
+            combo = weight * q + (1.0 - weight) * a_mean
             return ((m - combo) if lower else (combo - m)) / a_mean
         return margin
 

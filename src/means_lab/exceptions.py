@@ -3,6 +3,7 @@ every public function uses."""
 
 import math
 import sys
+from decimal import Decimal
 
 
 class DomainError(ValueError):
@@ -22,6 +23,10 @@ def check_real(name: str, x, lo: float = -math.inf, hi: float = math.inf, *,
             and (lo < x if lo_open else lo <= x) and (x < hi if hi_open else x <= hi)
             and (isinstance(x, float) or abs(x) <= sys.float_info.max)):
         return float(x)
+    if isinstance(x, int) and abs(x) > sys.float_info.max:
+        # Decimal counts the digits; str() refuses an int past 4300 digits
+        raise DomainError(f"{name} must be a real number in the float range, "
+                          f"got an int of {Decimal(x).adjusted() + 1} digits")
     interval = f"{'(' if lo_open else '['}{lo!r}, {hi!r}{')' if hi_open else ']'}"
     raise DomainError(f"{name} must be a real number in {interval}, got {x!r}")
 

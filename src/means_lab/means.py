@@ -71,6 +71,10 @@ class MeanFamily(Enum):
     CONTRA_HARMONIC = "C"
     GENERALIZED_LOG = "Lp"
 
+    # members are singletons, so identity hashing is exact; Enum's default
+    # hash runs Python code and costs more than the table lookup it serves
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class MeanKind:
@@ -352,6 +356,28 @@ def _mean(kind: MeanKind, lo: float, hi: float) -> float:
     else:
         mean = 0.5 * s * shape(x, v)
     return mean if p is None else min(max(mean, lo), hi)
+
+
+def _means_fn(kinds):
+    """(lo, hi) -> [_mean(k, lo, hi) for k in kinds] bit for bit, for
+    0 < lo <= hi finite and without argument checks.  The parameter-free
+    shape families share one gap computation per pair (on the diagonal every
+    shape is exactly 1); H, G, L_p, a sum past max_float and, when kinds
+    holds L, the v < 1e-300 regime go through _mean."""
+    rows = [(k, None if k.p is not None or k.family in (MeanFamily.HARMONIC, MeanFamily.GEOMETRIC)
+             else _SHAPES[k.family]) for k in kinds]
+    log_floor = 1e-300 if any(shape is _shape_logarithmic for _, shape in rows) else 0.0
+
+    def means(lo: float, hi: float) -> list[float]:
+        s = lo + hi
+        v = 2.0 * lo / s
+        if math.isinf(s) or v < log_floor:
+            return [_mean(k, lo, hi) for k, _ in rows]
+        x = min((hi - lo) / s, _LARGEST_GAP)
+        h = 0.5 * s
+        return [h * shape(x, v) if shape else _mean(k, lo, hi) for k, shape in rows]
+
+    return means
 
 
 def evaluate_mean(kind: MeanKind, pair) -> float:
