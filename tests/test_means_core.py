@@ -390,6 +390,10 @@ class TestGeneralizedLogConsistency:
 
 
 class TestStableAsinh:
+    def test_odd(self):
+        for x in (1e-8, 0.3, 0.99):
+            assert stable_asinh(-x) == -stable_asinh(x)
+
     def test_against_oracle(self):
         import mpmath as mp
         rng = random.Random(89)
