@@ -21,6 +21,8 @@ GOLDEN = Path(__file__).parent / "golden" / "reports_small.json"
 
 COMMANDS = (
     [["verify", t, "--grid", "2000"] for t in ("1.1", "1.2", "1.3")]
+    + [["verify", t, "--grid", "100000"] for t in ("1.1", "1.2", "1.3")]
+    + [["verify", "1.2", "--grid", "8193", "--weight-lower", "0.34", "--weight-upper", "0.19"]]
     + [["verify", "chain", "--samples", "2000", "--seed", "7"],
        ["verify", "corpus", "--samples", "500", "--seed", "7"]]
     + [["sharpness", t, "--side", side, "--epsilon", "1e-3"]
