@@ -8,6 +8,10 @@ identical at every scale).  A normalized margin whose magnitude is below
 ``STRICTNESS_FLOOR`` is numerically indistinguishable from zero in binary64
 and is counted separately instead of deciding a verdict: near the endpoints
 where the bounds are sharp the true margins drop below 1e-30.
+
+The two claims of a theorem share one sweep: ``verify_bound`` given a
+sequence of claims walks the grid once, computing each shape column once per
+block for every claim that uses it.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum, unique
 from itertools import chain, repeat
@@ -78,6 +83,10 @@ GRID_EDGE = 1e-8
 # normalized margin below which a sharpness witness is not yet considered
 # definitive (well above the ~1e-15 evaluation noise)
 _VIOLATION_THRESHOLD = 1e-13
+
+# gap points per block of a verify_bound sweep: shape columns live one block
+# at a time, so the sweep's memory stays near the grid's own
+_SWEEP_BLOCK = 4096
 
 
 @unique
@@ -179,14 +188,17 @@ def gap_grid(n: int) -> list[float]:
     check_int("grid size n", n, 2)
     m = n // 2
     lo_count, hi_count = m, n - m
-    span = math.log(0.5) - math.log(GRID_EDGE)
+    log_edge = math.log(GRID_EDGE)
+    span = math.log(0.5) - log_edge
 
     def ladder(count: int) -> list[float]:
         if count == 1:
             return [0.5]
-        return [math.exp(math.log(GRID_EDGE) + span * i / (count - 1)) for i in range(count)]
+        return [math.exp(log_edge + span * i / (count - 1)) for i in range(count)]
 
-    gaps = ladder(lo_count) + [1.0 - g for g in ladder(hi_count)]
+    low = ladder(lo_count)
+    high = low if hi_count == lo_count else ladder(hi_count)
+    gaps = low + [1.0 - g for g in high]
     gaps.sort()
     return gaps
 
@@ -224,23 +236,52 @@ def _scan(margins, where):
     return best, where, near
 
 
-def verify_bound(claim: BoundClaim, grid_size: int, scale: float = 1.0) -> CertificationReport:
+def verify_bound(claim: BoundClaim | Sequence[BoundClaim], grid_size: int,
+                 scale: float = 1.0) -> CertificationReport | list[CertificationReport]:
     """Evaluate the claim's normalized margin over an endpoint-dense gap
-    grid; holds iff every resolvable margin is positive."""
-    if not isinstance(claim, BoundClaim):
-        raise DomainError(f"not a BoundClaim: {claim!r}")
+    grid; holds iff every resolvable margin is positive.  Given a sequence
+    of claims, return one report per claim from one sweep: the grid is
+    walked once in blocks, and each shape column is computed once per block
+    for all the claims that use it."""
+    single = not isinstance(claim, Sequence)
+    claims = [claim] if single else list(claim)
+    for c in claims:
+        if not isinstance(c, BoundClaim):
+            raise DomainError(f"not a BoundClaim: {c!r}")
     check_int("grid_size", grid_size, 100)
     grid = gap_grid(grid_size)
-    margin = _margin_fn(claim, claim.combination.weight)
-    min_margin, worst_x, near = _scan(((margin(x), x) for x in grid), 0.5)
-    return CertificationReport(
+    m = _shape_fn(NEUMAN_SANDOR)
+    rows = [(c.combination.weight, c.relation is Relation.LESS_THAN_M,
+             _shape_fn(c.combination.first), _shape_fn(c.combination.second)) for c in claims]
+    shapes = list(dict.fromkeys([m] + [shape for row in rows for shape in row[2:]]))
+    scans = [(math.inf, 0.5, 0)] * len(rows)
+    for start in range(0, len(grid), _SWEEP_BLOCK):
+        xs = grid[start:start + _SWEEP_BLOCK]
+        vs = [1.0 - x for x in xs]
+        columns = {shape: list(map(shape, xs, vs)) for shape in shapes}
+        for i, (weight, lower, first, second) in enumerate(rows):
+            rest = 1.0 - weight
+            triples = zip(columns[m], columns[first], columns[second])
+            if lower:
+                margins = [m_x - (weight * f + rest * s) for m_x, f, s in triples]
+            else:
+                margins = [(weight * f + rest * s) - m_x for m_x, f, s in triples]
+            # blocks merge in grid order and only a strictly smaller minimum
+            # replaces the running one, as within _scan
+            best, where, near = _scan(zip(margins, xs), 0.5)
+            run_best, run_where, run_near = scans[i]
+            if best < run_best:
+                run_best, run_where = best, where
+            scans[i] = (run_best, run_where, run_near + near)
+    reports = [CertificationReport(
         grid_size=len(grid),
         min_margin=min_margin,
         worst_pair=pair_from_gap(worst_x, scale),
         holds=min_margin > 0.0,
         near_zero=near,
         scale=scale,
-    )
+    ) for min_margin, worst_x, near in scans]
+    return reports[0] if single else reports
 
 
 def sharpness_probe(claim: BoundClaim, epsilon: float) -> SharpnessReport:

@@ -140,16 +140,18 @@ def cmd_eval(args) -> tuple[dict, bool]:
 
 
 def _theorem_reports(args) -> list[dict]:
-    rows = []
+    ids, claims = [], []
     for claim_id, claim in theorem_claims(args.target):
         override = args.weight_lower if claim.relation is Relation.LESS_THAN_M else args.weight_upper
         if override is not None:
             claim = BoundClaim(
                 ConvexCombination(override, claim.combination.first, claim.combination.second),
                 claim.relation, override, claim.sharp_at)
-        report = verify_bound(claim, args.grid)
-        rows.append(_report_row(claim_id, report))
-    return rows
+        ids.append(claim_id)
+        claims.append(claim)
+    # both claims of the theorem from one sweep of the grid
+    return [_report_row(claim_id, report)
+            for claim_id, report in zip(ids, verify_bound(claims, args.grid))]
 
 
 def cmd_verify(args) -> tuple[dict, bool]:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -97,6 +98,13 @@ class TestGapGrid:
         assert sum(1 for g in grid if g < 1e-4) > 1000
         assert sum(1 for g in grid if g > 1.0 - 1e-4) > 1000
 
+    @pytest.mark.parametrize("n", [2, 100, 2000, 100_000])
+    def test_even_grid_mirrors(self, n):
+        # the upper half is the lower half mirrored (1 - (1 - g) may differ
+        # from g, so the property is read from the lower half)
+        grid = gap_grid(n)
+        assert all(grid[-1 - i] == 1.0 - grid[i] for i in range(n // 2))
+
 
 class TestVerifyBound:
     @pytest.mark.parametrize("claim_id,claim", ALL_CLAIMS)
@@ -135,6 +143,68 @@ class TestVerifyBound:
             assert normalized_gap(r1.worst_pair) == pytest.approx(
                 normalized_gap(r2.worst_pair), rel=1e-12)
             assert r2.worst_pair.a == pytest.approx(1e3 * r1.worst_pair.a, rel=1e-12)
+
+
+def _with_weight(claim, weight):
+    c = claim.combination
+    return BoundClaim(ConvexCombination(weight, c.first, c.second),
+                      claim.relation, weight, claim.sharp_at)
+
+
+# the three theorems, and 1.1 with a failing lower weight whose worst point
+# lies past the first block of the sweep
+SWEEP_CASES = {
+    **{t: [claim for _, claim in theorem_claims(t)] for t in ("1.1", "1.2", "1.3")},
+    "1.1-lower-0.2210": [_with_weight(theorem_claims("1.1")[0][1], 0.2210),
+                         theorem_claims("1.1")[1][1]],
+}
+BLOCK = certify._SWEEP_BLOCK
+
+
+class TestOneSweep:
+    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7, 100_000])
+    @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+    def test_equals_per_point_scan(self, case, n):
+        claims = SWEEP_CASES[case]
+        reports = verify_bound(claims, n)
+        assert len(reports) == len(claims)
+        grid = gap_grid(n)
+        worst = []
+        for claim, report in zip(claims, reports):
+            margin = certify._margin_fn(claim, claim.combination.weight)
+            best, worst_x, near = certify._scan(((margin(x), x) for x in grid), 0.5)
+            assert report.min_margin == best, case
+            assert report.worst_pair == pair_from_gap(worst_x, 1.0), case
+            assert report.near_zero == near, case
+            assert report.grid_size == n
+            worst.append(worst_x)
+        if case == "1.1-lower-0.2210":
+            assert reports[0].min_margin < 0.0
+            if n > 2 * BLOCK:
+                assert grid.index(worst[0]) >= BLOCK
+
+    def test_single_claim_form(self):
+        claims = SWEEP_CASES["1.3"]
+        reports = verify_bound(claims, 500, scale=7.0)
+        assert [verify_bound(claim, 500, scale=7.0) for claim in claims] == reports
+        assert verify_bound((), 500) == []
+        with pytest.raises(DomainError):
+            verify_bound([claims[0], "1.3-upper"], 500)
+        with pytest.raises(DomainError):
+            verify_bound(3, 500)
+
+    def test_memory_stays_near_the_grid(self):
+        def traced_peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        grid_peak = traced_peak(lambda: gap_grid(100_000))
+        sweep_peak = traced_peak(lambda: verify_bound(SWEEP_CASES["1.1"], 100_000))
+        assert sweep_peak <= 2 * grid_peak
 
 
 class TestSharpness:
