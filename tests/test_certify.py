@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 import tracemalloc
 
@@ -13,6 +15,7 @@ from means_lab import (
     HARMONIC,
     NEUMAN_SANDOR,
     Objective,
+    PositivePair,
     QUADRATIC,
     Relation,
     REPORT_ONLY_CORPUS_CLAIMS,
@@ -327,6 +330,57 @@ class TestCorpus:
         second = verify_corpus(300, seed=9)
         assert first == second
         assert all(report.seed == 9 for _, report in first)
+
+
+def _fixed_draws(monkeypatch, pairs):
+    """Make certify._chain_draw, which feeds the chain and nine of the ten
+    corpus claims, return pairs in order, starting over when they run out."""
+    draws = itertools.cycle(pairs)
+    monkeypatch.setattr(certify, "_chain_draw", lambda rng: next(draws))
+
+
+# the corpus claims whose worst pair among the fixed draws below is the
+# small-gap pair (neuman-qa-mu-upper fails at wide gaps; ky-fan draws its own)
+SMALL_GAP_WORST = {"pm-lt-a2", "at-lt-m2", "m2-lt-square-mean", "lp0-lt-m", "m-lt-l2",
+                   "neuman-qa-alpha-lower", "neuman-qa-beta-upper", "neuman-qa-lambda-lower"}
+
+
+class TestSampledDrawOrder:
+    @pytest.mark.parametrize("first,second", [(3, 10), (10, 3), (3, 300), (300, 3)])
+    def test_earlier_of_equal_minima_wins(self, monkeypatch, first, second):
+        # a pair and its copy scaled by 4 have bit-identical normalized
+        # margins; among wide-gap fillers they tie for the minimum, in one
+        # block or in two, and the earlier draw must be the worst pair
+        rng = random.Random(5)
+        pairs = []
+        for _ in range(400):
+            x, scale = rng.uniform(0.3, 0.9), 10 ** rng.uniform(-2.0, 2.0)
+            pairs.append((scale * (1.0 + x), scale * (1.0 - x)))
+        small, scaled = (1.01, 0.99), (4.0 * 1.01, 4.0 * 0.99)
+        pairs[first], pairs[second] = small, scaled
+        earlier = PositivePair(*(small if first < second else scaled))
+        _fixed_draws(monkeypatch, pairs)
+        report = verify_chain(len(pairs), seed=1)
+        assert report.worst_pair == earlier
+        assert report.min_margin > 0.0
+        results = dict(verify_corpus(len(pairs), seed=1))
+        for cid in SMALL_GAP_WORST:
+            assert results[cid].worst_pair == earlier, cid
+
+    @pytest.mark.parametrize("n", [1, 256, 600])
+    def test_no_resolvable_margin(self, monkeypatch, n):
+        # on the diagonal every margin is near zero: no block may move the
+        # report off its default worst pair
+        _fixed_draws(monkeypatch, [(1.0, 1.0)])
+        assert verify_chain(n, seed=3) == certify.CertificationReport(
+            grid_size=n, min_margin=math.inf, worst_pair=PositivePair(1.5, 0.5),
+            holds=True, near_zero=8 * n, seed=3)
+        for cid, report in verify_corpus(n, seed=3):
+            if cid == "ky-fan":
+                continue
+            assert report == certify.CertificationReport(
+                grid_size=n, min_margin=math.inf, worst_pair=PositivePair(1.5, 0.5),
+                holds=True, near_zero=n, seed=3), cid
 
 
 class TestRatioMarginEquivalence:
