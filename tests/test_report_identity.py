@@ -24,7 +24,9 @@ COMMANDS = (
     + [["verify", t, "--grid", "100000"] for t in ("1.1", "1.2", "1.3")]
     + [["verify", "1.2", "--grid", "8193", "--weight-lower", "0.34", "--weight-upper", "0.19"]]
     + [["verify", "chain", "--samples", "2000", "--seed", "7"],
-       ["verify", "corpus", "--samples", "500", "--seed", "7"]]
+       ["verify", "corpus", "--samples", "500", "--seed", "7"],
+       ["verify", "chain", "--samples", "100000", "--seed", "42"],
+       ["verify", "corpus", "--samples", "10000", "--seed", "42"]]
     + [["sharpness", t, "--side", side, "--epsilon", "1e-3"]
        for t in ("1.1", "1.2", "1.3") for side in ("lower", "upper")]
     + [["constants"], ["series", "HQ", "--terms", "50"], ["series", "HC", "--terms", "50"]]
