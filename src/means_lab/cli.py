@@ -2,7 +2,8 @@
 probing, constant recovery, and series verdicts, with table/JSON/CSV output.
 
 Exit codes: 0 = all claims hold / expected witness found, 1 = a verification
-failed, 2 = usage or domain error, 3 = internal error.  Every JSON document
+failed, 2 = usage or domain error, 3 = internal error; a closed stdout drops
+the rest of the output and keeps the verdict's code.  Every JSON document
 carries the same top-level keys: command, seed, grid_size, samples, verdicts,
 worst_case; it is strict JSON, with every non-finite float written as null.
 """
@@ -13,6 +14,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 
 from .certify import (
@@ -310,6 +312,10 @@ def main(argv=None) -> int:
     try:
         doc, ok = args.handler(args)
         _render(doc, args.format or ("table" if sys.stdout.isatty() else "json"))
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader is gone; exit flushes stdout again
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
     except Exception as exc:  # the one exit path: no traceback leaves the CLI
         expected = isinstance(exc, (DomainError, EvaluationError))
         detail = str(exc) if expected else f"internal {type(exc).__name__}: {exc}"

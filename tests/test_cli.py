@@ -220,6 +220,30 @@ class TestFormats:
         code, _, err = run_cli("verify", "nonsense")
         assert code == 2
 
+    @pytest.mark.parametrize("unbuffered", ["1", None])
+    @pytest.mark.parametrize("argv,code", [
+        (["verify", "1.1", "--grid", "100"], 0),
+        (["verify", "1.1", "--grid", "100", "--weight-lower", "0.2210"], 1),
+    ])
+    def test_closed_stdout_keeps_the_verdict_code(self, unbuffered, argv, code):
+        # the pipe's read end is closed before the child starts, so its
+        # first write or flush fails
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "means_lab", *argv, "--format", "json"],
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+                                  timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == code
+        assert proc.stderr == ""
+
     def test_unexpected_error_exit_3_without_traceback(self, capsys, monkeypatch):
         def boom(args):
             raise RuntimeError("boom")
