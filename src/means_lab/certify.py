@@ -9,20 +9,20 @@ identical at every scale).  A normalized margin whose magnitude is below
 and is counted separately instead of deciding a verdict: near the endpoints
 where the bounds are sharp the true margins drop below 1e-30.
 
-The two claims of a theorem share one sweep: ``verify_bound`` given a
-sequence of claims walks the grid once, computing each shape column once per
-block for every claim that uses it.
+All three sweeps (the gap grid of ``verify_bound``, the seeded draws of
+``verify_chain`` and ``verify_corpus``) walk their points in blocks, with
+each mean's column computed once per block; a theorem's claims share a sweep.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum, unique
-from itertools import chain, repeat
 
 from .exceptions import DomainError, check_int, check_real
 from .means import (
@@ -38,7 +38,7 @@ from .means import (
     SEIFFERT_SECOND,
     MeanKind,
     PositivePair,
-    _means_fn,
+    _columns_fn,
     _shape_fn,
     evaluate_mean,
     generalized_log,
@@ -84,9 +84,9 @@ GRID_EDGE = 1e-8
 # definitive (well above the ~1e-15 evaluation noise)
 _VIOLATION_THRESHOLD = 1e-13
 
-# gap points per block of a verify_bound sweep: shape columns live one block
-# at a time, so the sweep's memory stays near the grid's own
-_SWEEP_BLOCK = 4096
+# points per block of every sweep: columns live one block at a time, so memory
+# stays near the grid's own and does not grow with the sample count
+_SWEEP_BLOCK = 256
 
 
 @unique
@@ -370,15 +370,27 @@ def _chain_draw(rng: random.Random) -> tuple[float, float]:
     return scale * (1.0 + x), scale * (1.0 - x)
 
 
-def _sampled_report(margins, sample_count: int, seed: int) -> CertificationReport:
-    """Report over (margin, (a, b)) pairs; with no resolvable margin the
-    worst pair is the gap-0.5 pair at unit scale."""
-    min_margin, worst, near = _scan(margins, (1.5, 0.5))
+def _sampled_sweep(draw, rng: random.Random, sample_count: int, margin_columns,
+                   seed: int) -> CertificationReport:
+    """Report over sample_count pairs drawn from rng in blocks, which
+    margin_columns maps from (los, his) to margin columns; with no resolvable
+    margin the worst pair is the gap-0.5 pair at unit scale."""
+    best, worst, near = math.inf, (1.5, 0.5), 0
+    for start in range(0, sample_count, _SWEEP_BLOCK):
+        pairs = [draw(rng) for _ in range(min(_SWEEP_BLOCK, sample_count - start))]
+        columns = margin_columns(list(map(min, pairs)), list(map(max, pairs)))
+        scans = [_scan(zip(column, range(len(pairs))), 0) for column in columns]
+        near += sum(scan[2] for scan in scans)
+        # in a block a tie goes to the earlier draw; across blocks, as in
+        # verify_bound, only a strictly smaller minimum replaces the running one
+        block_best, at = min(scan[:2] for scan in scans)
+        if block_best < best:
+            best, worst = block_best, pairs[at]
     return CertificationReport(
         grid_size=sample_count,
-        min_margin=min_margin,
+        min_margin=best,
         worst_pair=PositivePair(*worst),
-        holds=min_margin > 0.0,
+        holds=best > 0.0,
         near_zero=near,
         seed=seed,
     )
@@ -388,19 +400,16 @@ def verify_chain(sample_count: int, seed: int) -> CertificationReport:
     """Strict ordering H < G < L < P < A < M < T < Q < C on random pairs,
     reporting the smallest resolvable normalized margin."""
     check_int("sample_count", sample_count, 1)
-    rng = random.Random(seed)
-    means = _means_fn(CHAIN_ORDER)
+    columns = _columns_fn(CHAIN_ORDER)
     a_index = CHAIN_ORDER.index(ARITHMETIC)
 
-    def margins():
-        for _ in range(sample_count):
-            pair = _chain_draw(rng)
-            values = means(min(pair), max(pair))
-            a_mean = values[a_index]
-            yield zip([(nxt - prev) / a_mean for prev, nxt in zip(values, values[1:])],
-                      repeat(pair))
+    def margins(los, his):
+        values = columns(los, his)
+        a_means = values[a_index]
+        return [[(nxt - prev) / a for prev, nxt, a in zip(below, above, a_means)]
+                for below, above in zip(values, values[1:])]
 
-    return _sampled_report(chain.from_iterable(margins()), sample_count, seed)
+    return _sampled_sweep(_chain_draw, random.Random(seed), sample_count, margins, seed)
 
 
 # The two weighted Q/A displays cannot both be sharp as printed; they are
@@ -427,52 +436,50 @@ def _ky_fan_draw(rng: random.Random) -> tuple[float, float]:
 
 def _corpus_claims():
     """(claim_id, draw, margin_fn) triples; draw samples a pair (a, b) from
-    an rng, margin_fn maps its (lo, hi) to the smallest normalized margin of
-    the claim's strict inequalities."""
+    an rng, margin_fn maps the (los, his) columns of a block of pairs to the
+    column of each pair's smallest normalized margin over the claim's strict
+    inequalities."""
     c = sharp_constants()
     p0_kind = generalized_log(c.p0)
     l2_kind = generalized_log(2.0)
     neuman_alpha = (1.0 - ASINH_ONE) / ((math.sqrt(2.0) - 1.0) * ASINH_ONE)
     neuman_lambda = (1.0 - ASINH_ONE) / ASINH_ONE
 
-    ky_fan_means = _means_fn(_KY_FAN_KINDS)
-    apm = _means_fn((ARITHMETIC, SEIFFERT_FIRST, NEUMAN_SANDOR))
-    amt = _means_fn((ARITHMETIC, NEUMAN_SANDOR, SEIFFERT_SECOND))
-    am_lp0 = _means_fn((ARITHMETIC, NEUMAN_SANDOR, p0_kind))
-    am_l2 = _means_fn((ARITHMETIC, NEUMAN_SANDOR, l2_kind))
-    amq = _means_fn((ARITHMETIC, NEUMAN_SANDOR, QUADRATIC))
+    ky_fan_means = _columns_fn(_KY_FAN_KINDS)
+    apm = _columns_fn((ARITHMETIC, SEIFFERT_FIRST, NEUMAN_SANDOR))
+    amt = _columns_fn((ARITHMETIC, NEUMAN_SANDOR, SEIFFERT_SECOND))
+    am_lp0 = _columns_fn((ARITHMETIC, NEUMAN_SANDOR, p0_kind))
+    am_l2 = _columns_fn((ARITHMETIC, NEUMAN_SANDOR, l2_kind))
+    amq = _columns_fn((ARITHMETIC, NEUMAN_SANDOR, QUADRATIC))
 
-    def ky_fan(lo, hi):
-        # the mirror pair (1-a, 1-b), ordered
-        ratios = [m / mirror for m, mirror in
-                  zip(ky_fan_means(lo, hi), ky_fan_means(1.0 - hi, 1.0 - lo))]
-        return min(nxt - prev for prev, nxt in zip(ratios, ratios[1:]))
+    def ky_fan(los, his):
+        # the mirror pairs (1-a, 1-b), ordered
+        mirrors = ky_fan_means([1.0 - hi for hi in his], [1.0 - lo for lo in los])
+        ratios = zip(*[list(map(operator.truediv, m, mirror))
+                       for m, mirror in zip(ky_fan_means(los, his), mirrors)])
+        return [min(nxt - prev for prev, nxt in zip(row, row[1:])) for row in ratios]
 
-    def pm_lt_a2(lo, hi):
-        a, p, m = apm(lo, hi)
-        return (a * a - p * m) / (a * a)
+    def pm_lt_a2(los, his):
+        return [(a * a - p * m) / (a * a) for a, p, m in zip(*apm(los, his))]
 
-    def at_lt_m2(lo, hi):
-        a, m, t = amt(lo, hi)
-        return (m * m - a * t) / (a * a)
+    def at_lt_m2(los, his):
+        return [(m * m - a * t) / (a * a) for a, m, t in zip(*amt(los, his))]
 
-    def m2_lt_square_mean(lo, hi):
-        a, m, t = amt(lo, hi)
-        return ((a * a + t * t) / 2.0 - m * m) / (a * a)
+    def m2_lt_square_mean(los, his):
+        return [((a * a + t * t) / 2.0 - m * m) / (a * a) for a, m, t in zip(*amt(los, his))]
 
-    def lp0_lt_m(lo, hi):
-        a_mean, m, lp0 = am_lp0(lo, hi)
-        return (m - lp0) / a_mean
+    def lp0_lt_m(los, his):
+        return [(m - lp0) / a for a, m, lp0 in zip(*am_lp0(los, his))]
 
-    def m_lt_l2(lo, hi):
-        a_mean, m, l2 = am_l2(lo, hi)
-        return (l2 - m) / a_mean
+    def m_lt_l2(los, his):
+        return [(l2 - m) / a for a, m, l2 in zip(*am_l2(los, his))]
 
     def qa_margin(weight: float, lower: bool):
-        def margin(lo, hi):
-            a_mean, m, q = amq(lo, hi)
-            combo = weight * q + (1.0 - weight) * a_mean
-            return ((m - combo) if lower else (combo - m)) / a_mean
+        def margin(los, his):
+            a_means, ms, qs = amq(los, his)
+            combos = [weight * q + (1.0 - weight) * a for a, q in zip(a_means, qs)]
+            gaps = map(operator.sub, ms, combos) if lower else map(operator.sub, combos, ms)
+            return list(map(operator.truediv, gaps, a_means))
         return margin
 
     return [
@@ -489,19 +496,12 @@ def _corpus_claims():
     ]
 
 
-def _sampled_margins(draw, rng: random.Random, sample_count: int, margin_fn):
-    """(margin, (a, b)) for sample_count pairs drawn from rng."""
-    for _ in range(sample_count):
-        pair = draw(rng)
-        yield margin_fn(min(pair), max(pair)), pair
-
-
 def verify_corpus(sample_count: int, seed: int) -> list[tuple[str, CertificationReport]]:
     """Evaluate every corpus claim on its own seeded sample stream."""
     check_int("sample_count", sample_count, 1)
     results = []
     for claim_id, draw, margin_fn in _corpus_claims():
         rng = random.Random(f"{seed}:{claim_id}")
-        margins = _sampled_margins(draw, rng, sample_count, margin_fn)
-        results.append((claim_id, _sampled_report(margins, sample_count, seed)))
+        results.append((claim_id, _sampled_sweep(
+            draw, rng, sample_count, lambda los, his: [margin_fn(los, his)], seed)))
     return results

@@ -15,6 +15,7 @@ by continuity: every mean returns ``a`` exactly.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum, unique
 
@@ -235,6 +236,11 @@ _SHAPES = {
     MeanFamily.CONTRA_HARMONIC: lambda x, v: 1.0 + x * x,
 }
 
+_PAIR_FORMS = {  # H and G from the pair: (lo, hi, s = lo + hi) -> mean
+    MeanFamily.HARMONIC: lambda lo, hi, s: 2.0 * lo * (hi / s),
+    MeanFamily.GEOMETRIC: lambda lo, hi, s: math.sqrt(lo) * math.sqrt(hi),
+}
+
 
 def _half_log_ratio(x: float, v: float) -> float:
     """atanh(x) computed from the exact complement v = 1-x."""
@@ -334,10 +340,8 @@ def _mean(kind: MeanKind, lo: float, hi: float) -> float:
         # exact power-of-two rescale keeps homogeneity bit-clean
         return 4.0 * _mean(kind, 0.25 * lo, 0.25 * hi)
     fam = kind.family
-    if fam is MeanFamily.HARMONIC:
-        return 2.0 * lo * (hi / s)
-    if fam is MeanFamily.GEOMETRIC:
-        return math.sqrt(lo) * math.sqrt(hi)
+    if fam in _PAIR_FORMS:
+        return _PAIR_FORMS[fam](lo, hi, s)
     x = min((hi - lo) / s, _LARGEST_GAP)
     # 2*lo/s keeps the gap complement accurate where 1-x has already rounded
     # away; once it is below 1e-300 the log forms read log(hi/lo) directly
@@ -358,26 +362,33 @@ def _mean(kind: MeanKind, lo: float, hi: float) -> float:
     return mean if p is None else min(max(mean, lo), hi)
 
 
-def _means_fn(kinds):
-    """(lo, hi) -> [_mean(k, lo, hi) for k in kinds] bit for bit, for
-    0 < lo <= hi finite and without argument checks.  The parameter-free
-    shape families share one gap computation per pair (on the diagonal every
-    shape is exactly 1); H, G, L_p, a sum past max_float and, when kinds
-    holds L, the v < 1e-300 regime go through _mean."""
-    rows = [(k, None if k.p is not None or k.family in (MeanFamily.HARMONIC, MeanFamily.GEOMETRIC)
-             else _SHAPES[k.family]) for k in kinds]
-    log_floor = 1e-300 if any(shape is _shape_logarithmic for _, shape in rows) else 0.0
+def _columns_fn(kinds):
+    """(los, his) -> per kind the column [_mean(k, lo, hi) for lo, hi in
+    zip(los, his)] bit for bit, for 0 < lo <= hi finite.  L_p and the rows
+    with v outside [1e-300, 1) (the diagonal, a sum past max_float, L's log
+    form) go through _mean; H and G use their pair forms."""
+    def columns(los: list[float], his: list[float]) -> list[list[float]]:
+        ss = list(map(operator.add, los, his))
+        vs = [2.0 * lo / s for lo, s in zip(los, ss)]
+        odd = [i for i, v in enumerate(vs) if not 1e-300 <= v < 1.0]
+        for i in odd:  # v may be 0 or NaN here, and L's shape divides by v
+            ss[i], vs[i] = 2.0, 1.0
+        xs = [min((hi - lo) / s, _LARGEST_GAP) for lo, hi, s in zip(los, his, ss)]
+        hs = [0.5 * s for s in ss]
+        cols = []
+        for kind in kinds:
+            if kind.p is not None:
+                col = [_mean(kind, lo, hi) for lo, hi in zip(los, his)]
+            elif kind.family in _PAIR_FORMS:
+                col = list(map(_PAIR_FORMS[kind.family], los, his, ss))
+            else:
+                col = list(map(operator.mul, hs, map(_SHAPES[kind.family], xs, vs)))
+            for i in odd:
+                col[i] = _mean(kind, los[i], his[i])
+            cols.append(col)
+        return cols
 
-    def means(lo: float, hi: float) -> list[float]:
-        s = lo + hi
-        v = 2.0 * lo / s
-        if math.isinf(s) or v < log_floor:
-            return [_mean(k, lo, hi) for k, _ in rows]
-        x = min((hi - lo) / s, _LARGEST_GAP)
-        h = 0.5 * s
-        return [h * shape(x, v) if shape else _mean(k, lo, hi) for k, shape in rows]
-
-    return means
+    return columns
 
 
 def evaluate_mean(kind: MeanKind, pair) -> float:

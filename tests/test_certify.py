@@ -164,8 +164,18 @@ SWEEP_CASES = {
 BLOCK = certify._SWEEP_BLOCK
 
 
+def traced_peak(fn):
+    """Peak bytes traced by tracemalloc while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestOneSweep:
-    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7, 100_000])
+    @pytest.mark.parametrize("n", [255, 256, 257, 513, 4095, 4096, 4097, 12295, 100_000])
     @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
     def test_equals_per_point_scan(self, case, n):
         claims = SWEEP_CASES[case]
@@ -183,7 +193,9 @@ class TestOneSweep:
             worst.append(worst_x)
         if case == "1.1-lower-0.2210":
             assert reports[0].min_margin < 0.0
-            if n > 2 * BLOCK:
+            # its worst gap sits at about 0.9 of the lower half of the grid,
+            # past the first block once the grid has four blocks
+            if n > 4 * BLOCK:
                 assert grid.index(worst[0]) >= BLOCK
 
     def test_single_claim_form(self):
@@ -197,14 +209,6 @@ class TestOneSweep:
             verify_bound(3, 500)
 
     def test_memory_stays_near_the_grid(self):
-        def traced_peak(fn):
-            tracemalloc.start()
-            try:
-                fn()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
         grid_peak = traced_peak(lambda: gap_grid(100_000))
         sweep_peak = traced_peak(lambda: verify_bound(SWEEP_CASES["1.1"], 100_000))
         assert sweep_peak <= 2 * grid_peak
@@ -308,6 +312,11 @@ class TestChain:
     def test_deterministic(self):
         assert verify_chain(500, seed=7) == verify_chain(500, seed=7)
 
+    def test_memory_does_not_grow_with_samples(self):
+        # the draws are held one block at a time
+        assert traced_peak(lambda: verify_chain(100_000, seed=42)) \
+            <= 1.25 * traced_peak(lambda: verify_chain(1_000, seed=42))
+
 
 class TestCorpus:
     def test_corpus_verdicts(self):
@@ -330,6 +339,11 @@ class TestCorpus:
         second = verify_corpus(300, seed=9)
         assert first == second
         assert all(report.seed == 9 for _, report in first)
+
+    def test_memory_does_not_grow_with_samples(self):
+        # both counts fill whole blocks; 100 samples would not fill one
+        assert traced_peak(lambda: verify_corpus(10_000, seed=42)) \
+            <= 1.25 * traced_peak(lambda: verify_corpus(1_000, seed=42))
 
 
 def _fixed_draws(monkeypatch, pairs):

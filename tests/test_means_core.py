@@ -30,7 +30,7 @@ from means_lab import (
     stable_asinh,
 )
 from means_lab.cli import main
-from means_lab.means import _mean, _means_fn
+from means_lab.means import _columns_fn, _mean
 from oracles import mean_oracle, rel_err
 
 MAX_FLOAT = sys.float_info.max
@@ -258,39 +258,62 @@ class TestShapeConsistency:
             mean_shape(HARMONIC, -0.1)
 
 
-class TestPairKernel:
+# the kind lists the sweeps use, L repeated and among L_p exponents at and
+# around the special cases
+_P0 = generalized_log(sharp_constants().p0)
+KERNEL_KIND_LISTS = [
+    CHAIN_ORDER,
+    (GEOMETRIC, LOGARITHMIC, SEIFFERT_FIRST, ARITHMETIC, NEUMAN_SANDOR, SEIFFERT_SECOND),
+    (ARITHMETIC, SEIFFERT_FIRST, NEUMAN_SANDOR),
+    (ARITHMETIC, NEUMAN_SANDOR, SEIFFERT_SECOND),
+    (ARITHMETIC, NEUMAN_SANDOR, _P0),
+    (ARITHMETIC, NEUMAN_SANDOR, generalized_log(2.0)),
+    (ARITHMETIC, NEUMAN_SANDOR, QUADRATIC),
+    (NEUMAN_SANDOR,),
+    (LOGARITHMIC, NEUMAN_SANDOR, LOGARITHMIC),
+    [generalized_log(p) for p in (-3.16, -1.0, -1.0 + 1e-9, 0.0, 1e-9, 1e-3, 2.0,
+                                  1.7e308, -1.7e308)],
+]
+
+
+def _kernel_pairs():
+    """Ordinary pairs, with the rows the column kernel hands back to _mean
+    among them: the diagonal, a sum past max_float, and lo subnormal under
+    hi >= 1 (gap complement below 1e-300)."""
+    rng = random.Random(97)
+    pairs = []
+    for _ in range(300):
+        a = 10 ** rng.uniform(-300, 300)
+        pairs += [(a, a), (a, 10 ** rng.uniform(-300, 300)), (a, a * (1.0 + 1e-3 * rng.random())),
+                  (MAX_FLOAT * rng.uniform(0.5, 1.0), MAX_FLOAT * rng.uniform(0.5, 1.0)),
+                  (5e-324 * rng.randint(1, 2**40), 10 ** rng.uniform(0, 308))]
+    return pairs
+
+
+def _assert_columns_equal_mean(pairs):
+    los = [min(pair) for pair in pairs]
+    his = [max(pair) for pair in pairs]
+    for kinds in KERNEL_KIND_LISTS:
+        columns = _columns_fn(kinds)(los, his)
+        assert len(columns) == len(kinds)
+        for kind, column in zip(kinds, columns):
+            assert column == [_mean(kind, lo, hi) for lo, hi in zip(los, his)], (kinds, kind)
+
+
+class TestColumnKernel:
     def test_equals_mean_bit_for_bit(self):
-        # the sweeps' one-gap kernel against the scalar path, on ordinary
-        # pairs, on the diagonal and on the pairs the kernel hands back to
-        # _mean: a sum past max_float, and lo subnormal under hi >= 1 (gap
-        # complement below 1e-300)
-        p0 = generalized_log(sharp_constants().p0)
-        lps = [generalized_log(p) for p in (-3.16, -1.0, -1.0 + 1e-9, 0.0, 1e-9, 1e-3, 2.0,
-                                            1.7e308, -1.7e308)]
-        kind_lists = [
-            CHAIN_ORDER,
-            (GEOMETRIC, LOGARITHMIC, SEIFFERT_FIRST, ARITHMETIC, NEUMAN_SANDOR, SEIFFERT_SECOND),
-            (ARITHMETIC, SEIFFERT_FIRST, NEUMAN_SANDOR),
-            (ARITHMETIC, NEUMAN_SANDOR, SEIFFERT_SECOND),
-            (ARITHMETIC, NEUMAN_SANDOR, p0),
-            (ARITHMETIC, NEUMAN_SANDOR, generalized_log(2.0)),
-            (ARITHMETIC, NEUMAN_SANDOR, QUADRATIC),
-            (NEUMAN_SANDOR,),
-            (LOGARITHMIC, NEUMAN_SANDOR, LOGARITHMIC),
-            lps,
-        ]
-        rng = random.Random(97)
-        pairs = []
-        for _ in range(300):
-            a = 10 ** rng.uniform(-300, 300)
-            pairs += [(a, a), (a, 10 ** rng.uniform(-300, 300)), (a, a * (1.0 + 1e-3 * rng.random())),
-                      (MAX_FLOAT * rng.uniform(0.5, 1.0), MAX_FLOAT * rng.uniform(0.5, 1.0)),
-                      (5e-324 * rng.randint(1, 2**40), 10 ** rng.uniform(0, 308))]
-        for kinds in kind_lists:
-            means = _means_fn(kinds)
-            for a, b in pairs:
-                lo, hi = min(a, b), max(a, b)
-                assert means(lo, hi) == [_mean(k, lo, hi) for k in kinds], (kinds, lo, hi)
+        # one block of 1,500 pairs, the odd rows among ordinary ones
+        _assert_columns_equal_mean(_kernel_pairs())
+
+    def test_block_of_odd_rows(self):
+        pairs = _kernel_pairs()
+        odd = [pairs[i] for i in range(len(pairs)) if i % 5 in (0, 3, 4)]
+        _assert_columns_equal_mean(odd)
+
+    @pytest.mark.parametrize("pair", [(1.0, 2.0), (3.0, 3.0), (0.9 * MAX_FLOAT, MAX_FLOAT),
+                                      (5e-324, 1.0)])
+    def test_block_of_one_pair(self, pair):
+        _assert_columns_equal_mean([pair])
 
 
 class TestGeneralizedLogConsistency:
