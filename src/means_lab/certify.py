@@ -7,11 +7,13 @@ evaluate the scale-free mean profiles directly, so normalized margins are
 identical at every scale).  A normalized margin whose magnitude is below
 ``STRICTNESS_FLOOR`` is numerically indistinguishable from zero in binary64
 and is counted separately instead of deciding a verdict: near the endpoints
-where the bounds are sharp the true margins drop below 1e-30.
+where the bounds are sharp the true margins drop below 1e-30.  A report with
+no resolvable margin (``min_margin`` inf) does not hold.
 
 All three sweeps (the gap grid of ``verify_bound``, the seeded draws of
 ``verify_chain`` and ``verify_corpus``) walk their points in blocks, with
-each mean's column computed once per block; a theorem's claims share a sweep.
+each mean's column computed once per block; a theorem's claims share a sweep,
+as a ratio function's objectives share one scan in ``recover_constant``.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .ratios import (
     ASINH_ONE,
     Endpoint,
     RatioFunctionKind,
+    _ratio_column,
     endpoint_value,
     evaluate_ratio_function,
     ratio_function_domain,
@@ -239,16 +242,17 @@ def _scan(margins, where):
 def verify_bound(claim: BoundClaim | Sequence[BoundClaim], grid_size: int,
                  scale: float = 1.0) -> CertificationReport | list[CertificationReport]:
     """Evaluate the claim's normalized margin over an endpoint-dense gap
-    grid; holds iff every resolvable margin is positive.  Given a sequence
-    of claims, return one report per claim from one sweep: the grid is
-    walked once in blocks, and each shape column is computed once per block
-    for all the claims that use it."""
+    grid; holds iff some margin is resolvable and every resolvable margin
+    is positive.  Given a sequence of claims, return one report per claim
+    from one sweep: the grid is walked once in blocks, and each shape column
+    is computed once per block for all the claims that use it."""
     single = not isinstance(claim, Sequence)
     claims = [claim] if single else list(claim)
     for c in claims:
         if not isinstance(c, BoundClaim):
             raise DomainError(f"not a BoundClaim: {c!r}")
     check_int("grid_size", grid_size, 100)
+    check_real("scale", scale, 0.0, math.inf, lo_open=True, hi_open=True)
     grid = gap_grid(grid_size)
     m = _shape_fn(NEUMAN_SANDOR)
     rows = [(c.combination.weight, c.relation is Relation.LESS_THAN_M,
@@ -277,7 +281,7 @@ def verify_bound(claim: BoundClaim | Sequence[BoundClaim], grid_size: int,
         grid_size=len(grid),
         min_margin=min_margin,
         worst_pair=pair_from_gap(worst_x, scale),
-        holds=min_margin > 0.0,
+        holds=0.0 < min_margin < math.inf,
         near_zero=near,
         scale=scale,
     ) for min_margin, worst_x, near in scans]
@@ -329,35 +333,39 @@ def _golden_refine(fn, lo: float, hi: float, maximize: bool, width: float,
     return sign * best
 
 
-def recover_constant(fn: RatioFunctionKind, objective: Objective, tol: float = 1e-9) -> float:
+def recover_constant(fn: RatioFunctionKind, objective: Objective | Sequence[Objective],
+                     tol: float = 1e-9) -> float | list[float]:
     """Numerically extremize a ratio function over its open domain: uniform
     scan, geometric endpoint approach, golden-section refinement of the best
     interior bracket down to width tol, plus the continuous endpoint
-    extensions."""
-    if not isinstance(objective, Objective):
+    extensions.  Given a sequence of objectives, return one value per
+    objective from one scan of the ratio function, refined per objective."""
+    single = not isinstance(objective, Sequence)
+    objectives = [objective] if single else list(objective)
+    if not all(isinstance(o, Objective) for o in objectives):
         raise DomainError(f"not an Objective: {objective!r}")
     check_real("tolerance", tol, 1e-12)
     lo, hi = ratio_function_domain(fn)
     span = hi - lo
-    maximize = objective is Objective.SUPREMUM
     value = functools.partial(evaluate_ratio_function, fn)
     scan_points = [lo + span * (i + 0.5) / 2001 for i in range(2001)]
     scan_points += [lo + span * 10.0**-j for j in range(2, 13)]
     scan_points += [hi - span * 10.0**-j for j in range(2, 13)]
-    best_x = scan_points[0]
-    best_v = value(best_x)
-    for x in scan_points[1:]:
-        v = value(x)
-        if (v > best_v) == maximize and v != best_v:
-            best_x, best_v = x, v
+    # all values are finite, so max/min and index pick the first equal extremum
+    values = _ratio_column(fn, scan_points)
     step = span / 2001
-    bracket_lo = max(lo + span * 1e-13, best_x - step)
-    bracket_hi = min(hi - span * 1e-13, best_x + step)
-    refined = _golden_refine(value, bracket_lo, bracket_hi, maximize, tol)
-    candidates = [best_v, refined,
-                  endpoint_value(fn, Endpoint.LOWER),
-                  endpoint_value(fn, Endpoint.UPPER)]
-    return max(candidates) if maximize else min(candidates)
+    ends = [endpoint_value(fn, Endpoint.LOWER), endpoint_value(fn, Endpoint.UPPER)]
+    results = []
+    for o in objectives:
+        maximize = o is Objective.SUPREMUM
+        best_v = max(values) if maximize else min(values)
+        best_x = scan_points[values.index(best_v)]
+        bracket_lo = max(lo + span * 1e-13, best_x - step)
+        bracket_hi = min(hi - span * 1e-13, best_x + step)
+        refined = _golden_refine(value, bracket_lo, bracket_hi, maximize, tol)
+        candidates = [best_v, refined] + ends
+        results.append(max(candidates) if maximize else min(candidates))
+    return results[0] if single else results
 
 
 def _chain_draw(rng: random.Random) -> tuple[float, float]:
@@ -374,7 +382,7 @@ def _sampled_sweep(draw, rng: random.Random, sample_count: int, margin_columns,
                    seed: int) -> CertificationReport:
     """Report over sample_count pairs drawn from rng in blocks, which
     margin_columns maps from (los, his) to margin columns; with no resolvable
-    margin the worst pair is the gap-0.5 pair at unit scale."""
+    margin it does not hold, and its worst pair is the unit gap-0.5 pair."""
     best, worst, near = math.inf, (1.5, 0.5), 0
     for start in range(0, sample_count, _SWEEP_BLOCK):
         pairs = [draw(rng) for _ in range(min(_SWEEP_BLOCK, sample_count - start))]
@@ -390,7 +398,7 @@ def _sampled_sweep(draw, rng: random.Random, sample_count: int, margin_columns,
         grid_size=sample_count,
         min_margin=best,
         worst_pair=PositivePair(*worst),
-        holds=best > 0.0,
+        holds=0.0 < best < math.inf,
         near_zero=near,
         seed=seed,
     )

@@ -206,18 +206,19 @@ def _recover_p0() -> float:
 def cmd_constants(args) -> tuple[dict, bool]:
     c = sharp_constants()
     lam_form = "1 - 1/(sqrt(2)*log(1+sqrt(2)))"
+    # one scan per ratio function for both objectives: (supremum, infimum)
+    hq, hc, gq = (recover_constant(fn, list(Objective), 1e-9) for fn in RatioFunctionKind)
     recoveries = {
-        "alpha1": (c.alpha1, "2/9", (RatioFunctionKind.PHI_HQ, Objective.SUPREMUM)),
-        "beta1": (c.beta1, lam_form, (RatioFunctionKind.PHI_HQ, Objective.INFIMUM)),
-        "alpha2": (c.alpha2, "1/3", (RatioFunctionKind.RATIO_GQ, Objective.SUPREMUM)),
-        "beta2": (c.beta2, lam_form, (RatioFunctionKind.RATIO_GQ, Objective.INFIMUM)),
-        "alpha3": (c.alpha3, "1 - 1/(2*log(1+sqrt(2)))", (RatioFunctionKind.PHI_HC, Objective.SUPREMUM)),
-        "beta3": (c.beta3, "5/12", (RatioFunctionKind.PHI_HC, Objective.INFIMUM)),
-        "lambda0": (c.lambda0, lam_form, (RatioFunctionKind.RATIO_GQ, Objective.INFIMUM)),
+        "alpha1": (c.alpha1, "2/9", hq[0]),
+        "beta1": (c.beta1, lam_form, hq[1]),
+        "alpha2": (c.alpha2, "1/3", gq[0]),
+        "beta2": (c.beta2, lam_form, gq[1]),
+        "alpha3": (c.alpha3, "1 - 1/(2*log(1+sqrt(2)))", hc[0]),
+        "beta3": (c.beta3, "5/12", hc[1]),
+        "lambda0": (c.lambda0, lam_form, gq[1]),
     }
     rows = []
-    for name, (value, form, (fn, objective)) in recoveries.items():
-        recovered = recover_constant(fn, objective, 1e-9)
+    for name, (value, form, recovered) in recoveries.items():
         rows.append({
             "id": name,
             "closed_form": form,

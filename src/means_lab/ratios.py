@@ -199,6 +199,12 @@ def evaluate_ratio_function(kind: RatioFunctionKind, t: float) -> float:
     raise DomainError(f"{kind.value} needs 0 < {'|t|' if row.even else 't'} < {row.hi!r}, got {t!r}")
 
 
+def _ratio_column(kind: RatioFunctionKind, ts) -> list[float]:
+    """evaluate_ratio_function(kind, t) for each t of ts in (0, hi), unchecked."""
+    series, closed = _RATIO_ROWS[kind][:2]
+    return [series(t) if t < SERIES_SWITCH else closed(t) for t in ts]
+
+
 def phi_hq(t: float) -> float:
     """(Q-M)/(Q-H) in the t-coordinate; strictly decreasing on
     (0, log(1+sqrt(2))) from 2/9 down to lambda0."""

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from means_lab import certify
+from means_lab import certify, ratios
 from means_lab import (
     BoundClaim,
     ConvexCombination,
@@ -20,6 +20,7 @@ from means_lab import (
     Relation,
     REPORT_ONLY_CORPUS_CLAIMS,
     RatioFunctionKind,
+    SERIES_SWITCH,
     SharpAt,
     evaluate_mean,
     evaluate_ratio_function,
@@ -137,6 +138,27 @@ class TestVerifyBound:
             verify_bound(claim, 99)
         with pytest.raises(DomainError):
             gap_grid(2.5)
+
+    def test_scale_checked_before_the_sweep(self, monkeypatch):
+        def no_grid(n):
+            raise AssertionError("the grid was built before the scale was checked")
+
+        monkeypatch.setattr(certify, "gap_grid", no_grid)
+        with pytest.raises(DomainError, match="scale"):
+            verify_bound(ALL_CLAIMS[0][1], 100_000, scale=0.0)
+        with pytest.raises(DomainError, match="scale"):
+            verify_bound([], 100_000, scale=-1.0)
+
+    @pytest.mark.parametrize("relation", list(Relation))
+    def test_no_resolvable_margin_does_not_hold(self, relation):
+        # M against the combination 0.5*M + 0.5*M: every margin is exactly
+        # zero, so neither M < M nor M > M may hold
+        claim = BoundClaim(ConvexCombination(0.5, NEUMAN_SANDOR, NEUMAN_SANDOR),
+                           relation, 0.5, SharpAt.GAP_ZERO)
+        report = verify_bound(claim, 100)
+        assert report.min_margin == math.inf
+        assert report.near_zero == 100
+        assert not report.holds
 
     def test_scale_invariance(self):
         for claim_id, claim in ALL_CLAIMS:
@@ -277,6 +299,40 @@ class TestRecoverConstant:
             counts.append(len(calls))
         assert counts[0] < counts[1]
 
+    @pytest.mark.parametrize("tol", [1e-3, 1e-9, 1e-12])
+    @pytest.mark.parametrize("kind", list(RatioFunctionKind))
+    def test_objectives_from_one_scan_equal_single_calls(self, kind, tol):
+        singles = [recover_constant(kind, objective, tol) for objective in Objective]
+        assert recover_constant(kind, list(Objective), tol) == singles
+        assert recover_constant(kind, tuple(Objective), tol) == singles
+        assert recover_constant(kind, [Objective.INFIMUM], tol) == singles[1:]
+
+    def test_objective_sequence_validation(self):
+        assert recover_constant(RatioFunctionKind.PHI_HQ, []) == []
+        for objectives in ([Objective.SUPREMUM, "infimum"], [None], "supremum", None):
+            with pytest.raises(DomainError):
+                recover_constant(RatioFunctionKind.PHI_HQ, objectives)
+
+    @pytest.mark.parametrize("kind", list(RatioFunctionKind))
+    def test_scan_column_equals_checked_evaluation(self, monkeypatch, kind):
+        scans = []
+
+        def recording(k, ts):
+            scans.append(list(ts))
+            return ratios._ratio_column(k, ts)
+
+        monkeypatch.setattr(certify, "_ratio_column", recording)
+        recover_constant(kind, list(Objective))
+        (points,) = scans
+        assert len(points) == 2023
+        points += [math.nextafter(SERIES_SWITCH, 0.0), SERIES_SWITCH,
+                   math.nextafter(SERIES_SWITCH, 1.0)]
+        column = ratios._ratio_column(kind, points)
+        # bit for bit, and finite: the scan's max/min pick relies on it
+        assert [v.hex() for v in column] == [evaluate_ratio_function(kind, t).hex()
+                                              for t in points]
+        assert all(math.isfinite(v) for v in column)
+
     def test_monotone_recovery_no_interior_extremum(self):
         # no interior sample may exceed the endpoint-limit envelope
         for kind in RatioFunctionKind:
@@ -384,17 +440,18 @@ class TestSampledDrawOrder:
     @pytest.mark.parametrize("n", [1, 256, 600])
     def test_no_resolvable_margin(self, monkeypatch, n):
         # on the diagonal every margin is near zero: no block may move the
-        # report off its default worst pair
+        # report off its default worst pair, and with nothing resolved the
+        # report does not hold
         _fixed_draws(monkeypatch, [(1.0, 1.0)])
         assert verify_chain(n, seed=3) == certify.CertificationReport(
             grid_size=n, min_margin=math.inf, worst_pair=PositivePair(1.5, 0.5),
-            holds=True, near_zero=8 * n, seed=3)
+            holds=False, near_zero=8 * n, seed=3)
         for cid, report in verify_corpus(n, seed=3):
             if cid == "ky-fan":
                 continue
             assert report == certify.CertificationReport(
                 grid_size=n, min_margin=math.inf, worst_pair=PositivePair(1.5, 0.5),
-                holds=True, near_zero=n, seed=3), cid
+                holds=False, near_zero=n, seed=3), cid
 
 
 class TestRatioMarginEquivalence:

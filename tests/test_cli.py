@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 from means_lab import evaluate_mean, generalized_log, NEUMAN_SANDOR, sharp_constants
-from means_lab import cli
+from means_lab import certify, cli
 from means_lab.cli import main, parse_mean_token
 from means_lab import HARMONIC, GEOMETRIC, QUADRATIC, CertificationReport, DomainError, PositivePair
+from means_lab import RatioFunctionKind
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -120,6 +121,16 @@ class TestVerify:
         gating_rows = [r for r in rows.values() if r["gating"]]
         assert gating_rows and all(r["holds"] for r in gating_rows)
 
+    def test_no_resolvable_margin_fails(self, capsys, monkeypatch):
+        # on the diagonal every chain margin is near zero: nothing is decided,
+        # so the chain does not hold and its min_margin goes out as null
+        monkeypatch.setattr(certify, "_chain_draw", lambda rng: (1.0, 1.0))
+        code, out, _ = run_main(capsys, "verify", "chain", "--samples", "50", "--format", "json")
+        assert code == 1
+        row = json.loads(out)["verdicts"][0]
+        assert not row["holds"]
+        assert row["min_margin"] is None and row["near_zero"] == 8 * 50
+
     def test_small_grid_usage_error(self, capsys):
         code, _, err = run_main(capsys, "verify", "1.1", "--grid", "50")
         assert code == 2
@@ -165,6 +176,19 @@ class TestConstants:
         assert rows["p0"]["value"].startswith("1.8435")
         c = sharp_constants()
         assert float(rows["lambda0"]["value"]) == pytest.approx(c.lambda0, abs=1e-15)
+
+    def test_one_recovery_per_ratio_function(self, capsys, monkeypatch):
+        calls = []
+        recover = cli.recover_constant
+
+        def counting(fn, objective, tol=1e-9):
+            calls.append(fn)
+            return recover(fn, objective, tol)
+
+        monkeypatch.setattr(cli, "recover_constant", counting)
+        code, _, _ = run_main(capsys, "constants", "--format", "json")
+        assert code == 0
+        assert sorted(calls, key=list(RatioFunctionKind).index) == list(RatioFunctionKind)
 
 
 class TestSeries:
@@ -256,13 +280,14 @@ class TestFormats:
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
     def test_strict_json_writes_non_finite_as_null(self, capsys, monkeypatch):
-        # _scan reports min_margin = inf when every margin is near zero
+        # _scan reports min_margin = inf when every margin is near zero, and
+        # such a report does not hold
         report = CertificationReport(grid_size=50, min_margin=math.inf,
-                                     worst_pair=PositivePair(1.5, 0.5), holds=True,
+                                     worst_pair=PositivePair(1.5, 0.5), holds=False,
                                      near_zero=50, seed=42)
         monkeypatch.setattr(cli, "verify_chain", lambda samples, seed: report)
         code, out, _ = run_main(capsys, "verify", "chain", "--samples", "50", "--format", "json")
-        assert code == 0
+        assert code == 1
 
         def reject(constant):
             raise AssertionError(f"non-standard JSON constant {constant}")
