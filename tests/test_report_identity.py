@@ -29,6 +29,9 @@ COMMANDS = (
        ["verify", "corpus", "--samples", "10000", "--seed", "42"]]
     + [["sharpness", t, "--side", side, "--epsilon", "1e-3"]
        for t in ("1.1", "1.2", "1.3") for side in ("lower", "upper")]
+    + [["sharpness", t, "--side", side, "--epsilon", eps]
+       for eps in ("1e-2", "1e-4", "1e-6") for t in ("1.1", "1.2", "1.3")
+       for side in ("lower", "upper")]
     + [["constants"], ["series", "HQ", "--terms", "50"], ["series", "HC", "--terms", "50"]]
     + [["eval", "--means", "H,G,L,P,A,M,T,Q,C,Lp:-3.16,Lp:-1,Lp:0,Lp:2,Lp:1e300,Lp:-1e300",
         "--pair", pair] for pair in ("1,2", "1e-308,1e308", "1.5e-201,1.2e272")]
