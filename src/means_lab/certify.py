@@ -14,16 +14,19 @@ All three sweeps (the gap grid of ``verify_bound``, the seeded draws of
 ``verify_chain`` and ``verify_corpus``) walk their points in blocks, with
 each mean's column computed once per block; a theorem's claims share a sweep,
 as a ratio function's objectives share one scan in ``recover_constant``.
+A claim's margin is stated once, in ``_margin_fn``: the grid sweep calls it
+per block, and the sharpness ladder is one more column of it.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum, unique
 
 from .exceptions import DomainError, check_int, check_real
@@ -140,13 +143,18 @@ class ConvexCombination:
 
 @dataclass(frozen=True)
 class BoundClaim:
-    """A one-sided weighted-mean bound against M with its claimed sharp
-    weight and the gap endpoint where sharpness bites."""
+    """A one-sided weighted-mean bound against M; the combination's weight is
+    the claimed sharp weight, and sharp_at the gap endpoint where it bites."""
 
     combination: ConvexCombination
     relation: Relation
-    claimed_sharp_weight: float
     sharp_at: SharpAt
+
+    def __post_init__(self) -> None:
+        for name, cls in (("combination", ConvexCombination), ("relation", Relation),
+                          ("sharp_at", SharpAt)):
+            if not isinstance(getattr(self, name), cls):
+                raise DomainError(f"{name} is not a {cls.__name__}: {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -179,8 +187,8 @@ def theorem_claims(which: str) -> list[tuple[str, BoundClaim]]:
     if which not in table:
         raise DomainError(f"unknown theorem {which!r}; expected 1.1, 1.2 or 1.3")
     first, second, alpha, alpha_at, beta, beta_at = table[which]
-    lower = BoundClaim(ConvexCombination(alpha, first, second), Relation.LESS_THAN_M, alpha, alpha_at)
-    upper = BoundClaim(ConvexCombination(beta, first, second), Relation.GREATER_THAN_M, beta, beta_at)
+    lower = BoundClaim(ConvexCombination(alpha, first, second), Relation.LESS_THAN_M, alpha_at)
+    upper = BoundClaim(ConvexCombination(beta, first, second), Relation.GREATER_THAN_M, beta_at)
     return [(f"{which}-lower", lower), (f"{which}-upper", upper)]
 
 
@@ -206,22 +214,28 @@ def gap_grid(n: int) -> list[float]:
     return gaps
 
 
-def _margin_fn(claim: BoundClaim, weight: float):
-    """x -> the claim's normalized margin at gap x, with its combination
-    weighted by weight."""
+def _margin_fn(claims: Sequence[BoundClaim]):
+    """xs -> one column per claim of its normalized margins at the gaps xs;
+    each shape column is computed once for all the claims that use it."""
     m = _shape_fn(NEUMAN_SANDOR)
-    first = _shape_fn(claim.combination.first)
-    second = _shape_fn(claim.combination.second)
-    rest = 1.0 - weight
-    lower = claim.relation is Relation.LESS_THAN_M
+    rows = [(c.combination.weight, c.relation is Relation.LESS_THAN_M,
+             _shape_fn(c.combination.first), _shape_fn(c.combination.second)) for c in claims]
+    shapes = list(dict.fromkeys([m] + [shape for row in rows for shape in row[2:]]))
 
-    def margin(x: float) -> float:
-        v = 1.0 - x
-        m_x = m(x, v)
-        combo = weight * first(x, v) + rest * second(x, v)
-        return m_x - combo if lower else combo - m_x
+    def margins(xs: list[float]) -> list[list[float]]:
+        vs = [1.0 - x for x in xs]
+        columns = {shape: list(map(shape, xs, vs)) for shape in shapes}
+        out = []
+        for weight, lower, first, second in rows:
+            rest = 1.0 - weight
+            triples = zip(columns[m], columns[first], columns[second])
+            if lower:
+                out.append([m_x - (weight * f + rest * s) for m_x, f, s in triples])
+            else:
+                out.append([(weight * f + rest * s) - m_x for m_x, f, s in triples])
+        return out
 
-    return margin
+    return margins
 
 
 def _scan(margins, where):
@@ -244,8 +258,7 @@ def verify_bound(claim: BoundClaim | Sequence[BoundClaim], grid_size: int,
     """Evaluate the claim's normalized margin over an endpoint-dense gap
     grid; holds iff some margin is resolvable and every resolvable margin
     is positive.  Given a sequence of claims, return one report per claim
-    from one sweep: the grid is walked once in blocks, and each shape column
-    is computed once per block for all the claims that use it."""
+    from one sweep: the grid is walked once, a _margin_fn block at a time."""
     single = not isinstance(claim, Sequence)
     claims = [claim] if single else list(claim)
     for c in claims:
@@ -254,25 +267,14 @@ def verify_bound(claim: BoundClaim | Sequence[BoundClaim], grid_size: int,
     check_int("grid_size", grid_size, 100)
     check_real("scale", scale, 0.0, math.inf, lo_open=True, hi_open=True)
     grid = gap_grid(grid_size)
-    m = _shape_fn(NEUMAN_SANDOR)
-    rows = [(c.combination.weight, c.relation is Relation.LESS_THAN_M,
-             _shape_fn(c.combination.first), _shape_fn(c.combination.second)) for c in claims]
-    shapes = list(dict.fromkeys([m] + [shape for row in rows for shape in row[2:]]))
-    scans = [(math.inf, 0.5, 0)] * len(rows)
+    margins = _margin_fn(claims)
+    scans = [(math.inf, 0.5, 0)] * len(claims)
     for start in range(0, len(grid), _SWEEP_BLOCK):
         xs = grid[start:start + _SWEEP_BLOCK]
-        vs = [1.0 - x for x in xs]
-        columns = {shape: list(map(shape, xs, vs)) for shape in shapes}
-        for i, (weight, lower, first, second) in enumerate(rows):
-            rest = 1.0 - weight
-            triples = zip(columns[m], columns[first], columns[second])
-            if lower:
-                margins = [m_x - (weight * f + rest * s) for m_x, f, s in triples]
-            else:
-                margins = [(weight * f + rest * s) - m_x for m_x, f, s in triples]
+        for i, column in enumerate(margins(xs)):
             # blocks merge in grid order and only a strictly smaller minimum
             # replaces the running one, as within _scan
-            best, where, near = _scan(zip(margins, xs), 0.5)
+            best, where, near = _scan(zip(column, xs), 0.5)
             run_best, run_where, run_near = scans[i]
             if best < run_best:
                 run_best, run_where = best, where
@@ -290,24 +292,22 @@ def verify_bound(claim: BoundClaim | Sequence[BoundClaim], grid_size: int,
 
 def sharpness_probe(claim: BoundClaim, epsilon: float) -> SharpnessReport:
     """Perturb the claimed sharp weight by epsilon in the falsifying
-    direction (lower-bound weights down, upper-bound weights up) and walk a
-    geometric ladder toward the sharp endpoint until the bound breaks."""
+    direction (lower-bound weights down, upper-bound weights up) and evaluate
+    the bound on the ladder 2^-1 ... 2^-49 toward the sharp endpoint; the
+    first rung where it breaks is the witness."""
     if not isinstance(claim, BoundClaim):
         raise DomainError(f"not a BoundClaim: {claim!r}")
     check_real("epsilon", epsilon, 0.0, 1e-2, lo_open=True)
-    if claim.relation is Relation.LESS_THAN_M:
-        weight = claim.claimed_sharp_weight - epsilon
-    else:
-        weight = claim.claimed_sharp_weight + epsilon
-    check_real("perturbed weight", weight, 0.0, 1.0)
-    margin = _margin_fn(claim, weight)
-    offset = 0.5
-    while offset >= 1e-15:
-        x = offset if claim.sharp_at is SharpAt.GAP_ZERO else 1.0 - offset
-        if margin(x) < -_VIOLATION_THRESHOLD:
-            return SharpnessReport(epsilon, pair_from_gap(x, 1.0), True, x)
-        offset *= 0.5
-    return SharpnessReport(epsilon, None, False, None)
+    c = claim.combination
+    weight = c.weight - epsilon if claim.relation is Relation.LESS_THAN_M else c.weight + epsilon
+    # the combination checks that the perturbed weight stays in [0, 1]
+    perturbed = replace(claim, combination=replace(c, weight=weight))
+    xs = [0.5**k if claim.sharp_at is SharpAt.GAP_ZERO else 1.0 - 0.5**k for k in range(1, 50)]
+    (column,) = _margin_fn([perturbed])(xs)
+    x = next((x for x, margin in zip(xs, column) if margin < -_VIOLATION_THRESHOLD), None)
+    if x is None:
+        return SharpnessReport(epsilon, None, False, None)
+    return SharpnessReport(epsilon, pair_from_gap(x, 1.0), True, x)
 
 
 def _golden_refine(fn, lo: float, hi: float, maximize: bool, width: float,
@@ -442,74 +442,53 @@ def _ky_fan_draw(rng: random.Random) -> tuple[float, float]:
             return a, b
 
 
+def _pair_margins(margin, *kinds):
+    """(los, his) -> [the column of margin(a, m, *values) per pair], from the
+    columns of A, M and kinds."""
+    columns = _columns_fn((ARITHMETIC, NEUMAN_SANDOR) + kinds)
+    return lambda los, his: [list(itertools.starmap(margin, zip(*columns(los, his))))]
+
+
+def _qa_margin(weight: float, lower: bool, a: float, m: float, q: float) -> float:
+    """M against weight*Q + (1-weight)*A, normalized by A."""
+    combo = weight * q + (1.0 - weight) * a
+    return (m - combo if lower else combo - m) / a
+
+
 def _corpus_claims():
-    """(claim_id, draw, margin_fn) triples; draw samples a pair (a, b) from
-    an rng, margin_fn maps the (los, his) columns of a block of pairs to the
-    column of each pair's smallest normalized margin over the claim's strict
-    inequalities."""
-    c = sharp_constants()
-    p0_kind = generalized_log(c.p0)
-    l2_kind = generalized_log(2.0)
+    """(claim_id, draw, margin_columns) triples; draw samples a pair (a, b)
+    from an rng, margin_columns maps the (los, his) columns of a block of
+    pairs to a one-column list: each pair's smallest normalized margin over
+    the claim's strict inequalities."""
     neuman_alpha = (1.0 - ASINH_ONE) / ((math.sqrt(2.0) - 1.0) * ASINH_ONE)
     neuman_lambda = (1.0 - ASINH_ONE) / ASINH_ONE
-
     ky_fan_means = _columns_fn(_KY_FAN_KINDS)
-    apm = _columns_fn((ARITHMETIC, SEIFFERT_FIRST, NEUMAN_SANDOR))
-    amt = _columns_fn((ARITHMETIC, NEUMAN_SANDOR, SEIFFERT_SECOND))
-    am_lp0 = _columns_fn((ARITHMETIC, NEUMAN_SANDOR, p0_kind))
-    am_l2 = _columns_fn((ARITHMETIC, NEUMAN_SANDOR, l2_kind))
-    amq = _columns_fn((ARITHMETIC, NEUMAN_SANDOR, QUADRATIC))
 
     def ky_fan(los, his):
         # the mirror pairs (1-a, 1-b), ordered
         mirrors = ky_fan_means([1.0 - hi for hi in his], [1.0 - lo for lo in los])
         ratios = zip(*[list(map(operator.truediv, m, mirror))
                        for m, mirror in zip(ky_fan_means(los, his), mirrors)])
-        return [min(nxt - prev for prev, nxt in zip(row, row[1:])) for row in ratios]
+        return [[min(nxt - prev for prev, nxt in zip(row, row[1:])) for row in ratios]]
 
-    def pm_lt_a2(los, his):
-        return [(a * a - p * m) / (a * a) for a, p, m in zip(*apm(los, his))]
-
-    def at_lt_m2(los, his):
-        return [(m * m - a * t) / (a * a) for a, m, t in zip(*amt(los, his))]
-
-    def m2_lt_square_mean(los, his):
-        return [((a * a + t * t) / 2.0 - m * m) / (a * a) for a, m, t in zip(*amt(los, his))]
-
-    def lp0_lt_m(los, his):
-        return [(m - lp0) / a for a, m, lp0 in zip(*am_lp0(los, his))]
-
-    def m_lt_l2(los, his):
-        return [(l2 - m) / a for a, m, l2 in zip(*am_l2(los, his))]
-
-    def qa_margin(weight: float, lower: bool):
-        def margin(los, his):
-            a_means, ms, qs = amq(los, his)
-            combos = [weight * q + (1.0 - weight) * a for a, q in zip(a_means, qs)]
-            gaps = map(operator.sub, ms, combos) if lower else map(operator.sub, combos, ms)
-            return list(map(operator.truediv, gaps, a_means))
-        return margin
-
-    return [
-        ("ky-fan", _ky_fan_draw, ky_fan),
-        ("pm-lt-a2", _chain_draw, pm_lt_a2),
-        ("at-lt-m2", _chain_draw, at_lt_m2),
-        ("m2-lt-square-mean", _chain_draw, m2_lt_square_mean),
-        ("lp0-lt-m", _chain_draw, lp0_lt_m),
-        ("m-lt-l2", _chain_draw, m_lt_l2),
-        ("neuman-qa-alpha-lower", _chain_draw, qa_margin(neuman_alpha, True)),
-        ("neuman-qa-beta-upper", _chain_draw, qa_margin(1.0 / 3.0, False)),
-        ("neuman-qa-lambda-lower", _chain_draw, qa_margin(neuman_lambda, True)),
-        ("neuman-qa-mu-upper", _chain_draw, qa_margin(1.0 / 6.0, False)),
+    pair_claims = [
+        ("pm-lt-a2", lambda a, m, p: (a * a - p * m) / (a * a), SEIFFERT_FIRST),
+        ("at-lt-m2", lambda a, m, t: (m * m - a * t) / (a * a), SEIFFERT_SECOND),
+        ("m2-lt-square-mean", lambda a, m, t: ((a * a + t * t) / 2.0 - m * m) / (a * a), SEIFFERT_SECOND),
+        ("lp0-lt-m", lambda a, m, lp0: (m - lp0) / a, generalized_log(sharp_constants().p0)),
+        ("m-lt-l2", lambda a, m, l2: (l2 - m) / a, generalized_log(2.0)),
+        ("neuman-qa-alpha-lower", functools.partial(_qa_margin, neuman_alpha, True), QUADRATIC),
+        ("neuman-qa-beta-upper", functools.partial(_qa_margin, 1.0 / 3.0, False), QUADRATIC),
+        ("neuman-qa-lambda-lower", functools.partial(_qa_margin, neuman_lambda, True), QUADRATIC),
+        ("neuman-qa-mu-upper", functools.partial(_qa_margin, 1.0 / 6.0, False), QUADRATIC),
     ]
+    return [("ky-fan", _ky_fan_draw, ky_fan)] + [(claim_id, _chain_draw, _pair_margins(margin, kind))
+                                                 for claim_id, margin, kind in pair_claims]
 
 
 def verify_corpus(sample_count: int, seed: int) -> list[tuple[str, CertificationReport]]:
     """Evaluate every corpus claim on its own seeded sample stream."""
     check_int("sample_count", sample_count, 1)
-    results = []
-    for claim_id, draw, margin_fn in _corpus_claims():
-        rng = random.Random(f"{seed}:{claim_id}")
-        results.append((claim_id, _sampled_sweep(
-            draw, rng, sample_count, lambda los, his: [margin_fn(los, his)], seed)))
-    return results
+    return [(claim_id, _sampled_sweep(draw, random.Random(f"{seed}:{claim_id}"), sample_count,
+                                      margin_columns, seed))
+            for claim_id, draw, margin_columns in _corpus_claims()]

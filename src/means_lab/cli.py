@@ -16,11 +16,10 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 from .certify import (
     REPORT_ONLY_CORPUS_CLAIMS,
-    BoundClaim,
-    ConvexCombination,
     Objective,
     Relation,
     sharpness_probe,
@@ -146,9 +145,7 @@ def _theorem_reports(args) -> list[dict]:
     for claim_id, claim in theorem_claims(args.target):
         override = args.weight_lower if claim.relation is Relation.LESS_THAN_M else args.weight_upper
         if override is not None:
-            claim = BoundClaim(
-                ConvexCombination(override, claim.combination.first, claim.combination.second),
-                claim.relation, override, claim.sharp_at)
+            claim = replace(claim, combination=replace(claim.combination, weight=override))
         ids.append(claim_id)
         claims.append(claim)
     # both claims of the theorem from one sweep of the grid

@@ -97,11 +97,10 @@ def ratio_sequence_verdict(numerator_kind: CoefficientKind,
     for n in range(N - 1):
         d = ratios[n + 1] - ratios[n]
         signs.append(0 if d == 0 else (1 if d > 0 else -1))
-    lead = next((s for s in signs if s != 0), 0)
-    if lead == 0:
-        return MonotonicityVerdict(Direction.NOT_MONOTONE, N, first_violation=1)
+    # a zero first sign is a violation at 1, otherwise the first sign unlike it
+    lead = signs[0]
     for i, s in enumerate(signs):
-        if s != lead:
+        if s != lead or s == 0:
             return MonotonicityVerdict(Direction.NOT_MONOTONE, N, first_violation=i + 1)
     direction = Direction.STRICTLY_INCREASING if lead > 0 else Direction.STRICTLY_DECREASING
     return MonotonicityVerdict(direction, N)

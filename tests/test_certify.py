@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from means_lab import certify, ratios
+from means_lab import certify, means, ratios
 from means_lab import (
     BoundClaim,
     ConvexCombination,
@@ -47,12 +47,12 @@ ALL_CLAIMS = [item for name in ("1.1", "1.2", "1.3") for item in theorem_claims(
 class TestClaimConstruction:
     def test_weights_and_endpoints(self):
         claims = dict(ALL_CLAIMS)
-        assert claims["1.1-lower"].claimed_sharp_weight == C.alpha1
-        assert claims["1.1-upper"].claimed_sharp_weight == C.beta1
-        assert claims["1.2-lower"].claimed_sharp_weight == C.alpha2
-        assert claims["1.2-upper"].claimed_sharp_weight == C.beta2
-        assert claims["1.3-lower"].claimed_sharp_weight == C.alpha3
-        assert claims["1.3-upper"].claimed_sharp_weight == C.beta3
+        assert claims["1.1-lower"].combination.weight == C.alpha1
+        assert claims["1.1-upper"].combination.weight == C.beta1
+        assert claims["1.2-lower"].combination.weight == C.alpha2
+        assert claims["1.2-upper"].combination.weight == C.beta2
+        assert claims["1.3-lower"].combination.weight == C.alpha3
+        assert claims["1.3-upper"].combination.weight == C.beta3
         for cid, claim in ALL_CLAIMS:
             expected_relation = Relation.LESS_THAN_M if cid.endswith("lower") else Relation.GREATER_THAN_M
             assert claim.relation is expected_relation
@@ -76,6 +76,24 @@ class TestClaimConstruction:
             ConvexCombination(-0.1, HARMONIC, QUADRATIC)
         with pytest.raises(DomainError):
             ConvexCombination(True, HARMONIC, QUADRATIC)
+
+    @pytest.mark.parametrize("field,bad", [
+        ("combination", (0.3, HARMONIC, QUADRATIC)),
+        ("combination", None),
+        ("relation", Relation.LESS_THAN_M.value),
+        ("relation", "lower"),
+        ("sharp_at", SharpAt.GAP_ZERO.value),
+        ("sharp_at", Relation.LESS_THAN_M),
+    ])
+    def test_claim_fields_checked(self, field, bad):
+        # an enum's own value is not the enum: "combination < M" was once
+        # verified as an upper bound, and "gap-zero" walked toward gap 1
+        fields = {"combination": ConvexCombination(0.3, HARMONIC, QUADRATIC),
+                  "relation": Relation.LESS_THAN_M, "sharp_at": SharpAt.GAP_ZERO}
+        BoundClaim(**fields)
+        fields[field] = bad
+        with pytest.raises(DomainError, match=field):
+            BoundClaim(**fields)
 
     def test_combination_value(self):
         combo = ConvexCombination(0.25, HARMONIC, QUADRATIC)
@@ -120,13 +138,13 @@ class TestVerifyBound:
 
     def test_degenerate_quadratic_upper(self):
         claim = BoundClaim(ConvexCombination(0.0, HARMONIC, QUADRATIC),
-                           Relation.GREATER_THAN_M, 0.0, SharpAt.GAP_ONE)
+                           Relation.GREATER_THAN_M, SharpAt.GAP_ONE)
         report = verify_bound(claim, 500)
         assert report.holds and report.min_margin > 0.0
 
     def test_below_sharp_lower_weight_fails(self):
         claim = BoundClaim(ConvexCombination(0.2210, HARMONIC, QUADRATIC),
-                           Relation.LESS_THAN_M, 0.2210, SharpAt.GAP_ZERO)
+                           Relation.LESS_THAN_M, SharpAt.GAP_ZERO)
         report = verify_bound(claim, 2000)
         assert not report.holds
         assert report.min_margin < 0.0
@@ -154,7 +172,7 @@ class TestVerifyBound:
         # M against the combination 0.5*M + 0.5*M: every margin is exactly
         # zero, so neither M < M nor M > M may hold
         claim = BoundClaim(ConvexCombination(0.5, NEUMAN_SANDOR, NEUMAN_SANDOR),
-                           relation, 0.5, SharpAt.GAP_ZERO)
+                           relation, SharpAt.GAP_ZERO)
         report = verify_bound(claim, 100)
         assert report.min_margin == math.inf
         assert report.near_zero == 100
@@ -172,8 +190,18 @@ class TestVerifyBound:
 
 def _with_weight(claim, weight):
     c = claim.combination
-    return BoundClaim(ConvexCombination(weight, c.first, c.second),
-                      claim.relation, weight, claim.sharp_at)
+    return BoundClaim(ConvexCombination(weight, c.first, c.second), claim.relation, claim.sharp_at)
+
+
+def _point_margin(claim, weight, x):
+    """The claim's normalized margin at gap x with its combination weighted
+    by weight, one point at a time: the reference for the column sweeps."""
+    c = claim.combination
+    v = 1.0 - x
+    m_x = means._shape_fn(NEUMAN_SANDOR)(x, v)
+    first, second = means._shape_fn(c.first)(x, v), means._shape_fn(c.second)(x, v)
+    combo = weight * first + (1.0 - weight) * second
+    return m_x - combo if claim.relation is Relation.LESS_THAN_M else combo - m_x
 
 
 # the three theorems, and 1.1 with a failing lower weight whose worst point
@@ -206,8 +234,9 @@ class TestOneSweep:
         grid = gap_grid(n)
         worst = []
         for claim, report in zip(claims, reports):
-            margin = certify._margin_fn(claim, claim.combination.weight)
-            best, worst_x, near = certify._scan(((margin(x), x) for x in grid), 0.5)
+            weight = claim.combination.weight
+            best, worst_x, near = certify._scan(
+                ((_point_margin(claim, weight, x), x) for x in grid), 0.5)
             assert report.min_margin == best, case
             assert report.worst_pair == pair_from_gap(worst_x, 1.0), case
             assert report.near_zero == near, case
@@ -255,9 +284,43 @@ class TestSharpness:
 
     def test_perturbed_weight_must_stay_in_unit_interval(self):
         claim = BoundClaim(ConvexCombination(0.0, HARMONIC, QUADRATIC),
-                           Relation.LESS_THAN_M, 0.0, SharpAt.GAP_ZERO)
+                           Relation.LESS_THAN_M, SharpAt.GAP_ZERO)
         with pytest.raises(DomainError):
             sharpness_probe(claim, 1e-3)
+
+    @pytest.mark.parametrize("epsilon", [1e-2, 1e-3, 1e-4, 1e-6, 1e-8, 1e-10, 1e-14])
+    @pytest.mark.parametrize("claim_id,claim", ALL_CLAIMS + [
+        ("1.1-lower-0.3", _with_weight(theorem_claims("1.1")[0][1], 0.3)),
+        ("1.1-lower-0.2", _with_weight(theorem_claims("1.1")[0][1], 0.2))])
+    def test_equals_per_point_walk(self, claim_id, claim, epsilon):
+        # halve the offset from the sharp end from 0.5 while it is at least
+        # 1e-15, and stop at the first margin below -_VIOLATION_THRESHOLD
+        c = claim.combination
+        weight = c.weight - epsilon if claim.relation is Relation.LESS_THAN_M else c.weight + epsilon
+        witness, offset = None, 0.5
+        while witness is None and offset >= 1e-15:
+            x = offset if claim.sharp_at is SharpAt.GAP_ZERO else 1.0 - offset
+            if _point_margin(claim, weight, x) < -certify._VIOLATION_THRESHOLD:
+                witness = x
+            offset *= 0.5
+        report = sharpness_probe(claim, epsilon)
+        assert report.perturbation == epsilon
+        assert report.violated is (witness is not None)
+        assert report.witness_gap == witness
+        assert report.witness == (None if witness is None else pair_from_gap(witness, 1.0))
+
+    def test_no_witness_at_1e_8(self):
+        # on the three claims that are sharp at gap 0, a perturbation of 1e-8
+        # breaks the bound by less than _VIOLATION_THRESHOLD at every rung
+        missed = {cid for cid, claim in ALL_CLAIMS if not sharpness_probe(claim, 1e-8).violated}
+        assert missed == {"1.1-lower", "1.2-lower", "1.3-upper"}
+
+    def test_probe_perturbs_the_verified_weight(self):
+        # one weight per claim: 1.1-lower at 0.3 holds, and so does 0.3 - 1e-3
+        claim = _with_weight(theorem_claims("1.1")[0][1], 0.3)
+        assert verify_bound(claim, 500).holds
+        assert not sharpness_probe(claim, 1e-3).violated
+        assert sharpness_probe(_with_weight(claim, 0.2), 1e-3).violated
 
     def test_sharpness_duality(self):
         # the bound holds at the sharp weight and breaks at eps past it
