@@ -289,9 +289,7 @@ class TestSharpness:
             sharpness_probe(claim, 1e-3)
 
     @pytest.mark.parametrize("epsilon", [1e-2, 1e-3, 1e-4, 1e-6, 1e-8, 1e-10, 1e-14])
-    @pytest.mark.parametrize("claim_id,claim", ALL_CLAIMS + [
-        ("1.1-lower-0.3", _with_weight(theorem_claims("1.1")[0][1], 0.3)),
-        ("1.1-lower-0.2", _with_weight(theorem_claims("1.1")[0][1], 0.2))])
+    @pytest.mark.parametrize("claim_id,claim", ALL_CLAIMS)
     def test_equals_per_point_walk(self, claim_id, claim, epsilon):
         # halve the offset from the sharp end from 0.5 while it is at least
         # 1e-15, and stop at the first margin below -_VIOLATION_THRESHOLD
