@@ -29,7 +29,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from enum import Enum, unique
 
-from .exceptions import DomainError, check_int, check_real
+from .exceptions import DomainError, check_int, check_real, check_type
 from .means import (
     ARITHMETIC,
     CHAIN_ORDER,
@@ -128,9 +128,8 @@ class ConvexCombination:
 
     def __post_init__(self) -> None:
         check_real("weight", self.weight, 0.0, 1.0)
-        for k in (self.first, self.second):
-            if not isinstance(k, MeanKind):
-                raise DomainError(f"not a MeanKind: {k!r}")
+        check_type("first", self.first, MeanKind)
+        check_type("second", self.second, MeanKind)
 
     def value(self, pair) -> float:
         w = self.weight
@@ -151,10 +150,9 @@ class BoundClaim:
     sharp_at: SharpAt
 
     def __post_init__(self) -> None:
-        for name, cls in (("combination", ConvexCombination), ("relation", Relation),
-                          ("sharp_at", SharpAt)):
-            if not isinstance(getattr(self, name), cls):
-                raise DomainError(f"{name} is not a {cls.__name__}: {getattr(self, name)!r}")
+        check_type("combination", self.combination, ConvexCombination)
+        check_type("relation", self.relation, Relation)
+        check_type("sharp_at", self.sharp_at, SharpAt)
 
 
 @dataclass(frozen=True)
@@ -165,7 +163,6 @@ class CertificationReport:
     holds: bool
     near_zero: int = 0
     seed: int | None = None
-    scale: float | None = None
 
 
 @dataclass(frozen=True)
@@ -253,19 +250,15 @@ def _scan(margins, where):
     return best, where, near
 
 
-def verify_bound(claim: BoundClaim | Sequence[BoundClaim], grid_size: int,
-                 scale: float = 1.0) -> CertificationReport | list[CertificationReport]:
+def verify_bound(claim: BoundClaim | Sequence[BoundClaim],
+                 grid_size: int) -> CertificationReport | list[CertificationReport]:
     """Evaluate the claim's normalized margin over an endpoint-dense gap
     grid; holds iff some margin is resolvable and every resolvable margin
     is positive.  Given a sequence of claims, return one report per claim
     from one sweep: the grid is walked once, a _margin_fn block at a time."""
     single = not isinstance(claim, Sequence)
-    claims = [claim] if single else list(claim)
-    for c in claims:
-        if not isinstance(c, BoundClaim):
-            raise DomainError(f"not a BoundClaim: {c!r}")
+    claims = [check_type("claim", c, BoundClaim) for c in ([claim] if single else claim)]
     check_int("grid_size", grid_size, 100)
-    check_real("scale", scale, 0.0, math.inf, lo_open=True, hi_open=True)
     grid = gap_grid(grid_size)
     margins = _margin_fn(claims)
     scans = [(math.inf, 0.5, 0)] * len(claims)
@@ -282,10 +275,9 @@ def verify_bound(claim: BoundClaim | Sequence[BoundClaim], grid_size: int,
     reports = [CertificationReport(
         grid_size=len(grid),
         min_margin=min_margin,
-        worst_pair=pair_from_gap(worst_x, scale),
+        worst_pair=pair_from_gap(worst_x, 1.0),
         holds=0.0 < min_margin < math.inf,
         near_zero=near,
-        scale=scale,
     ) for min_margin, worst_x, near in scans]
     return reports[0] if single else reports
 
@@ -295,8 +287,7 @@ def sharpness_probe(claim: BoundClaim, epsilon: float) -> SharpnessReport:
     direction (lower-bound weights down, upper-bound weights up) and evaluate
     the bound on the ladder 2^-1 ... 2^-49 toward the sharp endpoint; the
     first rung where it breaks is the witness."""
-    if not isinstance(claim, BoundClaim):
-        raise DomainError(f"not a BoundClaim: {claim!r}")
+    check_type("claim", claim, BoundClaim)
     check_real("epsilon", epsilon, 0.0, 1e-2, lo_open=True)
     c = claim.combination
     weight = c.weight - epsilon if claim.relation is Relation.LESS_THAN_M else c.weight + epsilon
@@ -310,15 +301,14 @@ def sharpness_probe(claim: BoundClaim, epsilon: float) -> SharpnessReport:
     return SharpnessReport(epsilon, pair_from_gap(x, 1.0), True, x)
 
 
-def _golden_refine(fn, lo: float, hi: float, maximize: bool, width: float,
-                   iterations: int = 120) -> float:
+def _golden_refine(fn, lo: float, hi: float, maximize: bool, width: float) -> float:
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     sign = 1.0 if maximize else -1.0
     a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = sign * fn(c), sign * fn(d)
-    for _ in range(iterations):
+    for _ in range(120):
         if b - a < width:
             break
         if fc > fd:
@@ -341,9 +331,7 @@ def recover_constant(fn: RatioFunctionKind, objective: Objective | Sequence[Obje
     extensions.  Given a sequence of objectives, return one value per
     objective from one scan of the ratio function, refined per objective."""
     single = not isinstance(objective, Sequence)
-    objectives = [objective] if single else list(objective)
-    if not all(isinstance(o, Objective) for o in objectives):
-        raise DomainError(f"not an Objective: {objective!r}")
+    objectives = [check_type("objective", o, Objective) for o in ([objective] if single else objective)]
     check_real("tolerance", tol, 1e-12)
     lo, hi = ratio_function_domain(fn)
     span = hi - lo

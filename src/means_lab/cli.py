@@ -213,24 +213,15 @@ def cmd_constants(args) -> tuple[dict, bool]:
         "alpha3": (c.alpha3, "1 - 1/(2*log(1+sqrt(2)))", hc[0]),
         "beta3": (c.beta3, "5/12", hc[1]),
         "lambda0": (c.lambda0, lam_form, gq[1]),
+        "p0": (c.p0, "root of (p+1)^(1/p) = 2*log(1+sqrt(2))", _recover_p0()),
     }
-    rows = []
-    for name, (value, form, recovered) in recoveries.items():
-        rows.append({
-            "id": name,
-            "closed_form": form,
-            "value": f"{value:.15f}",
-            "recovered": recovered,
-            "abs_diff": abs(value - recovered),
-        })
-    p0_recovered = _recover_p0()
-    rows.append({
-        "id": "p0",
-        "closed_form": "root of (p+1)^(1/p) = 2*log(1+sqrt(2))",
-        "value": f"{c.p0:.15f}",
-        "recovered": p0_recovered,
-        "abs_diff": abs(c.p0 - p0_recovered),
-    })
+    rows = [{
+        "id": name,
+        "closed_form": form,
+        "value": f"{value:.15f}",
+        "recovered": recovered,
+        "abs_diff": abs(value - recovered),
+    } for name, (value, form, recovered) in recoveries.items()]
     return _document("constants", rows), all(row["abs_diff"] < 1e-9 for row in rows)
 
 

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the one argument check
-every public function uses."""
+"""Exception types shared across the package, and the three argument checks
+every public function uses: check_real for real numbers, check_int for
+integers and check_type for class and enum arguments."""
 
 import math
 import sys
@@ -36,3 +37,10 @@ def check_int(name: str, n, lo: int) -> int:
     if isinstance(n, int) and not isinstance(n, bool) and n >= lo:
         return n
     raise DomainError(f"{name} must be an integer >= {lo}, got {n!r}")
+
+
+def check_type(name: str, value, cls: type):
+    """value if it is an instance of cls."""
+    if isinstance(value, cls):
+        return value
+    raise DomainError(f"{name} must be of type {cls.__name__}, got {value!r}")

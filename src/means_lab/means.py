@@ -19,7 +19,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum, unique
 
-from .exceptions import DomainError, check_real
+from .exceptions import DomainError, check_real, check_type
 
 __all__ = [
     "MeanFamily",
@@ -85,6 +85,7 @@ class MeanKind:
     p: float | None = None
 
     def __post_init__(self) -> None:
+        check_type("family", self.family, MeanFamily)
         if self.family is MeanFamily.GENERALIZED_LOG:
             object.__setattr__(self, "p", check_real("exponent p", self.p, -math.inf, math.inf,
                                                      lo_open=True, hi_open=True))
@@ -324,11 +325,10 @@ def mean_shape(kind: MeanKind, x: float) -> float:
     """Value of the mean on the pair (1+x, 1-x): the scale-free profile used
     by the certification grids, clamped into [1-x, 1+x].  Requires
     0 <= x < 1."""
-    if not isinstance(kind, MeanKind):
-        raise DomainError(f"not a MeanKind: {kind!r}")
+    shape = _shape_fn(check_type("mean kind", kind, MeanKind))
     x = check_real("gap", x, 0.0, 1.0, hi_open=True)
     v = 1.0 - x
-    return min(max(_shape_fn(kind)(x, v), v), 1.0 + x)
+    return min(max(shape(x, v), v), 1.0 + x)
 
 
 def _mean(kind: MeanKind, lo: float, hi: float) -> float:
@@ -347,7 +347,7 @@ def _mean(kind: MeanKind, lo: float, hi: float) -> float:
     # away; once it is below 1e-300 the log forms read log(hi/lo) directly
     v = 2.0 * lo / s
     p = kind.p
-    shape = _SHAPES[fam] if p is None else _shape_fn(kind)
+    shape = _shape_fn(kind)
     if v < 1e-300 and (p is not None or shape is _shape_logarithmic):
         log_ratio = math.log(hi) - math.log(lo)
         if shape is _shape_logarithmic:  # L, and L_p near p = -1
@@ -397,7 +397,6 @@ def evaluate_mean(kind: MeanKind, pair) -> float:
     Symmetric bit-exactly (the pair is canonicalized to lo <= hi first),
     homogeneous of degree 1 to rounding accuracy, and between min and max.
     """
-    if not isinstance(kind, MeanKind):
-        raise DomainError(f"not a MeanKind: {kind!r}")
+    check_type("mean kind", kind, MeanKind)
     p = as_pair(pair)
     return _mean(kind, p.lo, p.hi)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum, unique
 from typing import Callable, NamedTuple
 
-from .exceptions import DomainError, check_int, check_real
+from .exceptions import DomainError, check_int, check_real, check_type
 from .means import stable_asinh
 from .series import CoefficientKind, solve_p0, truncated_quotient
 
@@ -90,10 +90,6 @@ class RatioFunctionKind(Enum):
     PHI_HQ = "phi-hq"
     PHI_HC = "phi-hc"
     RATIO_GQ = "ratio-gq"
-
-    # members are singletons, so identity hashing is exact; Enum's default
-    # hash runs Python code and costs more than the table lookup it serves
-    __hash__ = object.__hash__
 
 
 @unique
@@ -175,21 +171,18 @@ _RATIO_ROWS = {
 
 
 def _row(kind: RatioFunctionKind) -> _RatioRow:
-    if isinstance(kind, RatioFunctionKind):
-        return _RATIO_ROWS[kind]
-    raise DomainError(f"unknown ratio function {kind!r}")
+    return _RATIO_ROWS[check_type("ratio function kind", kind, RatioFunctionKind)]
 
 
 def _is_lower(end: Endpoint) -> bool:
-    if isinstance(end, Endpoint):
-        return end is Endpoint.LOWER
-    raise DomainError(f"unknown endpoint {end!r}")
+    return check_type("endpoint", end, Endpoint) is Endpoint.LOWER
 
 
 def evaluate_ratio_function(kind: RatioFunctionKind, t: float) -> float:
     """The ratio function kind at t, from its series below SERIES_SWITCH
     and its closed form above."""
-    # checked inline, not by calls: this runs once per sample of recover_constant
+    # checked inline, not by calls: this runs once per golden-section step of
+    # recover_constant
     if isinstance(kind, RatioFunctionKind) and isinstance(t, (int, float)) and not isinstance(t, bool):
         row = _RATIO_ROWS[kind]
         u = -t if row.even and t < 0.0 else t
@@ -273,8 +266,7 @@ def f_p(p: float, x: float) -> float:
         return 0.0
     s1 = math.sqrt(1.0 + x * x)
     s2 = math.sqrt(1.0 - x * x)
-    den = s1 - p * (s1 - s2)
-    assert den > 0.0, "weighted sqrt denominator must stay positive for p in (0,1)"
+    den = s1 - p * (s1 - s2)  # (1-p)*s1 + p*s2 >= 1-p > 0
     # den - 1 = (1-p)(s1-1) - p(1-s2), each factor cancellation-free
     den_minus_1 = x * x * ((1.0 - p) / (1.0 + s1) - p / (1.0 + s2))
     return x * den_minus_1 / den - _asinh_deficit(x)

@@ -31,7 +31,10 @@ __all__ = [
 @unique
 class CoefficientKind(Enum):
     """The four coefficient sequences: A_n/B_n form the harmonic-quadratic
-    quotient, C_n/D_n the harmonic-contraharmonic one."""
+    quotient, C_n/D_n the harmonic-contraharmonic one.  Every coefficient is
+    positive (C_n = (4^n (2n+1) - 2)/((2n+1)(2n)!)), so a denominator series
+    in s = t^2 is never below its first coefficient, the least of which is
+    A_1 = 1/3."""
 
     A = "A"  # 2n / ((2n+1) (2n)!)
     B = "B"  # (2^(2n-1) + 1) / (2n)!
@@ -87,12 +90,8 @@ def ratio_sequence_verdict(numerator_kind: CoefficientKind,
     no floating comparison is used at any index.
     """
     check_int("number of terms N", N, 2)
-    ratios = []
-    for n in range(1, N + 1):
-        den = coefficient_exact(denominator_kind, n)
-        if den <= 0:
-            raise DomainError(f"denominator coefficient {denominator_kind.value}_{n} is not positive")
-        ratios.append(coefficient_exact(numerator_kind, n) / den)
+    ratios = [coefficient_exact(numerator_kind, n) / coefficient_exact(denominator_kind, n)
+              for n in range(1, N + 1)]
     signs = []
     for n in range(N - 1):
         d = ratios[n + 1] - ratios[n]
@@ -132,14 +131,13 @@ def truncated_quotient(numerator_kind: CoefficientKind,
                       reversed(_float_coefficients(denominator_kind, N))):
         num = num * s + cn
         den = den * s + dn
-    if den == 0.0:
-        raise EvaluationError("denominator series underflowed to zero")
     return num / den
 
 
 def solve_p0(tolerance: float) -> float:
-    """Bisection root of (p+1)^(1/p) = 2*log(1+sqrt(2)) on [1, 3];
-    the left side is strictly decreasing in p, so the root is unique."""
+    """Bisection root of (p+1)^(1/p) = 2*log(1+sqrt(2)) on [1, 3]; the left
+    side is strictly decreasing in p, from 2 at p = 1 to 4^(1/3) at p = 3,
+    past the target 1.7627, so the root is inside and unique."""
     check_real("tolerance", tolerance, 0.0, math.inf, lo_open=True)
     target = 2.0 * math.log1p(math.sqrt(2.0))
 
@@ -147,9 +145,6 @@ def solve_p0(tolerance: float) -> float:
         return (p + 1.0) ** (1.0 / p) - target
 
     lo, hi = 1.0, 3.0
-    r_lo, r_hi = residual(lo), residual(hi)
-    if not (r_lo > 0.0 > r_hi):
-        raise EvaluationError("bisection bracket [1, 3] does not straddle the root")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         r = residual(mid)

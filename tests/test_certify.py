@@ -157,16 +157,6 @@ class TestVerifyBound:
         with pytest.raises(DomainError):
             gap_grid(2.5)
 
-    def test_scale_checked_before_the_sweep(self, monkeypatch):
-        def no_grid(n):
-            raise AssertionError("the grid was built before the scale was checked")
-
-        monkeypatch.setattr(certify, "gap_grid", no_grid)
-        with pytest.raises(DomainError, match="scale"):
-            verify_bound(ALL_CLAIMS[0][1], 100_000, scale=0.0)
-        with pytest.raises(DomainError, match="scale"):
-            verify_bound([], 100_000, scale=-1.0)
-
     @pytest.mark.parametrize("relation", list(Relation))
     def test_no_resolvable_margin_does_not_hold(self, relation):
         # M against the combination 0.5*M + 0.5*M: every margin is exactly
@@ -177,15 +167,6 @@ class TestVerifyBound:
         assert report.min_margin == math.inf
         assert report.near_zero == 100
         assert not report.holds
-
-    def test_scale_invariance(self):
-        for claim_id, claim in ALL_CLAIMS:
-            r1 = verify_bound(claim, 500, scale=1.0)
-            r2 = verify_bound(claim, 500, scale=1e3)
-            assert r1.min_margin == pytest.approx(r2.min_margin, rel=1e-12), claim_id
-            assert normalized_gap(r1.worst_pair) == pytest.approx(
-                normalized_gap(r2.worst_pair), rel=1e-12)
-            assert r2.worst_pair.a == pytest.approx(1e3 * r1.worst_pair.a, rel=1e-12)
 
 
 def _with_weight(claim, weight):
@@ -251,8 +232,8 @@ class TestOneSweep:
 
     def test_single_claim_form(self):
         claims = SWEEP_CASES["1.3"]
-        reports = verify_bound(claims, 500, scale=7.0)
-        assert [verify_bound(claim, 500, scale=7.0) for claim in claims] == reports
+        reports = verify_bound(claims, 500)
+        assert [verify_bound(claim, 500) for claim in claims] == reports
         assert verify_bound((), 500) == []
         with pytest.raises(DomainError):
             verify_bound([claims[0], "1.3-upper"], 500)

@@ -97,6 +97,13 @@ class TestVerdicts:
         with pytest.raises(DomainError):
             ratio_sequence_verdict(A, B, 1)
 
+    @pytest.mark.parametrize("num", list(CoefficientKind))
+    @pytest.mark.parametrize("den", list(CoefficientKind))
+    def test_every_kind_pair_is_decided(self, num, den):
+        # every coefficient is positive, so no ratio divides by zero
+        verdict = ratio_sequence_verdict(num, den, 60)
+        assert verdict.checked_up_to == 60
+
 
 class TestTruncatedQuotient:
     def test_limit_at_zero_is_first_ratio(self):
@@ -114,6 +121,14 @@ class TestTruncatedQuotient:
             t = upper * i / 1000.0
             assert truncated_quotient(A, B, t, 40) == pytest.approx(phi_hq(t), rel=1e-12)
             assert truncated_quotient(C, D, t, 40) == pytest.approx(phi_hc(t), rel=1e-12)
+
+    @pytest.mark.parametrize("den", list(CoefficientKind))
+    def test_finite_for_every_denominator(self, den):
+        # the denominator series is at least its first coefficient, >= 1/3
+        for num in CoefficientKind:
+            for t in (-1.4999, 0.0, 1.4999):
+                for n_terms in (1, 40, 400):
+                    assert math.isfinite(truncated_quotient(num, den, t, n_terms))
 
     def test_domain(self):
         with pytest.raises(DomainError):
