@@ -11,9 +11,11 @@ where the bounds are sharp the true margins drop below 1e-30.  A report with
 no resolvable margin (``min_margin`` inf) does not hold.
 
 All three sweeps (the gap grid of ``verify_bound``, the seeded draws of
-``verify_chain`` and ``verify_corpus``) walk their points in blocks, with
-each mean's column computed once per block; a theorem's claims share a sweep,
-as a ratio function's objectives share one scan in ``recover_constant``.
+``verify_chain`` and ``verify_corpus``) go through one walker, ``_sweep``,
+which maps their points a block at a time to margin columns, each mean's
+column computed once per block, and ranks them; ``_report`` turns its result
+into a report.  A theorem's claims share a sweep, as a ratio function's
+objectives share one scan in ``recover_constant``.
 A claim's margin is stated once, in ``_margin_fn``: the grid sweep calls it
 per block, and the sharpness ladder is one more column of it.
 """
@@ -25,7 +27,6 @@ import itertools
 import math
 import operator
 import random
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from enum import Enum, unique
 
@@ -211,7 +212,7 @@ def gap_grid(n: int) -> list[float]:
     return gaps
 
 
-def _margin_fn(claims: Sequence[BoundClaim]):
+def _margin_fn(claims: list[BoundClaim]):
     """xs -> one column per claim of its normalized margins at the gaps xs;
     each shape column is computed once for all the claims that use it."""
     m = _shape_fn(NEUMAN_SANDOR)
@@ -235,50 +236,49 @@ def _margin_fn(claims: Sequence[BoundClaim]):
     return margins
 
 
-def _scan(margins, where):
-    """(min_margin, where, near_zero) over (margin, where) pairs.  Margins
-    below STRICTNESS_FLOOR in magnitude are counted, not ranked; a strictly
-    smaller margin replaces the minimum, so the first of equal minima wins.
-    The where argument is returned when no margin is ranked."""
-    best = math.inf
-    near = 0
-    for margin, at in margins:
-        if abs(margin) < STRICTNESS_FLOOR:
-            near += 1
-        elif margin < best:
-            best, where = margin, at
-    return best, where, near
+def _sweep(points, margin_columns) -> list[tuple[float, int, object, int]]:
+    """Per margin column, (min_margin, index, point, near_zero) over a stream
+    of points that margin_columns maps to columns _SWEEP_BLOCK points at a
+    time.  |margin| < STRICTNESS_FLOOR is counted, not ranked; only a strictly
+    smaller margin replaces the minimum, so the earliest of equal minima wins,
+    and a column with nothing ranked has point None."""
+    points = iter(points)
+    scans = []
+    start = 0
+    while block := list(itertools.islice(points, _SWEEP_BLOCK)):
+        columns = margin_columns(block)
+        scans = scans or [(math.inf, 0, None, 0)] * len(columns)
+        for k, column in enumerate(columns):
+            best, at, point, near = scans[k]
+            for i, margin in enumerate(column):
+                if abs(margin) < STRICTNESS_FLOOR:
+                    near += 1
+                elif margin < best:
+                    best, at, point = margin, start + i, block[i]
+            scans[k] = best, at, point, near
+        start += len(block)
+    return scans
 
 
-def verify_bound(claim: BoundClaim | Sequence[BoundClaim],
+def _report(size: int, min_margin: float, point, near: int, to_pair, seed=None) -> CertificationReport:
+    """The report of a sweep whose worst point is to_pair(point); it holds
+    iff some margin is resolvable and every resolvable margin is positive,
+    and with none resolvable its worst pair is the unit gap-0.5 pair."""
+    worst = pair_from_gap(0.5, 1.0) if point is None else to_pair(point)
+    return CertificationReport(size, min_margin, worst, 0.0 < min_margin < math.inf, near, seed)
+
+
+def verify_bound(claim: BoundClaim | list[BoundClaim] | tuple[BoundClaim, ...],
                  grid_size: int) -> CertificationReport | list[CertificationReport]:
     """Evaluate the claim's normalized margin over an endpoint-dense gap
     grid; holds iff some margin is resolvable and every resolvable margin
-    is positive.  Given a sequence of claims, return one report per claim
-    from one sweep: the grid is walked once, a _margin_fn block at a time."""
-    single = not isinstance(claim, Sequence)
+    is positive.  Given a list or tuple of claims, return one report per
+    claim from one sweep of the grid, through one _margin_fn."""
+    single = not isinstance(claim, (list, tuple))
     claims = [check_type("claim", c, BoundClaim) for c in ([claim] if single else claim)]
     check_int("grid_size", grid_size, 100)
-    grid = gap_grid(grid_size)
-    margins = _margin_fn(claims)
-    scans = [(math.inf, 0.5, 0)] * len(claims)
-    for start in range(0, len(grid), _SWEEP_BLOCK):
-        xs = grid[start:start + _SWEEP_BLOCK]
-        for i, column in enumerate(margins(xs)):
-            # blocks merge in grid order and only a strictly smaller minimum
-            # replaces the running one, as within _scan
-            best, where, near = _scan(zip(column, xs), 0.5)
-            run_best, run_where, run_near = scans[i]
-            if best < run_best:
-                run_best, run_where = best, where
-            scans[i] = (run_best, run_where, run_near + near)
-    reports = [CertificationReport(
-        grid_size=len(grid),
-        min_margin=min_margin,
-        worst_pair=pair_from_gap(worst_x, 1.0),
-        holds=0.0 < min_margin < math.inf,
-        near_zero=near,
-    ) for min_margin, worst_x, near in scans]
+    reports = [_report(grid_size, best, x, near, functools.partial(pair_from_gap, scale=1.0))
+               for best, _, x, near in _sweep(gap_grid(grid_size), _margin_fn(claims))]
     return reports[0] if single else reports
 
 
@@ -323,14 +323,15 @@ def _golden_refine(fn, lo: float, hi: float, maximize: bool, width: float) -> fl
     return sign * best
 
 
-def recover_constant(fn: RatioFunctionKind, objective: Objective | Sequence[Objective],
+def recover_constant(fn: RatioFunctionKind,
+                     objective: Objective | list[Objective] | tuple[Objective, ...],
                      tol: float = 1e-9) -> float | list[float]:
     """Numerically extremize a ratio function over its open domain: uniform
     scan, geometric endpoint approach, golden-section refinement of the best
     interior bracket down to width tol, plus the continuous endpoint
-    extensions.  Given a sequence of objectives, return one value per
+    extensions.  Given a list or tuple of objectives, return one value per
     objective from one scan of the ratio function, refined per objective."""
-    single = not isinstance(objective, Sequence)
+    single = not isinstance(objective, (list, tuple))
     objectives = [check_type("objective", o, Objective) for o in ([objective] if single else objective)]
     check_real("tolerance", tol, 1e-12)
     lo, hi = ratio_function_domain(fn)
@@ -368,28 +369,14 @@ def _chain_draw(rng: random.Random) -> tuple[float, float]:
 
 def _sampled_sweep(draw, rng: random.Random, sample_count: int, margin_columns,
                    seed: int) -> CertificationReport:
-    """Report over sample_count pairs drawn from rng in blocks, which
-    margin_columns maps from (los, his) to margin columns; with no resolvable
-    margin it does not hold, and its worst pair is the unit gap-0.5 pair."""
-    best, worst, near = math.inf, (1.5, 0.5), 0
-    for start in range(0, sample_count, _SWEEP_BLOCK):
-        pairs = [draw(rng) for _ in range(min(_SWEEP_BLOCK, sample_count - start))]
-        columns = margin_columns(list(map(min, pairs)), list(map(max, pairs)))
-        scans = [_scan(zip(column, range(len(pairs))), 0) for column in columns]
-        near += sum(scan[2] for scan in scans)
-        # in a block a tie goes to the earlier draw; across blocks, as in
-        # verify_bound, only a strictly smaller minimum replaces the running one
-        block_best, at = min(scan[:2] for scan in scans)
-        if block_best < best:
-            best, worst = block_best, pairs[at]
-    return CertificationReport(
-        grid_size=sample_count,
-        min_margin=best,
-        worst_pair=PositivePair(*worst),
-        holds=0.0 < best < math.inf,
-        near_zero=near,
-        seed=seed,
-    )
+    """Report over sample_count pairs drawn from rng, which margin_columns
+    maps from (los, his) to margin columns, all folded into one report."""
+    draws = (draw(rng) for _ in range(sample_count))
+    scans = _sweep(draws, lambda pairs: margin_columns(list(map(min, pairs)), list(map(max, pairs))))
+    # a tie between columns goes to the earlier draw, whatever the column order
+    best, _, worst, _ = min(scans, key=operator.itemgetter(0, 1))
+    return _report(sample_count, best, worst, sum(scan[3] for scan in scans),
+                   lambda pair: PositivePair(*pair), seed)
 
 
 def verify_chain(sample_count: int, seed: int) -> CertificationReport:

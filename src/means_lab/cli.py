@@ -93,12 +93,10 @@ def _render(doc: dict, fmt: str) -> None:
         print(json.dumps(strict, indent=2, allow_nan=False))
         return
     rows = doc["verdicts"]
-    header = list(rows[0].keys()) if rows else []
+    header = list(rows[0].keys())
     table = [header] + [[_cell(row.get(k, "")) for k in header] for row in rows]
     if fmt == "csv":
-        csv.writer(sys.stdout).writerows(table if rows else [])
-    elif not rows:
-        print("(no rows)")
+        csv.writer(sys.stdout).writerows(table)
     else:
         widths = [max(len(r[i]) for r in table) for i in range(len(header))]
         for r in table:
@@ -118,7 +116,7 @@ def _report_row(claim_id: str, report) -> dict:
 
 
 def _worst_case(rows: list[dict]) -> dict | None:
-    finite = [r for r in rows if isinstance(r.get("min_margin"), float) and math.isfinite(r["min_margin"])]
+    finite = [r for r in rows if math.isfinite(r["min_margin"])]
     if not finite:
         return None
     worst = min(finite, key=lambda r: r["min_margin"])

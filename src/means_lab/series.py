@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum, unique
 from fractions import Fraction
 
-from .exceptions import DomainError, EvaluationError, check_int, check_real
+from .exceptions import DomainError, EvaluationError, check_int, check_real, check_type
 
 __all__ = [
     "CoefficientKind",
@@ -122,6 +122,9 @@ def truncated_quotient(numerator_kind: CoefficientKind,
     """(sum_{n<=N} num_n t^(2n+1)) / (sum_{n<=N} den_n t^(2n+1)), with the
     common t^3 factor cancelled so t = 0 returns the first-coefficient
     ratio exactly."""
+    # checked before the cached call, which would fail on an unhashable kind
+    check_type("numerator kind", numerator_kind, CoefficientKind)
+    check_type("denominator kind", denominator_kind, CoefficientKind)
     check_real("series argument t", t, -1.5, 1.5, lo_open=True, hi_open=True)
     check_int("number of terms N", N, 1)
     s = t * t

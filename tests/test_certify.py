@@ -216,8 +216,13 @@ class TestOneSweep:
         worst = []
         for claim, report in zip(claims, reports):
             weight = claim.combination.weight
-            best, worst_x, near = certify._scan(
-                ((_point_margin(claim, weight, x), x) for x in grid), 0.5)
+            best, worst_x, near = math.inf, 0.5, 0
+            for x in grid:
+                margin = _point_margin(claim, weight, x)
+                if abs(margin) < certify.STRICTNESS_FLOOR:
+                    near += 1
+                elif margin < best:
+                    best, worst_x = margin, x
             assert report.min_margin == best, case
             assert report.worst_pair == pair_from_gap(worst_x, 1.0), case
             assert report.near_zero == near, case
@@ -478,6 +483,38 @@ class TestSampledDrawOrder:
         results = dict(verify_corpus(len(pairs), seed=1))
         for cid in SMALL_GAP_WORST:
             assert results[cid].worst_pair == earlier, cid
+
+    @pytest.mark.parametrize("columns", [(1, 6), (6, 1)])
+    @pytest.mark.parametrize("first,second", [(3, 10), (3, 300)])
+    def test_tie_across_columns_goes_to_the_earlier_draw(self, monkeypatch, first, second,
+                                                          columns):
+        # chain values 1..9 around A = 5 give every margin 1/5; at draw first
+        # the step above chain column columns[0] is halved, at draw second
+        # that above columns[1], so the two columns tie at 0.5/5 and the
+        # earlier draw must be the worst pair in either column order
+        halved = {first: columns[0], second: columns[1]}
+
+        def fake_columns_fn(kinds):
+            def fake_columns(los, his):
+                rows = []
+                for hi in his:
+                    v = [k + 1.0 for k in range(len(kinds))]
+                    c = halved.get(int(hi) - 2)
+                    # halve the step above v[c] without moving A = v[4]
+                    if c is not None and c >= 4:
+                        v[c + 1:] = [value - 0.5 for value in v[c + 1:]]
+                    elif c is not None:
+                        v[:c + 1] = [value + 0.5 for value in v[:c + 1]]
+                    rows.append(v)
+                return [list(column) for column in zip(*rows)]
+            return fake_columns
+
+        monkeypatch.setattr(certify, "_columns_fn", fake_columns_fn)
+        _fixed_draws(monkeypatch, [(i + 2.0, 1.0) for i in range(400)])
+        report = verify_chain(400, seed=1)
+        assert report.min_margin == 0.5 / 5.0
+        assert report.worst_pair == PositivePair(first + 2.0, 1.0)
+        assert report.near_zero == 0
 
     @pytest.mark.parametrize("n", [1, 256, 600])
     def test_no_resolvable_margin(self, monkeypatch, n):

@@ -280,7 +280,7 @@ class TestFormats:
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
     def test_strict_json_writes_non_finite_as_null(self, capsys, monkeypatch):
-        # _scan reports min_margin = inf when every margin is near zero, and
+        # a sweep reports min_margin = inf when every margin is near zero, and
         # such a report does not hold
         report = CertificationReport(grid_size=50, min_margin=math.inf,
                                      worst_pair=PositivePair(1.5, 0.5), holds=False,
@@ -308,4 +308,7 @@ class TestFormats:
         for argv in invocations:
             code, out, _ = run_main(capsys, *argv, "--format", "json")
             assert code == 0, argv
-            assert SCHEMA_KEYS <= set(json.loads(out).keys()), argv
+            doc = json.loads(out)
+            assert SCHEMA_KEYS <= set(doc.keys()), argv
+            # the table and csv renderers read their header from the first row
+            assert doc["verdicts"], argv

@@ -1,3 +1,4 @@
+import re
 import types
 
 import pytest
@@ -6,6 +7,7 @@ import means_lab
 from means_lab import certify, means, ratios, series
 from means_lab import (
     HARMONIC,
+    CoefficientKind,
     ConvexCombination,
     DomainError,
     MeanKind,
@@ -16,6 +18,7 @@ from means_lab import (
     ratio_function_domain,
     recover_constant,
     sharpness_probe,
+    truncated_quotient,
     verify_bound,
 )
 
@@ -27,22 +30,26 @@ def test_exports_exactly_the_module_apis():
     assert exported == api | {"DomainError", "EvaluationError"}
 
 
-@pytest.mark.parametrize("call,name", [
+@pytest.mark.parametrize("call,name,value", [
     # an enum's value is not its member: MeanKind("H") was once accepted and
     # failed later with KeyError, MeanKind("Lp", 2.0) with AttributeError
-    (lambda: MeanKind("H"), "family"),
-    (lambda: MeanKind("Lp", 2.0), "family"),
-    (lambda: evaluate_mean("H", (1, 2)), "mean kind"),
-    (lambda: mean_shape("M", 0.3), "mean kind"),
-    (lambda: ConvexCombination(0.3, HARMONIC, "Q"), "second"),
-    (lambda: ratio_function_domain("phi-hq"), "ratio function kind"),
-    (lambda: endpoint_value(RatioFunctionKind.PHI_HQ, "lower"), "endpoint"),
-    (lambda: recover_constant(RatioFunctionKind.PHI_HQ, "supremum"), "objective"),
-    (lambda: verify_bound("1.1-lower", 500), "claim"),
-    (lambda: sharpness_probe(None, 1e-3), "claim"),
+    (lambda: MeanKind("H"), "family", "H"),
+    (lambda: MeanKind("Lp", 2.0), "family", "Lp"),
+    (lambda: evaluate_mean("H", (1, 2)), "mean kind", "H"),
+    (lambda: mean_shape("M", 0.3), "mean kind", "M"),
+    (lambda: ConvexCombination(0.3, HARMONIC, "Q"), "second", "Q"),
+    (lambda: ratio_function_domain("phi-hq"), "ratio function kind", "phi-hq"),
+    (lambda: endpoint_value(RatioFunctionKind.PHI_HQ, "lower"), "endpoint", "lower"),
+    # a str is one bad argument, not a sequence of them: these two were once
+    # split into characters and reported 's' and '1'
+    (lambda: recover_constant(RatioFunctionKind.PHI_HQ, "supremum"), "objective", "supremum"),
+    (lambda: verify_bound("1.1-lower", 500), "claim", "1.1-lower"),
+    (lambda: sharpness_probe(None, 1e-3), "claim", None),
+    # an unhashable kind once reached the coefficient cache as a TypeError
+    (lambda: truncated_quotient([1], CoefficientKind.B, 0.1), "numerator kind", [1]),
 ], ids=["MeanKind-value", "MeanKind-Lp-value", "evaluate_mean", "mean_shape", "ConvexCombination",
         "ratio_function_domain", "endpoint_value", "recover_constant", "verify_bound",
-        "sharpness_probe"])
-def test_class_arguments_checked(call, name):
-    with pytest.raises(DomainError, match=f"^{name} must be of type "):
+        "sharpness_probe", "truncated_quotient"])
+def test_class_arguments_checked(call, name, value):
+    with pytest.raises(DomainError, match=f"^{name} must be of type .*, got {re.escape(repr(value))}$"):
         call()
