@@ -13,9 +13,10 @@ no resolvable margin (``min_margin`` inf) does not hold.
 All three sweeps (the gap grid of ``verify_bound``, the seeded draws of
 ``verify_chain`` and ``verify_corpus``) go through one walker, ``_sweep``,
 which maps their points a block at a time to margin columns, each mean's
-column computed once per block, and ranks them; ``_report`` turns its result
-into a report.  A theorem's claims share a sweep, as a ratio function's
-objectives share one scan in ``recover_constant``.
+column computed by one call of its shape kernel in ``means``, and ranks them;
+``_report`` turns its result into a report.  A theorem's claims share a
+sweep, as a ratio function's objectives share one scan in
+``recover_constant``.
 A claim's margin is stated once, in ``_margin_fn``: the grid sweep calls it
 per block, and the sharpness ladder is one more column of it.
 """
@@ -222,7 +223,7 @@ def _margin_fn(claims: list[BoundClaim]):
 
     def margins(xs: list[float]) -> list[list[float]]:
         vs = [1.0 - x for x in xs]
-        columns = {shape: list(map(shape, xs, vs)) for shape in shapes}
+        columns = {shape: shape(xs, vs) for shape in shapes}
         out = []
         for weight, lower, first, second in rows:
             rest = 1.0 - weight
@@ -250,11 +251,19 @@ def _sweep(points, margin_columns) -> list[tuple[float, int, object, int]]:
         scans = scans or [(math.inf, 0, None, 0)] * len(columns)
         for k, column in enumerate(columns):
             best, at, point, near = scans[k]
-            for i, margin in enumerate(column):
-                if abs(margin) < STRICTNESS_FLOOR:
-                    near += 1
-                elif margin < best:
-                    best, at, point = margin, start + i, block[i]
+            low = min(column)
+            # at or above the floor nothing is near zero, and index finds the
+            # earliest minimum; a NaN first makes min NaN, so the loop runs
+            if low >= STRICTNESS_FLOOR:
+                if low < best:
+                    i = column.index(low)
+                    best, at, point = low, start + i, block[i]
+            else:
+                for i, margin in enumerate(column):
+                    if abs(margin) < STRICTNESS_FLOOR:
+                        near += 1
+                    elif margin < best:
+                        best, at, point = margin, start + i, block[i]
             scans[k] = best, at, point, near
         start += len(block)
     return scans
@@ -360,7 +369,8 @@ def recover_constant(fn: RatioFunctionKind,
 def _chain_draw(rng: random.Random) -> tuple[float, float]:
     """A random pair (a, b), as pair_from_gap builds it, at a log-uniform
     scale and a uniform gap."""
-    scale = 10.0 ** rng.uniform(-3.0, 3.0)
+    # rng.uniform(-3.0, 3.0) as CPython computes it, without the method call
+    scale = 10.0 ** (-3.0 + 6.0 * rng.random())
     x = rng.random()
     while x == 0.0:
         x = rng.random()
@@ -389,7 +399,7 @@ def verify_chain(sample_count: int, seed: int) -> CertificationReport:
     def margins(los, his):
         values = columns(los, his)
         a_means = values[a_index]
-        return [[(nxt - prev) / a for prev, nxt, a in zip(below, above, a_means)]
+        return [list(map(operator.truediv, map(operator.sub, above, below), a_means))
                 for below, above in zip(values, values[1:])]
 
     return _sampled_sweep(_chain_draw, random.Random(seed), sample_count, margins, seed)

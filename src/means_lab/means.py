@@ -186,60 +186,52 @@ stable_asinh = math.asinh
 
 # --- shape factors ------------------------------------------------------
 #
-# Each shape(x, v) returns mean((1+x, 1-x)) for the unit arithmetic mean,
-# with v the exact complement 1-x of the gap.  The series below are the
-# Maclaurin expansions of f(x)/x truncated after x^6; at the SMALL_GAP
-# switch the omitted x^8 term is below 1e-32 relative.
+# Each shape kernel maps the columns (xs, vs) to the column of
+# mean((1+x, 1-x)) for the unit arithmetic mean, with v the exact complement
+# 1-x of the gap x, in one list comprehension: a column costs one Python call,
+# not one per point.  The series below are the Maclaurin expansions of
+# f(x)/x in s = x^2, truncated after x^6; at the SMALL_GAP switch the omitted
+# x^8 term is below 1e-32 relative.
 
 
-def _shape_neuman_sandor(x: float, v: float) -> float:
-    if x < SMALL_GAP:
-        s = x * x
-        return 1.0 / (1.0 + s * (-1.0 / 6.0 + s * (3.0 / 40.0 + s * (-15.0 / 336.0))))
-    return x / stable_asinh(x)
+def _neuman_sandor_shapes(xs: list[float], vs: list[float]) -> list[float]:
+    return [1.0 / (1.0 + (s := x * x) * (-1.0 / 6.0 + s * (3.0 / 40.0 + s * (-15.0 / 336.0))))
+            if x < SMALL_GAP else x / stable_asinh(x) for x in xs]
 
 
-def _shape_seiffert_second(x: float, v: float) -> float:
-    if x < SMALL_GAP:
-        s = x * x
-        return 1.0 / (1.0 + s * (-1.0 / 3.0 + s * (1.0 / 5.0 + s * (-1.0 / 7.0))))
-    return x / math.atan(x)
+def _seiffert_second_shapes(xs: list[float], vs: list[float]) -> list[float]:
+    return [1.0 / (1.0 + (s := x * x) * (-1.0 / 3.0 + s * (1.0 / 5.0 + s * (-1.0 / 7.0))))
+            if x < SMALL_GAP else x / math.atan(x) for x in xs]
 
 
-def _shape_seiffert_first(x: float, v: float) -> float:
-    if x < SMALL_GAP:
-        s = x * x
-        return 1.0 / (1.0 + s * (1.0 / 6.0 + s * (3.0 / 40.0 + s * (15.0 / 336.0))))
-    if x <= 0.5:
-        return x / math.asin(x)
-    # asin(x) = pi/2 - 2*asin(sqrt((1-x)/2)); keeps full accuracy as x -> 1
-    return x / (0.5 * math.pi - 2.0 * math.asin(math.sqrt(0.5 * v)))
+def _seiffert_first_shapes(xs: list[float], vs: list[float]) -> list[float]:
+    # past 0.5, asin(x) = pi/2 - 2*asin(sqrt((1-x)/2)) keeps full accuracy as x -> 1
+    return [1.0 / (1.0 + (s := x * x) * (1.0 / 6.0 + s * (3.0 / 40.0 + s * (15.0 / 336.0))))
+            if x < SMALL_GAP else x / math.asin(x) if x <= 0.5
+            else x / (0.5 * math.pi - 2.0 * math.asin(math.sqrt(0.5 * v)))
+            for x, v in zip(xs, vs)]
 
 
-def _shape_logarithmic(x: float, v: float) -> float:
-    if x < SMALL_GAP:
-        s = x * x
-        return 1.0 / (1.0 + s * (1.0 / 3.0 + s * (1.0 / 5.0 + s * (1.0 / 7.0))))
-    return x / _half_log_ratio(x, v)
+def _logarithmic_shapes(xs: list[float], vs: list[float]) -> list[float]:
+    # atanh(x), from the exact complement v past 0.5 as in _half_log_ratio
+    return [1.0 / (1.0 + (s := x * x) * (1.0 / 3.0 + s * (1.0 / 5.0 + s * (1.0 / 7.0))))
+            if x < SMALL_GAP else x / math.atanh(x) if x <= 0.5
+            else x / (0.5 * math.log((1.0 + x) / v))
+            for x, v in zip(xs, vs)]
 
 
-# The shape of every parameter-free family; L_p binds its exponent in
+# The shape kernel of every parameter-free family; L_p binds its exponent in
 # _shape_fn.
 _SHAPES = {
-    MeanFamily.HARMONIC: lambda x, v: (1.0 + x) * v,
-    MeanFamily.GEOMETRIC: lambda x, v: math.sqrt((1.0 + x) * v),
-    MeanFamily.LOGARITHMIC: _shape_logarithmic,
-    MeanFamily.SEIFFERT_FIRST: _shape_seiffert_first,
-    MeanFamily.ARITHMETIC: lambda x, v: 1.0,
-    MeanFamily.NEUMAN_SANDOR: _shape_neuman_sandor,
-    MeanFamily.SEIFFERT_SECOND: _shape_seiffert_second,
-    MeanFamily.QUADRATIC: lambda x, v: math.sqrt(1.0 + x * x),
-    MeanFamily.CONTRA_HARMONIC: lambda x, v: 1.0 + x * x,
-}
-
-_PAIR_FORMS = {  # H and G from the pair: (lo, hi, s = lo + hi) -> mean
-    MeanFamily.HARMONIC: lambda lo, hi, s: 2.0 * lo * (hi / s),
-    MeanFamily.GEOMETRIC: lambda lo, hi, s: math.sqrt(lo) * math.sqrt(hi),
+    MeanFamily.HARMONIC: lambda xs, vs: [(1.0 + x) * v for x, v in zip(xs, vs)],
+    MeanFamily.GEOMETRIC: lambda xs, vs: [math.sqrt((1.0 + x) * v) for x, v in zip(xs, vs)],
+    MeanFamily.LOGARITHMIC: _logarithmic_shapes,
+    MeanFamily.SEIFFERT_FIRST: _seiffert_first_shapes,
+    MeanFamily.ARITHMETIC: lambda xs, vs: [1.0] * len(xs),
+    MeanFamily.NEUMAN_SANDOR: _neuman_sandor_shapes,
+    MeanFamily.SEIFFERT_SECOND: _seiffert_second_shapes,
+    MeanFamily.QUADRATIC: lambda xs, vs: [math.sqrt(1.0 + x * x) for x in xs],
+    MeanFamily.CONTRA_HARMONIC: lambda xs, vs: [1.0 + x * x for x in xs],
 }
 
 
@@ -312,13 +304,15 @@ def _glog_log_shape(p: float, x: float, v: float, half_log_ratio: float) -> floa
 
 
 def _shape_fn(kind: MeanKind):
-    """The unchecked shape(x, v) of a kind, for 0 <= x < 1 and v = 1-x."""
+    """The unchecked shape kernel (xs, vs) -> shapes of a kind, for
+    0 <= x < 1 and v = 1-x."""
     p = kind.p
     if p is None:
         return _SHAPES[kind.family]
     if abs(p + 1.0) < _GLOG_SPECIAL_EPS:
-        return _shape_logarithmic
-    return lambda x, v: math.exp(_glog_log_shape(p, x, v, _half_log_ratio(x, v)))
+        return _logarithmic_shapes
+    return lambda xs, vs: [math.exp(_glog_log_shape(p, x, v, _half_log_ratio(x, v)))
+                           for x, v in zip(xs, vs)]
 
 
 def mean_shape(kind: MeanKind, x: float) -> float:
@@ -328,7 +322,23 @@ def mean_shape(kind: MeanKind, x: float) -> float:
     shape = _shape_fn(check_type("mean kind", kind, MeanKind))
     x = check_real("gap", x, 0.0, 1.0, hi_open=True)
     v = 1.0 - x
-    return min(max(shape(x, v), v), 1.0 + x)
+    return min(max(shape([x], [v])[0], v), 1.0 + x)
+
+
+def _regular_means(kind: MeanKind, los, his, ss, hs, xs, vs) -> list[float]:
+    """The column of the kind's means on rows with lo < hi, s = lo + hi
+    finite, h = s/2, gap x and complement v = 2*lo/s, v > 0 for L and L_p:
+    H and G from the pair, A as h, every other family as h times its shape,
+    and L_p clamped into [lo, hi]."""
+    fam = kind.family
+    if fam is MeanFamily.HARMONIC:
+        return [2.0 * lo * (hi / s) for lo, hi, s in zip(los, his, ss)]
+    if fam is MeanFamily.GEOMETRIC:
+        return [math.sqrt(lo) * math.sqrt(hi) for lo, hi in zip(los, his)]
+    if fam is MeanFamily.ARITHMETIC:
+        return hs.copy()
+    col = list(map(operator.mul, hs, _shape_fn(kind)(xs, vs)))
+    return col if kind.p is None else list(map(min, map(max, col, los), his))
 
 
 def _mean(kind: MeanKind, lo: float, hi: float) -> float:
@@ -339,50 +349,42 @@ def _mean(kind: MeanKind, lo: float, hi: float) -> float:
     if math.isinf(s):
         # exact power-of-two rescale keeps homogeneity bit-clean
         return 4.0 * _mean(kind, 0.25 * lo, 0.25 * hi)
-    fam = kind.family
-    if fam in _PAIR_FORMS:
-        return _PAIR_FORMS[fam](lo, hi, s)
     x = min((hi - lo) / s, _LARGEST_GAP)
     # 2*lo/s keeps the gap complement accurate where 1-x has already rounded
     # away; once it is below 1e-300 the log forms read log(hi/lo) directly
     v = 2.0 * lo / s
     p = kind.p
-    shape = _shape_fn(kind)
-    if v < 1e-300 and (p is not None or shape is _shape_logarithmic):
+    if v < 1e-300 and (p is not None or kind.family is MeanFamily.LOGARITHMIC):
         log_ratio = math.log(hi) - math.log(lo)
-        if shape is _shape_logarithmic:  # L, and L_p near p = -1
+        if _shape_fn(kind) is _logarithmic_shapes:  # L, and L_p near p = -1
             return (hi - lo) / log_ratio
         log_shape = _glog_log_shape(p, x, v, 0.5 * log_ratio)
         unit = math.exp(log_shape)
         # a shape at or past underflow has lost precision (only p < -1):
         # reassemble the mean in log space
         mean = 0.5 * s * unit if unit > 1e-300 else math.exp(log_shape + math.log(0.5 * s))
-    else:
-        mean = 0.5 * s * shape(x, v)
-    return mean if p is None else min(max(mean, lo), hi)
+        return min(max(mean, lo), hi)
+    return _regular_means(kind, [lo], [hi], [s], [0.5 * s], [x], [v])[0]
 
 
 def _columns_fn(kinds):
     """(los, his) -> per kind the column [_mean(k, lo, hi) for lo, hi in
-    zip(los, his)] bit for bit, for 0 < lo <= hi finite.  L_p and the rows
-    with v outside [1e-300, 1) (the diagonal, a sum past max_float, L's log
-    form) go through _mean; H and G use their pair forms."""
+    zip(los, his)] bit for bit, for 0 < lo <= hi finite: one _regular_means
+    column per kind, in which the rows with v outside [1e-300, 1) (the
+    diagonal, a sum past max_float, the log forms) are replaced by _mean."""
     def columns(los: list[float], his: list[float]) -> list[list[float]]:
         ss = list(map(operator.add, los, his))
         vs = [2.0 * lo / s for lo, s in zip(los, ss)]
+        # min((hi - lo) / s, _LARGEST_GAP) as min picks it, without a call per row
+        xs = [_LARGEST_GAP if _LARGEST_GAP < (x := (hi - lo) / s) else x
+              for lo, hi, s in zip(los, his, ss)]
         odd = [i for i, v in enumerate(vs) if not 1e-300 <= v < 1.0]
-        for i in odd:  # v may be 0 or NaN here, and L's shape divides by v
-            ss[i], vs[i] = 2.0, 1.0
-        xs = [min((hi - lo) / s, _LARGEST_GAP) for lo, hi, s in zip(los, his, ss)]
+        for i in odd:  # v may be 0 here, and L's shape divides by v; every
+            xs[i], vs[i] = 0.0, 1.0  # kernel is defined at the unit diagonal
         hs = [0.5 * s for s in ss]
         cols = []
         for kind in kinds:
-            if kind.p is not None:
-                col = [_mean(kind, lo, hi) for lo, hi in zip(los, his)]
-            elif kind.family in _PAIR_FORMS:
-                col = list(map(_PAIR_FORMS[kind.family], los, his, ss))
-            else:
-                col = list(map(operator.mul, hs, map(_SHAPES[kind.family], xs, vs)))
+            col = _regular_means(kind, los, his, ss, hs, xs, vs)
             for i in odd:
                 col[i] = _mean(kind, los[i], his[i])
             cols.append(col)

@@ -179,8 +179,8 @@ def _point_margin(claim, weight, x):
     by weight, one point at a time: the reference for the column sweeps."""
     c = claim.combination
     v = 1.0 - x
-    m_x = means._shape_fn(NEUMAN_SANDOR)(x, v)
-    first, second = means._shape_fn(c.first)(x, v), means._shape_fn(c.second)(x, v)
+    m_x = means._shape_fn(NEUMAN_SANDOR)([x], [v])[0]
+    first, second = means._shape_fn(c.first)([x], [v])[0], means._shape_fn(c.second)([x], [v])[0]
     combo = weight * first + (1.0 - weight) * second
     return m_x - combo if claim.relation is Relation.LESS_THAN_M else combo - m_x
 
@@ -249,6 +249,67 @@ class TestOneSweep:
         grid_peak = traced_peak(lambda: gap_grid(100_000))
         sweep_peak = traced_peak(lambda: verify_bound(SWEEP_CASES["1.1"], 100_000))
         assert sweep_peak <= 2 * grid_peak
+
+
+def _ranking_column(margins):
+    """A margin column of RANKED points, 1.0 but for the {index: margin}
+    entries."""
+    column = [1.0] * RANKED
+    for index, margin in margins.items():
+        column[index] = margin
+    return column
+
+
+FLOOR = certify.STRICTNESS_FLOOR
+NAN = float("nan")
+RANKED = 2 * BLOCK + 50  # three blocks, the last one short
+
+# (name, column, expected (min_margin, point, near_zero)); the points are
+# the indices 0..RANKED-1, and a column with nothing ranked has point None
+RANKING_CASES = [
+    ("equal negative minima in two blocks",
+     _ranking_column({10: -0.5, BLOCK + 20: -0.5}), (-0.5, 10, 0)),
+    ("equal positive minima in two blocks",
+     _ranking_column({5: 0.25, BLOCK + 5: 0.25}), (0.25, 5, 0)),
+    ("equal positive minima in one block",
+     _ranking_column({BLOCK + 5: 0.25, BLOCK + 200: 0.25}), (0.25, BLOCK + 5, 0)),
+    ("half floor counted, not ranked",
+     _ranking_column({3: 0.5 * FLOOR, BLOCK + 3: -0.5 * FLOOR, 2 * BLOCK + 1: 0.75}),
+     (0.75, 2 * BLOCK + 1, 2)),
+    ("minus floor ranked", _ranking_column({BLOCK + 7: -FLOOR}), (-FLOOR, BLOCK + 7, 0)),
+    ("plus floor ranked", _ranking_column({4: FLOOR}), (FLOOR, 4, 0)),
+    ("nan first in a block and mid-block",
+     _ranking_column({5: NAN, BLOCK: NAN, BLOCK + 9: 0.5}), (0.5, BLOCK + 9, 0)),
+    ("nan first in the first block", _ranking_column({0: NAN, 100: 0.25}), (0.25, 100, 0)),
+    ("all near zero", [(-1) ** i * 0.5 * FLOOR if i % 3 else 0.0 for i in range(RANKED)],
+     (math.inf, None, RANKED)),
+    ("all nan", [NAN] * RANKED, (math.inf, None, 0)),
+    ("all inf", [math.inf] * RANKED, (math.inf, None, 0)),
+]
+
+
+class TestSweepRanking:
+    @pytest.mark.parametrize("name,column,expected", RANKING_CASES,
+                             ids=[case[0] for case in RANKING_CASES])
+    def test_ranking_rule(self, name, column, expected):
+        blocks = []
+
+        def margin_columns(block):
+            blocks.append(len(block))
+            return [[column[i] for i in block]]
+
+        ((best, at, point, near),) = certify._sweep(range(RANKED), margin_columns)
+        assert blocks == [BLOCK, BLOCK, 50]
+        assert (best, point, near) == expected
+        if point is not None:
+            assert at == point
+
+    def test_columns_ranked_apart(self):
+        columns = [case[1] for case in RANKING_CASES]
+        scans = certify._sweep(range(RANKED),
+                               lambda block: [[c[i] for i in block] for c in columns])
+        assert [(best, point, near) for best, _, point, near in scans] == \
+            [case[2] for case in RANKING_CASES]
 
 
 class TestSharpness:

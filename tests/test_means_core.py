@@ -30,7 +30,7 @@ from means_lab import (
     stable_asinh,
 )
 from means_lab.cli import main
-from means_lab.means import _columns_fn, _mean
+from means_lab.means import SMALL_GAP, _columns_fn, _mean
 from oracles import mean_oracle, rel_err
 
 MAX_FLOAT = sys.float_info.max
@@ -314,6 +314,109 @@ class TestColumnKernel:
                                       (5e-324, 1.0)])
     def test_block_of_one_pair(self, pair):
         _assert_columns_equal_mean([pair])
+
+
+# the gaps at and beside the branch edges of the shape kernels: the series
+# below SMALL_GAP, P and L's closed forms up to 0.5 and complement forms past
+# it, and the grid's last gap
+EDGE_GAPS = (0.0, math.nextafter(SMALL_GAP, 0.0), SMALL_GAP, 0.5, math.nextafter(0.5, 1.0),
+             1.0 - 1e-8)
+EDGE_KINDS = {kind.family.value: kind for kind in CHAIN_ORDER} | {"P0": _P0}
+
+# per kind, per gap of EDGE_GAPS: float.hex of mean_shape(kind, x) and of
+# evaluate_mean(kind, pair_from_gap(x, 1.0)), recorded before the shape
+# kernels replaced the scalar shape functions
+BRANCH_EDGE_BITS = {
+    "H": (
+        ("0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+        ("0x1.ffffffaa19c47p-1", "0x1.ffffffaa19c47p-1"),
+        ("0x1.ffffffaa19c47p-1", "0x1.ffffffaa19c47p-1"),
+        ("0x1.8000000000000p-1", "0x1.8000000000000p-1"),
+        ("0x1.7fffffffffffep-1", "0x1.7fffffffffffep-1"),
+        ("0x1.5798ee232d4d7p-26", "0x1.5798ee232d4d7p-26"),
+    ),
+    "G": (
+        ("0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+        ("0x1.ffffffd50ce23p-1", "0x1.ffffffd50ce23p-1"),
+        ("0x1.ffffffd50ce23p-1", "0x1.ffffffd50ce23p-1"),
+        ("0x1.bb67ae8584caap-1", "0x1.bb67ae8584caap-1"),
+        ("0x1.bb67ae8584ca9p-1", "0x1.bb67ae8584ca9p-1"),
+        ("0x1.2895033338ec8p-13", "0x1.2895033338ec7p-13"),
+    ),
+    "L": (
+        ("0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+        ("0x1.ffffffe35dec2p-1", "0x1.ffffffe35dec2p-1"),
+        ("0x1.ffffffe35dec2p-1", "0x1.ffffffe35dec2p-1"),
+        ("0x1.d20ae03bcc154p-1", "0x1.d20ae03bcc154p-1"),
+        ("0x1.d20ae03bcc152p-1", "0x1.d20ae03bcc154p-1"),
+        ("0x1.ac97195e44fdap-4", "0x1.ac97195e44fdbp-4"),
+    ),
+    "P": (
+        ("0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+        ("0x1.fffffff1aef62p-1", "0x1.fffffff1aef62p-1"),
+        ("0x1.fffffff1aef62p-1", "0x1.fffffff1aef62p-1"),
+        ("0x1.e8ec8a4aeacc3p-1", "0x1.e8ec8a4aeacc3p-1"),
+        ("0x1.e8ec8a4aeacc5p-1", "0x1.e8ec8a4aeacc3p-1"),
+        ("0x1.45fa8a063acf3p-1", "0x1.45fa8a063acf4p-1"),
+    ),
+    "A": (
+        ("0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+        ("0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+        ("0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+        ("0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+        ("0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+        ("0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    ),
+    "M": (
+        ("0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+        ("0x1.0000000728850p+0", "0x1.0000000728850p+0"),
+        ("0x1.000000072884fp+0", "0x1.0000000728850p+0"),
+        ("0x1.09fec09279921p+0", "0x1.09fec09279921p+0"),
+        ("0x1.09fec09279921p+0", "0x1.09fec09279921p+0"),
+        ("0x1.2274aa0aeb4d2p+0", "0x1.2274aa0aeb4d2p+0"),
+    ),
+    "T": (
+        ("0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+        ("0x1.0000000e5109fp+0", "0x1.0000000e5109fp+0"),
+        ("0x1.0000000e5109fp+0", "0x1.0000000e5109fp+0"),
+        ("0x1.14125d3f2e9a7p+0", "0x1.14125d3f2e9a7p+0"),
+        ("0x1.14125d3f2e9a7p+0", "0x1.14125d3f2e9a7p+0"),
+        ("0x1.45f306c8bd6bap+0", "0x1.45f306c8bd6bbp+0"),
+    ),
+    "Q": (
+        ("0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+        ("0x1.00000015798eep+0", "0x1.00000015798eep+0"),
+        ("0x1.00000015798eep+0", "0x1.00000015798eep+0"),
+        ("0x1.1e3779b97f4a8p+0", "0x1.1e3779b97f4a8p+0"),
+        ("0x1.1e3779b97f4a8p+0", "0x1.1e3779b97f4a8p+0"),
+        ("0x1.6a09e64995042p+0", "0x1.6a09e64995042p+0"),
+    ),
+    "C": (
+        ("0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+        ("0x1.0000002af31dcp+0", "0x1.0000002af31dcp+0"),
+        ("0x1.0000002af31dcp+0", "0x1.0000002af31dcp+0"),
+        ("0x1.4000000000000p+0", "0x1.4000000000000p+0"),
+        ("0x1.4000000000000p+0", "0x1.4000000000000p+0"),
+        ("0x1.ffffffaa19c48p+0", "0x1.ffffffaa19c48p+0"),
+    ),
+    "P0": (
+        ("0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+        ("0x1.0000000609c49p+0", "0x1.0000000609c49p+0"),
+        ("0x1.0000000609c49p+0", "0x1.0000000609c49p+0"),
+        ("0x1.08e38c4e0b222p+0", "0x1.08e38c4e0b222p+0"),
+        ("0x1.08e38c4e0b221p+0", "0x1.08e38c4e0b222p+0"),
+        ("0x1.2274aa09688f1p+0", "0x1.2274aa09688f1p+0"),
+    ),
+}
+
+
+class TestBranchEdgeBits:
+    @pytest.mark.parametrize("name", list(BRANCH_EDGE_BITS))
+    def test_bit_for_bit(self, name):
+        kind = EDGE_KINDS[name]
+        got = [(mean_shape(kind, x).hex(), evaluate_mean(kind, pair_from_gap(x, 1.0)).hex())
+               for x in EDGE_GAPS]
+        assert got == list(BRANCH_EDGE_BITS[name])
 
 
 class TestGeneralizedLogConsistency:
