@@ -69,6 +69,7 @@ def test_summary_layout(runs_dir):
     assert grid["pairs"] == 10 and grid["seeds"] == SEEDS
     assert grid["parent_first"] == [True, False] * 5
     assert grid["failed"] == {"parent": 0, "change": 1}
+    assert grid["attempted"] == {"parent": 100, "change": 100}
     pass_s = grid["metrics"]["pass_s"]
     assert pass_s["parent"]["runs"] == PARENT_PASS
     assert pass_s["parent"]["median"] == pytest.approx(1.075)
@@ -86,23 +87,36 @@ def test_summary_layout(runs_dir):
 
 def test_gain_rule(runs_dir):
     claim = tool.summarize(runs_dir, BENCHMARK, "c", "p", "grid:pass_s")["claim"]
-    # nine wins of ten, and a median gap of 0.23 s beyond the parent's 0.1375 s
-    assert (claim["change_better_pairs"], claim["pairs"], claim["holds"]) == (9, 10, True)
+    # nine wins of ten, and a median gap of 0.23 s beyond the parent's
+    # 0.1375 s; but one operation of a hundred fails on the change side and
+    # none at the parent, so the gain does not count
+    assert (claim["change_better_pairs"], claim["pairs"]) == (9, 10)
     assert claim["median_difference"] == pytest.approx(1.075 - 0.845)
     assert claim["parent_interquartile_range"] == pytest.approx(0.1375)
+    assert claim["failed_share"] == {"parent": 0.0, "change": 0.01}
+    assert claim["holds"] is False
     assert not tool.summarize(runs_dir, BENCHMARK, "c", "p", "chain:pass_s")["claim"]["holds"]
 
 
-@pytest.mark.parametrize("wins,parent_q1,holds", [(9, 0.95, True), (8, 0.95, False),
-                                                  (10, 0.8, False)])
-def test_gain_rule_needs_wins_and_a_gap_beyond_the_spread(wins, parent_q1, holds):
+@pytest.mark.parametrize("wins,parent_q1,failed,attempted,holds", [
+    (9, 0.95, (0, 0), (100, 100), True), (9, 0.95, (2, 2), (100, 200), True),
+    (8, 0.95, (0, 0), (100, 100), False), (10, 0.8, (0, 0), (100, 100), False),
+    (9, 0.95, (0, 1), (100, 100), False),
+    # one more failure in a larger share, and in a smaller share
+    (9, 0.95, (2, 3), (100, 100), False), (9, 0.95, (2, 3), (100, 1000), False),
+    # as many failures, in a larger share
+    (9, 0.95, (2, 2), (200, 100), False)])
+def test_gain_rule_needs_wins_a_gap_beyond_the_spread_and_no_more_failures(
+        wins, parent_q1, failed, attempted, holds):
     # medians 1.0 against 0.85: a gap of 0.15 s, against a parent spread of
-    # 0.1 s or 0.25 s
+    # 0.1 s or 0.25 s; (parent, change) counts of failed and attempted
+    # operations
     metric = {"better": "lower", "change_better_pairs": wins,
               "parent": {"median": 1.0, "q1": parent_q1, "q3": 1.05},
               "change": {"median": 0.85, "q1": 0.8, "q3": 0.9}}
-    claim = tool.gain_claim({"w": {"pairs": 10, "metrics": {"m": metric}}}, "w", "m")
-    assert claim["holds"] is holds
+    entry = {"pairs": 10, "failed": dict(zip(("parent", "change"), failed)),
+             "attempted": dict(zip(("parent", "change"), attempted)), "metrics": {"m": metric}}
+    assert tool.gain_claim("w", entry, "m")["holds"] is holds
 
 
 def test_mismatched_seeds_rejected(runs_dir):
@@ -120,7 +134,7 @@ with open(pathlib.Path(__file__).resolve().parents[2] / "order.log", "a") as log
 print("warming up")
 print(json.dumps({"report": {"conditions": {"workload": args["--workload"],
                                             "seed": int(args["--seed"])}}}))
-print(json.dumps({"failed": 0, "tree": pathlib.Path.cwd().name}))
+print(json.dumps({"attempted": 1, "failed": 0, "tree": pathlib.Path.cwd().name}))
 '''
 
 
@@ -130,8 +144,8 @@ def test_run_alternates_sides(tmp_path):
         (tmp_path / side / "perfbench").mkdir(parents=True)
         (tmp_path / side / "perfbench" / "run.py").write_text(STUB_RUN)
         trees[side] = tmp_path / side
-    tool.main(["run", str(trees["p"]), str(trees["c"]), str(tmp_path / "runs"),
-               "--workloads", "w1,w2", "--seeds", "5,6,7"])
+    tool.run_pairs({"parent": trees["p"], "change": trees["c"]}, tmp_path / "runs",
+                   ["w1", "w2"], [5, 6, 7], 20)
     order = (tmp_path / "order.log").read_text().split("\n")[:-1]
     assert order == ["p w1 5", "c w1 5", "c w1 6", "p w1 6", "p w1 7", "c w1 7",
                      "p w2 5", "c w2 5", "c w2 6", "p w2 6", "p w2 7", "c w2 7"]

@@ -30,7 +30,8 @@ from means_lab import (
     stable_asinh,
 )
 from means_lab.cli import main
-from means_lab.means import SMALL_GAP, _columns_fn, _mean
+from means_lab.means import (SMALL_GAP, _columns_fn, _half_log_ratio, _logarithmic_shapes,
+                              _mean)
 from oracles import mean_oracle, rel_err
 
 MAX_FLOAT = sys.float_info.max
@@ -417,6 +418,15 @@ class TestBranchEdgeBits:
         got = [(mean_shape(kind, x).hex(), evaluate_mean(kind, pair_from_gap(x, 1.0)).hex())
                for x in EDGE_GAPS]
         assert got == list(BRANCH_EDGE_BITS[name])
+
+    def test_logarithmic_kernel_keeps_the_half_log_ratio_branch_rule(self):
+        # L's kernel inlines _half_log_ratio's rule (atanh up to 0.5, the
+        # complement form past it), which the other L_p read; the two forms
+        # differ in the last bit at 0.5, so a moved edge in either shows here
+        for x in EDGE_GAPS[2:]:
+            v = 1.0 - x
+            assert _logarithmic_shapes([x], [v])[0] == x / _half_log_ratio(x, v)
+            assert mean_shape(generalized_log(-1.0), x) == mean_shape(LOGARITHMIC, x)
 
 
 class TestGeneralizedLogConsistency:

@@ -6,8 +6,9 @@
         --claim sampled-chain:pass_s --condition host="shared 2-vCPU VM"
 
 ``run`` runs ``perfbench/run.py --trace 0`` for ``run_seconds`` of
-``BENCHMARK.json`` in two checkouts, one workload at a time, in pairs that
-alternate which side runs first (pair 0 runs the parent first).  It appends
+``BENCHMARK.json`` in two checkouts, every workload of ``BENCHMARK.json`` in
+turn, one pair of runs per seed of SEEDS (101 held out, then 41-49); the
+pairs alternate which side runs first (pair 0 runs the parent first).  It appends
 the two lines each run prints last, the report line and the result line, to
 ``parent.jsonl`` or ``change.jsonl`` in RUNS_DIR.  ``summarize`` reads
 those lines back and writes, per workload and end-to-end metric of
@@ -30,10 +31,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 SIDES = ("parent", "change")
-DEFAULT_SEEDS = (101, 41, 42, 43, 44, 45, 46, 47, 48, 49)
+SEEDS = (101, 41, 42, 43, 44, 45, 46, 47, 48, 49)
 COMMAND = "python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0"
 ORDER = "pairs alternate which side runs first; pair 0 runs the parent first"
-RULE = ("change better in at least nine tenths of the pairs, and the medians differ by "
+RULE = ("neither more operations nor a larger share of them fail than at the parent, the "
+        "change is better in at least nine tenths of the pairs, and the medians differ by "
         "more than the parent's interquartile range")
 
 
@@ -86,8 +88,8 @@ def summarize(runs_dir: Path, benchmark: dict, change: str, parent_commit: str,
             raise ValueError(f"{name}: the two sides ran different seeds")
         entry = {"pairs": len(seeds), "seeds": seeds,
                  "parent_first": [parent_first(k) for k in range(len(seeds))],
-                 "failed": {side: sum(result["failed"] for _, result in sides[side])
-                            for side in SIDES},
+                 **{count: {side: sum(result[count] for _, result in sides[side])
+                            for side in SIDES} for count in ("attempted", "failed")},
                  "metrics": {}}
         for metric in metrics:
             values = {side: [result["metrics"][metric["name"]]["value"]
@@ -106,7 +108,8 @@ def summarize(runs_dir: Path, benchmark: dict, change: str, parent_commit: str,
     out = {"change": change, "parent_commit": parent_commit,
            "change_commit": "the commit that adds this file"}
     if claim:
-        out["claim"] = gain_claim(workloads, *claim.split(":"))
+        workload, metric = claim.split(":")
+        out["claim"] = gain_claim(workload, workloads[workload], metric)
     out["conditions"] = {
         "command": COMMAND.format(seconds=conditions["seconds"]),
         "order": ORDER,
@@ -120,22 +123,23 @@ def summarize(runs_dir: Path, benchmark: dict, change: str, parent_commit: str,
     return out
 
 
-def gain_claim(workloads: dict, workload: str, metric: str) -> dict:
-    """The gain rule on one workload's metric: the change wins at least nine
-    tenths of the pairs, and the medians differ by more than the parent's
-    interquartile range."""
-    entry = workloads[workload]["metrics"][metric]
-    parent, change = entry["parent"], entry["change"]
-    sign = 1.0 if entry["better"] == "lower" else -1.0
+def gain_claim(workload: str, entry: dict, metric: str) -> dict:
+    """The gain rule (RULE) on one metric of a workload's summary entry."""
+    spreads = entry["metrics"][metric]
+    parent, change = spreads["parent"], spreads["change"]
+    sign = 1.0 if spreads["better"] == "lower" else -1.0
     difference = sign * (parent["median"] - change["median"])
     iqr = parent["q3"] - parent["q1"]
-    pairs = workloads[workload]["pairs"]
-    wins = entry["change_better_pairs"]
+    wins = spreads["change_better_pairs"]
+    failed, attempted = entry["failed"], entry["attempted"]
+    share = {side: failed[side] / max(attempted[side], 1) for side in SIDES}
     return {"workload": workload, "metric": metric,
             "parent_median": parent["median"], "change_median": change["median"],
             "median_difference": difference, "parent_interquartile_range": iqr,
-            "change_better_pairs": wins, "pairs": pairs, "rule": RULE,
-            "holds": wins >= math.ceil(0.9 * pairs) and difference > iqr}
+            "change_better_pairs": wins, "pairs": entry["pairs"], "failed_share": share,
+            "rule": RULE,
+            "holds": (failed["change"] <= failed["parent"] and share["change"] <= share["parent"]
+                      and wins >= math.ceil(0.9 * entry["pairs"]) and difference > iqr)}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -145,9 +149,6 @@ def main(argv: list[str] | None = None) -> int:
     run.add_argument("parent_tree", type=Path)
     run.add_argument("change_tree", type=Path)
     run.add_argument("runs_dir", type=Path)
-    run.add_argument("--workloads", default=",".join(w["name"] for w in BENCHMARK["workloads"]))
-    run.add_argument("--seeds", default=",".join(map(str, DEFAULT_SEEDS)),
-                     help="comma-separated; the first is recorded as the held-out seed")
     summary = commands.add_parser("summarize", help="write the BENCH json of a runs directory")
     summary.add_argument("runs_dir", type=Path)
     summary.add_argument("--out", type=Path, required=True)
@@ -159,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "run":
         run_pairs({"parent": args.parent_tree, "change": args.change_tree}, args.runs_dir,
-                  args.workloads.split(","), [int(s) for s in args.seeds.split(",")],
+                  [w["name"] for w in BENCHMARK["workloads"]], list(SEEDS),
                   BENCHMARK["run_seconds"])
         return 0
     notes = dict(item.split("=", 1) for item in args.condition)
