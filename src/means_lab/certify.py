@@ -366,23 +366,30 @@ def recover_constant(fn: RatioFunctionKind,
     return results[0] if single else results
 
 
-def _chain_draw(rng: random.Random) -> tuple[float, float]:
-    """A random pair (a, b), as pair_from_gap builds it, at a log-uniform
-    scale and a uniform gap."""
-    # rng.uniform(-3.0, 3.0) as CPython computes it, without the method call
-    scale = 10.0 ** (-3.0 + 6.0 * rng.random())
-    x = rng.random()
-    while x == 0.0:
-        x = rng.random()
-    return scale * (1.0 + x), scale * (1.0 - x)
+def _nonzero(r) -> float:
+    """The first nonzero value of the stream r."""
+    return next(filter(None, iter(r, None)))
+
+
+def _chain_draw(rng: random.Random, count: int) -> list[tuple[float, float]]:
+    """count random pairs (a, b), as pair_from_gap builds them, each at a
+    log-uniform scale and then a uniform nonzero gap; a >= b, since the gap
+    is positive, rounding is monotone and the scale is positive."""
+    r = rng.random
+    # 10.0 ** rng.uniform(-3.0, 3.0) as CPython computes it, without the method call
+    draws = ((10.0 ** (-3.0 + 6.0 * r()), r() or _nonzero(r)) for _ in range(count))
+    return [(scale * (1.0 + x), scale * (1.0 - x)) for scale, x in draws]
 
 
 def _sampled_sweep(draw, rng: random.Random, sample_count: int, margin_columns,
                    seed: int) -> CertificationReport:
-    """Report over sample_count pairs drawn from rng, which margin_columns
-    maps from (los, his) to margin columns, all folded into one report."""
-    draws = (draw(rng) for _ in range(sample_count))
-    scans = _sweep(draws, lambda pairs: margin_columns(list(map(min, pairs)), list(map(max, pairs))))
+    """Report over sample_count pairs drawn from rng a block at a time by
+    draw(rng, count), all folded into one report; margin_columns maps the
+    columns (as, bs) of a block of pairs (a, b) to margin columns, unordered
+    (a chain pair has a >= b, a ky-fan pair either order)."""
+    blocks = (draw(rng, min(_SWEEP_BLOCK, sample_count - start))
+              for start in range(0, sample_count, _SWEEP_BLOCK))
+    scans = _sweep(itertools.chain.from_iterable(blocks), lambda pairs: margin_columns(*zip(*pairs)))
     # a tie between columns goes to the earlier draw, whatever the column order
     best, _, worst, _ = min(scans, key=operator.itemgetter(0, 1))
     return _report(sample_count, best, worst, sum(scan[3] for scan in scans),
@@ -396,8 +403,8 @@ def verify_chain(sample_count: int, seed: int) -> CertificationReport:
     columns = _columns_fn(CHAIN_ORDER)
     a_index = CHAIN_ORDER.index(ARITHMETIC)
 
-    def margins(los, his):
-        values = columns(los, his)
+    def margins(as_, bs):
+        values = columns(bs, as_)  # a chain pair has a >= b
         a_means = values[a_index]
         return [list(map(operator.truediv, map(operator.sub, above, below), a_means))
                 for below, above in zip(values, values[1:])]
@@ -418,20 +425,25 @@ _KY_FAN_KINDS = (GEOMETRIC, LOGARITHMIC, SEIFFERT_FIRST, ARITHMETIC,
                  NEUMAN_SANDOR, SEIFFERT_SECOND)
 
 
-def _ky_fan_draw(rng: random.Random) -> tuple[float, float]:
-    """A random pair (a, b) of distinct reals in (0, 1/2)."""
+def _ky_fan_pair(r) -> tuple[float, float]:
+    """A random pair (a, b) of distinct reals in (0, 1/2) from the stream r."""
     while True:
-        a = rng.uniform(0.0, 0.5)
-        b = rng.uniform(0.0, 0.5)
+        # rng.uniform(0.0, 0.5) as CPython computes it, without the method call
+        a, b = 0.5 * r(), 0.5 * r()
         if 0.0 < a < 0.5 and 0.0 < b < 0.5 and a != b:
             return a, b
 
 
+def _ky_fan_draw(rng: random.Random, count: int) -> list[tuple[float, float]]:
+    """count random pairs (a, b) of distinct reals in (0, 1/2), unordered."""
+    return [_ky_fan_pair(rng.random) for _ in range(count)]
+
+
 def _pair_margins(margin, *kinds):
-    """(los, his) -> [the column of margin(a, m, *values) per pair], from the
-    columns of A, M and kinds."""
+    """(as, bs) -> [the column of margin(a, m, *values) per pair], from the
+    columns of A, M and kinds, for chain pairs (a >= b)."""
     columns = _columns_fn((ARITHMETIC, NEUMAN_SANDOR) + kinds)
-    return lambda los, his: [list(itertools.starmap(margin, zip(*columns(los, his))))]
+    return lambda as_, bs: [list(itertools.starmap(margin, zip(*columns(bs, as_))))]
 
 
 def _qa_margin(weight: float, lower: bool, a: float, m: float, q: float) -> float:
@@ -441,20 +453,22 @@ def _qa_margin(weight: float, lower: bool, a: float, m: float, q: float) -> floa
 
 
 def _corpus_claims():
-    """(claim_id, draw, margin_columns) triples; draw samples a pair (a, b)
-    from an rng, margin_columns maps the (los, his) columns of a block of
-    pairs to a one-column list: each pair's smallest normalized margin over
+    """(claim_id, draw, margin_columns) triples; draw samples a block of
+    pairs (a, b) from an rng, margin_columns maps the (as, bs) columns of a
+    block to a one-column list: each pair's smallest normalized margin over
     the claim's strict inequalities."""
     neuman_alpha = (1.0 - ASINH_ONE) / ((math.sqrt(2.0) - 1.0) * ASINH_ONE)
     neuman_lambda = (1.0 - ASINH_ONE) / ASINH_ONE
     ky_fan_means = _columns_fn(_KY_FAN_KINDS)
 
-    def ky_fan(los, his):
-        # the mirror pairs (1-a, 1-b), ordered
+    def ky_fan(as_, bs):
+        # ky-fan's draws are unordered: order them, and the mirror pairs (1-a, 1-b)
+        los, his = list(map(min, as_, bs)), list(map(max, as_, bs))
         mirrors = ky_fan_means([1.0 - hi for hi in his], [1.0 - lo for lo in los])
-        ratios = zip(*[list(map(operator.truediv, m, mirror))
-                       for m, mirror in zip(ky_fan_means(los, his), mirrors)])
-        return [[min(nxt - prev for prev, nxt in zip(row, row[1:])) for row in ratios]]
+        ratios = [list(map(operator.truediv, m, mirror))
+                  for m, mirror in zip(ky_fan_means(los, his), mirrors)]
+        steps = [list(map(operator.sub, nxt, prev)) for prev, nxt in zip(ratios, ratios[1:])]
+        return [list(map(min, *steps))]
 
     pair_claims = [
         ("pm-lt-a2", lambda a, m, p: (a * a - p * m) / (a * a), SEIFFERT_FIRST),

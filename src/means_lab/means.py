@@ -311,8 +311,14 @@ def _shape_fn(kind: MeanKind):
         return _SHAPES[kind.family]
     if abs(p + 1.0) < _GLOG_SPECIAL_EPS:
         return _logarithmic_shapes
-    return lambda xs, vs: [math.exp(_glog_log_shape(p, x, v, _half_log_ratio(x, v)))
-                           for x, v in zip(xs, vs)]
+    # _glog_log_shape's main branch, for 1e-3 <= w < inf, inline with _half_log_ratio's
+    # rule; other rows, and every row of a p in the cumulant window, call it
+    q = p + 1.0
+    cut = 1e-3 if abs(p) >= _GLOG_CUMULANT_LIMIT else math.inf
+    return lambda xs, vs: [
+        math.exp((q * math.log1p(x) + math.log(-math.expm1(-w) / w) + math.log(h / x)) / p)
+        if cut <= (w := 2.0 * q * (h := math.atanh(x) if x <= 0.5 else 0.5 * math.log((1.0 + x) / v))) < math.inf
+        else math.exp(_glog_log_shape(p, x, v, h)) for x, v in zip(xs, vs)]
 
 
 def mean_shape(kind: MeanKind, x: float) -> float:

@@ -1,5 +1,6 @@
 """tools/bench_summary.py on fixture runs: pairing, order, spreads, wins and
-ties, the gain rule, and the run loop against stub benchmark trees."""
+ties, the gain rule, the regression flag, and the run loop against stub
+benchmark trees."""
 
 import importlib.util
 import json
@@ -77,6 +78,9 @@ def test_summary_layout(runs_dir):
     assert (pass_s["parent"]["q1"], pass_s["parent"]["q3"]) == pytest.approx((1.0, 1.1375))
     # the change loses pair 8, 0.95 s against 0.96 s
     assert (pass_s["change_better_pairs"], pass_s["tied_pairs"]) == (9, 0)
+    # a median 21% better reads as a negative worsening
+    assert pass_s["worse_by"] == pytest.approx((0.845 - 1.075) / 1.075)
+    assert pass_s["regressed"] is False
     ok = grid["metrics"]["ok_share"]
     assert (ok["better"], ok["change_better_pairs"], ok["tied_pairs"]) == ("higher", 0, 9)
 
@@ -117,6 +121,31 @@ def test_gain_rule_needs_wins_a_gap_beyond_the_spread_and_no_more_failures(
     entry = {"pairs": 10, "failed": dict(zip(("parent", "change"), failed)),
              "attempted": dict(zip(("parent", "change"), attempted)), "metrics": {"m": metric}}
     assert tool.gain_claim("w", entry, "m")["holds"] is holds
+
+
+def test_regression_beyond_the_bound_is_flagged(tmp_path):
+    # pass_s 4% slower at the change stays within its 20% bound; ok_share
+    # 2% lower is past its 1% bound
+    parent, change = [], []
+    for seed in SEEDS:
+        parent += _lines("chain", seed, 1.0, 1.0, 100)
+        change += _lines("chain", seed, 1.04, 0.98, 100)
+    (tmp_path / "parent.jsonl").write_text("\n".join(parent) + "\n")
+    (tmp_path / "change.jsonl").write_text("\n".join(change) + "\n")
+    metrics = tool.summarize(tmp_path, BENCHMARK, "c", "p")["workloads"]["chain"]["metrics"]
+    assert metrics["pass_s"]["worse_by"] == pytest.approx(0.04)
+    assert metrics["pass_s"]["regressed"] is False
+    assert metrics["ok_share"]["worse_by"] == pytest.approx(0.02)
+    assert metrics["ok_share"]["regressed"] is True
+
+
+@pytest.mark.parametrize("sign,parent,change,worse_by", [
+    (1.0, 2.0, 2.5, 0.25), (1.0, 2.0, 1.5, -0.25), (-1.0, 0.5, 0.25, 0.5),
+    (-1.0, -2.0, -3.0, 0.5),
+    # a parent median of 0 leaves the move absolute
+    (1.0, 0.0, 0.5, 0.5), (-1.0, 0.0, 0.0, 0.0)])
+def test_relative_worsening(sign, parent, change, worse_by):
+    assert tool.relative_worsening(sign, parent, change) == pytest.approx(worse_by)
 
 
 def test_mismatched_seeds_rejected(runs_dir):

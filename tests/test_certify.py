@@ -510,11 +510,83 @@ class TestCorpus:
             <= 1.25 * traced_peak(lambda: verify_corpus(1_000, seed=42))
 
 
+def _chain_pair(rng):
+    """The per-pair chain draw a block must reproduce: a log-uniform scale,
+    then a uniform gap, drawn again while it is 0.0."""
+    scale = 10.0 ** rng.uniform(-3.0, 3.0)
+    x = rng.random()
+    while x == 0.0:
+        x = rng.random()
+    return scale * (1.0 + x), scale * (1.0 - x)
+
+
+def _ky_fan_pair(rng):
+    """The per-pair ky-fan draw: distinct reals in (0, 1/2), drawn again
+    until they are."""
+    while True:
+        a = rng.uniform(0.0, 0.5)
+        b = rng.uniform(0.0, 0.5)
+        if 0.0 < a < 0.5 and 0.0 < b < 0.5 and a != b:
+            return a, b
+
+
+class _ZeroAt(random.Random):
+    """A seeded Random whose random() returns 0.0 at the chosen call
+    positions; every call still advances the underlying stream."""
+
+    def __init__(self, seed, zeros):
+        super().__init__(seed)
+        self.zeros, self.calls = frozenset(zeros), 0
+
+    def random(self):
+        value = super().random()
+        self.calls += 1
+        return 0.0 if self.calls - 1 in self.zeros else value
+
+
+# call positions 1 and 4-6 are gaps of the first two pairs (the second gap
+# is drawn three times more), 3 is a scale, 511 and 515 lie past the first
+# 256 pairs; ky-fan meets zeros in both entries and equal entries rarely
+ZERO_CALLS = (1, 3, 4, 5, 6, 511, 515)
+
+
+class TestBlockDraws:
+    @pytest.mark.parametrize("count", [1, 255, 256, 257, 1000])
+    @pytest.mark.parametrize("draw,reference", [(certify._chain_draw, _chain_pair),
+                                                (certify._ky_fan_draw, _ky_fan_pair)],
+                             ids=["chain", "ky-fan"])
+    @pytest.mark.parametrize("zeros", [(), ZERO_CALLS], ids=["random", "zeros"])
+    def test_block_is_the_per_pair_stream(self, draw, reference, count, zeros):
+        block_rng, pair_rng = _ZeroAt(17, zeros), _ZeroAt(17, zeros)
+        block = draw(block_rng, count)
+        expected = [reference(pair_rng) for _ in range(count)]
+        assert [(a.hex(), b.hex()) for a, b in block] == \
+            [(a.hex(), b.hex()) for a, b in expected]
+        assert block_rng.calls == pair_rng.calls
+        assert block_rng.getstate() == pair_rng.getstate()
+
+    def test_zero_gap_is_drawn_again_and_zero_scale_kept(self):
+        rng = _ZeroAt(17, ZERO_CALLS)
+        (a0, b0), (a1, b1) = certify._chain_draw(rng, 2)
+        # pair 0's gap is call 2; pair 1's scale is call 3, 10**-3, and its
+        # gap is call 7
+        assert rng.calls == 8
+        assert a0 > b0 and a1 > b1
+        assert (a1 + b1) / 2.0 == pytest.approx(1e-3, rel=1e-15)
+
+    @pytest.mark.parametrize("seed", [7, 42])
+    def test_chain_pairs_are_ordered(self, seed):
+        # the samplers read a chain block's columns (as, bs) as (his, los)
+        assert all(a >= b for a, b in certify._chain_draw(random.Random(seed), 1000))
+
+
 def _fixed_draws(monkeypatch, pairs):
     """Make certify._chain_draw, which feeds the chain and nine of the ten
-    corpus claims, return pairs in order, starting over when they run out."""
+    corpus claims, return blocks of pairs in order, starting over when they
+    run out."""
     draws = itertools.cycle(pairs)
-    monkeypatch.setattr(certify, "_chain_draw", lambda rng: next(draws))
+    monkeypatch.setattr(certify, "_chain_draw",
+                        lambda rng, count: list(itertools.islice(draws, count)))
 
 
 # the corpus claims whose worst pair among the fixed draws below is the

@@ -30,8 +30,8 @@ from means_lab import (
     stable_asinh,
 )
 from means_lab.cli import main
-from means_lab.means import (SMALL_GAP, _columns_fn, _half_log_ratio, _logarithmic_shapes,
-                              _mean)
+from means_lab.means import (SMALL_GAP, _columns_fn, _glog_log_shape, _half_log_ratio,
+                              _logarithmic_shapes, _mean, _shape_fn)
 from oracles import mean_oracle, rel_err
 
 MAX_FLOAT = sys.float_info.max
@@ -324,6 +324,30 @@ EDGE_GAPS = (0.0, math.nextafter(SMALL_GAP, 0.0), SMALL_GAP, 0.5, math.nextafter
              1.0 - 1e-8)
 EDGE_KINDS = {kind.family.value: kind for kind in CHAIN_ORDER} | {"P0": _P0}
 
+# exponents at and beside the L_p kernel's edges: the cumulant limit 3e-3,
+# the window around -1, and a spread up to where 2(p+1) overflows
+LP_EDGE_EXPONENTS = (-3e-3, math.nextafter(-3e-3, -1.0), math.nextafter(-3e-3, 0.0),
+                     3e-3, math.nextafter(3e-3, 0.0), math.nextafter(3e-3, 1.0),
+                     -1.0 - 2e-8, -1.0 + 2e-8, -3.16, -0.5, sharp_constants().p0, 2.0, 700.0,
+                     1e300, 1.7e308)
+
+
+def _w_edge_gaps(p):
+    """The two adjacent gaps between which w = 2(p+1)atanh(x) crosses 1e-3,
+    where the L_p kernel leaves the small-w series (for p = 2 near 1.67e-4);
+    none where w stays below 1e-3 or is never finite on (0, 1)."""
+    q = p + 1.0
+    x = math.tanh(1e-3 / (2.0 * q)) if 0.0 < 2.0 * q < math.inf else 1.0
+    if x == 1.0:
+        return []
+    w = lambda x: 2.0 * q * _half_log_ratio(x, 1.0 - x)  # noqa: E731
+    while w(x) >= 1e-3:
+        x = math.nextafter(x, 0.0)
+    while w(math.nextafter(x, 1.0)) < 1e-3:
+        x = math.nextafter(x, 1.0)
+    return [x, math.nextafter(x, 1.0)]
+
+
 # per kind, per gap of EDGE_GAPS: float.hex of mean_shape(kind, x) and of
 # evaluate_mean(kind, pair_from_gap(x, 1.0)), recorded before the shape
 # kernels replaced the scalar shape functions
@@ -427,6 +451,18 @@ class TestBranchEdgeBits:
             v = 1.0 - x
             assert _logarithmic_shapes([x], [v])[0] == x / _half_log_ratio(x, v)
             assert mean_shape(generalized_log(-1.0), x) == mean_shape(LOGARITHMIC, x)
+
+    @pytest.mark.parametrize("p", LP_EDGE_EXPONENTS)
+    def test_generalized_log_kernel_keeps_the_log_shape_bits(self, p):
+        # the L_p kernel inlines _glog_log_shape's main branch for w in
+        # [1e-3, inf) and |p| >= 3e-3, with _half_log_ratio's rule; every row
+        # must keep the bits of the scalar log shape it stands for
+        xs = list(EDGE_GAPS) + _w_edge_gaps(p)
+        vs = [1.0 - x for x in xs]
+        got = _shape_fn(generalized_log(p))(xs, vs)
+        assert [shape.hex() for shape in got] == \
+            [math.exp(_glog_log_shape(p, x, v, _half_log_ratio(x, v))).hex()
+             for x, v in zip(xs, vs)]
 
 
 class TestGeneralizedLogConsistency:

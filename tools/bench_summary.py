@@ -12,9 +12,11 @@ pairs alternate which side runs first (pair 0 runs the parent first).  It append
 the two lines each run prints last, the report line and the result line, to
 ``parent.jsonl`` or ``change.jsonl`` in RUNS_DIR.  ``summarize`` reads
 those lines back and writes, per workload and end-to-end metric of
-``BENCHMARK.json``, each side's runs, median and quartiles, and how many
-pairs the change won or tied; with ``--claim`` it also applies the gain
-rule to one workload's metric.  Standard library only.
+``BENCHMARK.json``, each side's runs, median and quartiles, how many pairs
+the change won or tied, how far its median moved in the worse direction
+(``worse_by``) and whether that exceeds the metric's bound (``regressed``);
+with ``--claim`` it also applies the gain rule to one workload's metric.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -76,6 +78,13 @@ def spread(runs: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": runs}
 
 
+def relative_worsening(sign: float, parent: float, change: float) -> float:
+    """How far the change median moved in the metric's worse direction (sign
+    +1 when lower is better), relative to the parent median, or absolute
+    where the parent median is 0; negative when the change is better."""
+    return sign * (change - parent) / (abs(parent) or 1.0)
+
+
 def summarize(runs_dir: Path, benchmark: dict, change: str, parent_commit: str,
               claim: str | None = None, notes: dict | None = None) -> dict:
     runs = {side: read_runs(runs_dir / f"{side}.jsonl") for side in SIDES}
@@ -96,11 +105,15 @@ def summarize(runs_dir: Path, benchmark: dict, change: str, parent_commit: str,
                              for _, result in sides[side]] for side in SIDES}
             sign = 1.0 if metric["better"] == "lower" else -1.0
             gains = [sign * (p - c) for p, c in zip(values["parent"], values["change"])]
+            spreads = {side: spread(values[side]) for side in SIDES}
+            worse_by = relative_worsening(sign, spreads["parent"]["median"],
+                                          spreads["change"]["median"])
             entry["metrics"][metric["name"]] = {
                 "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
-                **{side: spread(values[side]) for side in SIDES},
+                **spreads,
                 "change_better_pairs": sum(g > 0.0 for g in gains),
                 "tied_pairs": sum(g == 0.0 for g in gains),
+                "worse_by": worse_by, "regressed": worse_by > metric["bound"],
             }
         workloads[name] = entry
     conditions = runs["parent"][0][0]
