@@ -366,30 +366,29 @@ def recover_constant(fn: RatioFunctionKind,
     return results[0] if single else results
 
 
-def _nonzero(r) -> float:
-    """The first nonzero value of the stream r."""
-    return next(filter(None, iter(r, None)))
-
-
 def _chain_draw(rng: random.Random, count: int) -> list[tuple[float, float]]:
     """count random pairs (a, b), as pair_from_gap builds them, each at a
     log-uniform scale and then a uniform nonzero gap; a >= b, since the gap
     is positive, rounding is monotone and the scale is positive."""
     r = rng.random
-    # 10.0 ** rng.uniform(-3.0, 3.0) as CPython computes it, without the method call
-    draws = ((10.0 ** (-3.0 + 6.0 * r()), r() or _nonzero(r)) for _ in range(count))
+    # 10.0 ** rng.uniform(-3.0, 3.0) as CPython computes it, without the method
+    # call; a gap of 0.0 is drawn again, up to the stream's next nonzero value
+    draws = ((10.0 ** (-3.0 + 6.0 * r()), r() or next(filter(None, iter(r, None))))
+             for _ in range(count))
     return [(scale * (1.0 + x), scale * (1.0 - x)) for scale, x in draws]
 
 
 def _sampled_sweep(draw, rng: random.Random, sample_count: int, margin_columns,
                    seed: int) -> CertificationReport:
-    """Report over sample_count pairs drawn from rng a block at a time by
-    draw(rng, count), all folded into one report; margin_columns maps the
-    columns (as, bs) of a block of pairs (a, b) to margin columns, unordered
-    (a chain pair has a >= b, a ky-fan pair either order)."""
+    """Report over sample_count pairs (a, b) that draw(rng, count) returns a
+    block at a time; margin_columns maps a block's columns (as, bs) to margin
+    columns (a chain pair has a >= b, a ky-fan pair either order)."""
     blocks = (draw(rng, min(_SWEEP_BLOCK, sample_count - start))
               for start in range(0, sample_count, _SWEEP_BLOCK))
-    scans = _sweep(itertools.chain.from_iterable(blocks), lambda pairs: margin_columns(*zip(*pairs)))
+    # itemgetter, unlike zip(*pairs), builds no iterator per pair
+    a_of, b_of = operator.itemgetter(0), operator.itemgetter(1)
+    scans = _sweep(itertools.chain.from_iterable(blocks),
+                   lambda pairs: margin_columns(list(map(a_of, pairs)), list(map(b_of, pairs))))
     # a tie between columns goes to the earlier draw, whatever the column order
     best, _, worst, _ = min(scans, key=operator.itemgetter(0, 1))
     return _report(sample_count, best, worst, sum(scan[3] for scan in scans),
