@@ -510,7 +510,7 @@ class TestCorpus:
             <= 1.25 * traced_peak(lambda: verify_corpus(1_000, seed=42))
 
 
-def _chain_pair(rng):
+def _reference_chain_pair(rng):
     """The per-pair chain draw a block must reproduce: a log-uniform scale,
     then a uniform gap, drawn again while it is 0.0."""
     scale = 10.0 ** rng.uniform(-3.0, 3.0)
@@ -520,7 +520,7 @@ def _chain_pair(rng):
     return scale * (1.0 + x), scale * (1.0 - x)
 
 
-def _ky_fan_pair(rng):
+def _reference_ky_fan_pair(rng):
     """The per-pair ky-fan draw: distinct reals in (0, 1/2), drawn again
     until they are."""
     while True:
@@ -552,8 +552,8 @@ ZERO_CALLS = (1, 3, 4, 5, 6, 511, 515)
 
 class TestBlockDraws:
     @pytest.mark.parametrize("count", [1, 255, 256, 257, 1000])
-    @pytest.mark.parametrize("draw,reference", [(certify._chain_draw, _chain_pair),
-                                                (certify._ky_fan_draw, _ky_fan_pair)],
+    @pytest.mark.parametrize("draw,reference", [(certify._chain_draw, _reference_chain_pair),
+                                                (certify._ky_fan_draw, _reference_ky_fan_pair)],
                              ids=["chain", "ky-fan"])
     @pytest.mark.parametrize("zeros", [(), ZERO_CALLS], ids=["random", "zeros"])
     def test_block_is_the_per_pair_stream(self, draw, reference, count, zeros):
