@@ -12,17 +12,19 @@ no resolvable margin (``min_margin`` inf) does not hold.
 
 All three sweeps (the gap grid of ``verify_bound``, the seeded draws of
 ``verify_chain`` and ``verify_corpus``) go through one walker, ``_sweep``,
-which maps their points a block at a time to margin columns, each mean's
-column computed by one call of its shape kernel in ``means``, and ranks them;
-``_report`` turns its result into a report.  A theorem's claims share a
-sweep, as a ratio function's objectives share one scan in
-``recover_constant``.
+which maps their blocks of points, each made only when it is reached, to
+margin columns, each mean's column computed by one call of its shape kernel
+in ``means``, and ranks them; ``_report`` turns its result into a report.
+Memory so holds one block and does not grow with the grid or sample size.
+A theorem's claims share a sweep, as a ratio function's objectives share one
+scan in ``recover_constant``.
 A claim's margin is stated once, in ``_margin_fn``: the grid sweep calls it
 per block, and the sharpness ladder is one more column of it.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -92,8 +94,8 @@ GRID_EDGE = 1e-8
 # definitive (well above the ~1e-15 evaluation noise)
 _VIOLATION_THRESHOLD = 1e-13
 
-# points per block of every sweep: columns live one block at a time, so memory
-# stays near the grid's own and does not grow with the sample count
+# points per block of every sweep: points and columns live one block at a
+# time, so memory grows with neither the grid size nor the sample count
 _SWEEP_BLOCK = 256
 
 
@@ -195,22 +197,40 @@ def gap_grid(n: int) -> list[float]:
     """n gaps log-dense toward both endpoints: a geometric ladder from
     GRID_EDGE to 0.5 and its mirror 1-x, because every sharp constant lives
     in an endpoint limit and uniform grids under-sample there."""
+    return list(itertools.chain.from_iterable(_grid_blocks(n)))
+
+
+def _grid_blocks(n: int):
+    """gap_grid(n), ascending, as non-empty blocks of at most _SWEEP_BLOCK
+    gaps, each made from the ladder formula when it is reached."""
     check_int("grid size n", n, 2)
-    m = n // 2
-    lo_count, hi_count = m, n - m
+    exp, size = math.exp, _SWEEP_BLOCK
     log_edge = math.log(GRID_EDGE)
     span = math.log(0.5) - log_edge
+    lo_count, hi_count = n // 2, n - n // 2
 
-    def ladder(count: int) -> list[float]:
+    def rungs(count: int, indices: range, mirror: bool = False) -> list[float]:
         if count == 1:
             return [0.5]
-        return [math.exp(log_edge + span * i / (count - 1)) for i in range(count)]
+        d = float(count - 1)
+        if mirror:
+            return [1.0 - exp(log_edge + span * i / d) for i in indices]
+        return [exp(log_edge + span * i / d) for i in indices]
 
-    low = ladder(lo_count)
-    high = low if hi_count == lo_count else ladder(hi_count)
-    gaps = low + [1.0 - g for g in high]
-    gaps.sort()
-    return gaps
+    def blocks():
+        seam, top = (lo_count - 1) // size * size, hi_count - 1
+        for start in range(0, seam, size):
+            yield rungs(lo_count, range(start, start + size))
+        # the top rung 0.5000000000000009 lies above the first mirror rung; only
+        # rungs this close to 0.5 interleave, all in the two blocks merged here
+        middle = sorted(rungs(lo_count, range(seam, lo_count))
+                        + rungs(hi_count, range(top, max(top - size, -1), -1), True))
+        yield middle[:len(middle) // 2]
+        yield middle[len(middle) // 2:]
+        for stop in range(top - size, -1, -size):
+            yield rungs(hi_count, range(stop, max(stop - size, -1), -1), True)
+
+    return blocks()
 
 
 def _margin_fn(claims: list[BoundClaim]):
@@ -237,24 +257,31 @@ def _margin_fn(claims: list[BoundClaim]):
     return margins
 
 
-def _sweep(points, margin_columns) -> list[tuple[float, int, object, int]]:
-    """Per margin column, (min_margin, index, point, near_zero) over a stream
-    of points that margin_columns maps to columns _SWEEP_BLOCK points at a
-    time.  |margin| < STRICTNESS_FLOOR is counted, not ranked; only a strictly
+def _sweep(blocks, margin_columns) -> list[tuple[float, int, object, int]]:
+    """Per margin column, (min_margin, index, point, near_zero) over the
+    points of blocks, which margin_columns maps to columns a block at a time.
+    |margin| < STRICTNESS_FLOOR is counted, not ranked; only a strictly
     smaller margin replaces the minimum, so the earliest of equal minima wins,
     and a column with nothing ranked has point None."""
-    points = iter(points)
     scans = []
     start = 0
-    while block := list(itertools.islice(points, _SWEEP_BLOCK)):
+    for block in blocks:
         columns = margin_columns(block)
         scans = scans or [(math.inf, 0, None, 0)] * len(columns)
         for k, column in enumerate(columns):
             best, at, point, near = scans[k]
             low = min(column)
-            # at or above the floor nothing is near zero, and index finds the
-            # earliest minimum; a NaN first makes min NaN, so the loop runs
-            if low >= STRICTNESS_FLOOR:
+            # at or above the floor nothing is near zero; with no NaN (a NaN
+            # first makes min NaN) and not both infinities, a sorted copy
+            # counts the near-zero margins and gives the least ranked one;
+            # index finds the earliest minimum
+            if low >= STRICTNESS_FLOOR or (total := sum(column)) == total:
+                if low < STRICTNESS_FLOOR:
+                    ranked = sorted(column)
+                    above = bisect.bisect_left(ranked, STRICTNESS_FLOOR)
+                    near += above - bisect.bisect_right(ranked, -STRICTNESS_FLOOR)
+                    if low > -STRICTNESS_FLOOR:
+                        low = ranked[above] if above < len(ranked) else math.inf
                 if low < best:
                     i = column.index(low)
                     best, at, point = low, start + i, block[i]
@@ -287,7 +314,7 @@ def verify_bound(claim: BoundClaim | list[BoundClaim] | tuple[BoundClaim, ...],
     claims = [check_type("claim", c, BoundClaim) for c in ([claim] if single else claim)]
     check_int("grid_size", grid_size, 100)
     reports = [_report(grid_size, best, x, near, functools.partial(pair_from_gap, scale=1.0))
-               for best, _, x, near in _sweep(gap_grid(grid_size), _margin_fn(claims))]
+               for best, _, x, near in _sweep(_grid_blocks(grid_size), _margin_fn(claims))]
     return reports[0] if single else reports
 
 
@@ -373,9 +400,9 @@ def _chain_draw(rng: random.Random, count: int) -> list[tuple[float, float]]:
     r = rng.random
     # 10.0 ** rng.uniform(-3.0, 3.0) as CPython computes it, without the method
     # call; a gap of 0.0 is drawn again, up to the stream's next nonzero value
-    draws = ((10.0 ** (-3.0 + 6.0 * r()), r() or next(filter(None, iter(r, None))))
-             for _ in range(count))
-    return [(scale * (1.0 + x), scale * (1.0 - x)) for scale, x in draws]
+    return [(scale * (1.0 + x), scale * (1.0 - x)) for _ in range(count)
+            for scale in [10.0 ** (-3.0 + 6.0 * r())]
+            for x in [r() or next(filter(None, iter(r, None)))]]
 
 
 def _sampled_sweep(draw, rng: random.Random, sample_count: int, margin_columns,
@@ -387,8 +414,8 @@ def _sampled_sweep(draw, rng: random.Random, sample_count: int, margin_columns,
               for start in range(0, sample_count, _SWEEP_BLOCK))
     # itemgetter, unlike zip(*pairs), builds no iterator per pair
     a_of, b_of = operator.itemgetter(0), operator.itemgetter(1)
-    scans = _sweep(itertools.chain.from_iterable(blocks),
-                   lambda pairs: margin_columns(list(map(a_of, pairs)), list(map(b_of, pairs))))
+    scans = _sweep(blocks, lambda pairs: margin_columns(list(map(a_of, pairs)),
+                                                        list(map(b_of, pairs))))
     # a tie between columns goes to the earlier draw, whatever the column order
     best, _, worst, _ = min(scans, key=operator.itemgetter(0, 1))
     return _report(sample_count, best, worst, sum(scan[3] for scan in scans),

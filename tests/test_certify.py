@@ -120,6 +120,24 @@ class TestGapGrid:
         assert sum(1 for g in grid if g < 1e-4) > 1000
         assert sum(1 for g in grid if g > 1.0 - 1e-4) > 1000
 
+    def test_order_and_blocks(self):
+        # the ladder and its mirror, sorted together: the grid as it was first
+        # stated; its top rung, 0.5000000000000009, sorts after its mirror
+        log_edge = math.log(GRID_EDGE)
+        span = math.log(0.5) - log_edge
+
+        def ladder(count):
+            if count == 1:
+                return [0.5]
+            return [math.exp(log_edge + span * i / (count - 1)) for i in range(count)]
+
+        for n in [*range(2, 1201), 4095, 4096, 4097, 8193, 12295, 99_999, 100_000, 100_001,
+                  250_000]:
+            low, high = ladder(n // 2), ladder(n - n // 2)
+            reference = sorted(low + [1.0 - g for g in high])
+            assert list(map(float.hex, gap_grid(n))) == list(map(float.hex, reference)), n
+            assert all(0 < len(block) <= BLOCK for block in certify._grid_blocks(n)), n
+
     @pytest.mark.parametrize("n", [2, 100, 2000, 100_000])
     def test_even_grid_mirrors(self, n):
         # the upper half is the lower half mirrored (1 - (1 - g) may differ
@@ -156,6 +174,9 @@ class TestVerifyBound:
             verify_bound(claim, 99)
         with pytest.raises(DomainError):
             gap_grid(2.5)
+        # checked when called, not at the first block
+        with pytest.raises(DomainError):
+            certify._grid_blocks(1)
 
     @pytest.mark.parametrize("relation", list(Relation))
     def test_no_resolvable_margin_does_not_hold(self, relation):
@@ -250,6 +271,14 @@ class TestOneSweep:
         sweep_peak = traced_peak(lambda: verify_bound(SWEEP_CASES["1.1"], 100_000))
         assert sweep_peak <= 2 * grid_peak
 
+    def test_memory_does_not_grow_with_the_grid(self):
+        # the grid is made a block at a time, so the sweep never holds it
+        grid_peak = traced_peak(lambda: gap_grid(100_000))
+        small_peak = traced_peak(lambda: verify_bound(SWEEP_CASES["1.1"], 10_000))
+        sweep_peak = traced_peak(lambda: verify_bound(SWEEP_CASES["1.1"], 100_000))
+        assert sweep_peak <= grid_peak / 10
+        assert sweep_peak <= 1.1 * small_peak
+
 
 def _ranking_column(margins):
     """A margin column of RANKED points, 1.0 but for the {index: margin}
@@ -285,7 +314,19 @@ RANKING_CASES = [
      (math.inf, None, RANKED)),
     ("all nan", [NAN] * RANKED, (math.inf, None, 0)),
     ("all inf", [math.inf] * RANKED, (math.inf, None, 0)),
+    ("nan mid-block beside near-zero and negative margins",
+     _ranking_column({BLOCK + 3: NAN, BLOCK + 9: 0.5 * FLOOR, BLOCK + 20: -0.25}),
+     (-0.25, BLOCK + 20, 1)),
+    ("plus and minus inf in one block",
+     _ranking_column({7: math.inf, 30: -math.inf, 31: 0.0}), (-math.inf, 30, 1)),
+    ("plus floor ranked beside a near-zero margin",
+     _ranking_column({BLOCK + 4: FLOOR, BLOCK + 5: 0.5 * FLOOR}), (FLOOR, BLOCK + 4, 1)),
+    ("minus inf", _ranking_column({2 * BLOCK + 5: -math.inf, 2 * BLOCK + 6: -math.inf}),
+     (-math.inf, 2 * BLOCK + 5, 0)),
 ]
+
+# range(RANKED) cut into the blocks a sweep walks
+RANKED_BLOCKS = [range(start, min(start + BLOCK, RANKED)) for start in range(0, RANKED, BLOCK)]
 
 
 class TestSweepRanking:
@@ -298,7 +339,7 @@ class TestSweepRanking:
             blocks.append(len(block))
             return [[column[i] for i in block]]
 
-        ((best, at, point, near),) = certify._sweep(range(RANKED), margin_columns)
+        ((best, at, point, near),) = certify._sweep(RANKED_BLOCKS, margin_columns)
         assert blocks == [BLOCK, BLOCK, 50]
         assert (best, point, near) == expected
         if point is not None:
@@ -306,7 +347,7 @@ class TestSweepRanking:
 
     def test_columns_ranked_apart(self):
         columns = [case[1] for case in RANKING_CASES]
-        scans = certify._sweep(range(RANKED),
+        scans = certify._sweep(RANKED_BLOCKS,
                                lambda block: [[c[i] for i in block] for c in columns])
         assert [(best, point, near) for best, _, point, near in scans] == \
             [case[2] for case in RANKING_CASES]
