@@ -24,7 +24,6 @@ per block, and the sharpness ladder is one more column of it.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
@@ -209,12 +208,10 @@ def _grid_blocks(n: int):
     span = math.log(0.5) - log_edge
     lo_count, hi_count = n // 2, n - n // 2
 
-    def rungs(count: int, indices: range, mirror: bool = False) -> list[float]:
+    def rungs(count: int, indices: range) -> list[float]:
         if count == 1:
             return [0.5]
         d = float(count - 1)
-        if mirror:
-            return [1.0 - exp(log_edge + span * i / d) for i in indices]
         return [exp(log_edge + span * i / d) for i in indices]
 
     def blocks():
@@ -224,11 +221,11 @@ def _grid_blocks(n: int):
         # the top rung 0.5000000000000009 lies above the first mirror rung; only
         # rungs this close to 0.5 interleave, all in the two blocks merged here
         middle = sorted(rungs(lo_count, range(seam, lo_count))
-                        + rungs(hi_count, range(top, max(top - size, -1), -1), True))
+                        + [1.0 - g for g in rungs(hi_count, range(top, max(top - size, -1), -1))])
         yield middle[:len(middle) // 2]
         yield middle[len(middle) // 2:]
         for stop in range(top - size, -1, -size):
-            yield rungs(hi_count, range(stop, max(stop - size, -1), -1), True)
+            yield [1.0 - g for g in rungs(hi_count, range(stop, max(stop - size, -1), -1))]
 
     return blocks()
 
@@ -271,17 +268,9 @@ def _sweep(blocks, margin_columns) -> list[tuple[float, int, object, int]]:
         for k, column in enumerate(columns):
             best, at, point, near = scans[k]
             low = min(column)
-            # at or above the floor nothing is near zero; with no NaN (a NaN
-            # first makes min NaN) and not both infinities, a sorted copy
-            # counts the near-zero margins and gives the least ranked one;
-            # index finds the earliest minimum
-            if low >= STRICTNESS_FLOOR or (total := sum(column)) == total:
-                if low < STRICTNESS_FLOOR:
-                    ranked = sorted(column)
-                    above = bisect.bisect_left(ranked, STRICTNESS_FLOOR)
-                    near += above - bisect.bisect_right(ranked, -STRICTNESS_FLOOR)
-                    if low > -STRICTNESS_FLOOR:
-                        low = ranked[above] if above < len(ranked) else math.inf
+            # at or above the floor nothing is near zero, and index finds the
+            # earliest minimum; a NaN first makes min NaN, so the loop runs
+            if low >= STRICTNESS_FLOOR:
                 if low < best:
                     i = column.index(low)
                     best, at, point = low, start + i, block[i]
