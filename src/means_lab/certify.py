@@ -48,7 +48,7 @@ from .means import (
     PositivePair,
     _columns_fn,
     _shape_fn,
-    evaluate_mean,
+    evaluate_mean,  # with mean_shape, unused here but rebound by perfbench/tracer.py
     generalized_log,
     mean_shape,
     pair_from_gap,
@@ -133,14 +133,6 @@ class ConvexCombination:
         check_real("weight", self.weight, 0.0, 1.0)
         check_type("first", self.first, MeanKind)
         check_type("second", self.second, MeanKind)
-
-    def value(self, pair) -> float:
-        w = self.weight
-        return w * evaluate_mean(self.first, pair) + (1.0 - w) * evaluate_mean(self.second, pair)
-
-    def shape(self, x: float) -> float:
-        w = self.weight
-        return w * mean_shape(self.first, x) + (1.0 - w) * mean_shape(self.second, x)
 
 
 @dataclass(frozen=True)
@@ -415,6 +407,7 @@ def verify_chain(sample_count: int, seed: int) -> CertificationReport:
     """Strict ordering H < G < L < P < A < M < T < Q < C on random pairs,
     reporting the smallest resolvable normalized margin."""
     check_int("sample_count", sample_count, 1)
+    check_int("seed", seed, 0)
     columns = _columns_fn(CHAIN_ORDER)
     a_index = CHAIN_ORDER.index(ARITHMETIC)
 
@@ -503,6 +496,7 @@ def _corpus_claims():
 def verify_corpus(sample_count: int, seed: int) -> list[tuple[str, CertificationReport]]:
     """Evaluate every corpus claim on its own seeded sample stream."""
     check_int("sample_count", sample_count, 1)
+    check_int("seed", seed, 0)
     return [(claim_id, _sampled_sweep(draw, random.Random(f"{seed}:{claim_id}"), sample_count,
                                       margin_columns, seed))
             for claim_id, draw, margin_columns in _corpus_claims()]

@@ -72,10 +72,6 @@ class MeanFamily(Enum):
     CONTRA_HARMONIC = "C"
     GENERALIZED_LOG = "Lp"
 
-    # members are singletons, so identity hashing is exact; Enum's default
-    # hash runs Python code and costs more than the table lookup it serves
-    __hash__ = object.__hash__
-
 
 @dataclass(frozen=True)
 class MeanKind:
@@ -213,7 +209,7 @@ def _seiffert_first_shapes(xs: list[float], vs: list[float]) -> list[float]:
 
 
 def _logarithmic_shapes(xs: list[float], vs: list[float]) -> list[float]:
-    # atanh(x), from the exact complement v past 0.5 as in _half_log_ratio
+    # atanh(x), as 0.5*log((1+x)/v) from the exact complement v past 0.5
     return [1.0 / (1.0 + (s := x * x) * (1.0 / 3.0 + s * (1.0 / 5.0 + s * (1.0 / 7.0))))
             if x < SMALL_GAP else x / math.atanh(x) if x <= 0.5
             else x / (0.5 * math.log((1.0 + x) / v))
@@ -233,13 +229,6 @@ _SHAPES = {
     MeanFamily.QUADRATIC: lambda xs, vs: [math.sqrt(1.0 + x * x) for x in xs],
     MeanFamily.CONTRA_HARMONIC: lambda xs, vs: [1.0 + x * x for x in xs],
 }
-
-
-def _half_log_ratio(x: float, v: float) -> float:
-    """atanh(x) computed from the exact complement v = 1-x."""
-    if x <= 0.5:
-        return math.atanh(x)
-    return 0.5 * math.log((1.0 + x) / v)
 
 
 def _log_expm1_ratio(w: float) -> float:
@@ -311,8 +300,9 @@ def _shape_fn(kind: MeanKind):
         return _SHAPES[kind.family]
     if abs(p + 1.0) < _GLOG_SPECIAL_EPS:
         return _logarithmic_shapes
-    # _glog_log_shape's main branch, for 1e-3 <= w < inf, inline with _half_log_ratio's
-    # rule; other rows, and every row of a p in the cumulant window, call it
+    # _glog_log_shape's main branch, for 1e-3 <= w < inf, inline with h = atanh(x)
+    # up to 0.5, then 0.5*log((1+x)/v); other rows, and every row of a p in the
+    # cumulant window, call it
     q = p + 1.0
     cut = 1e-3 if abs(p) >= _GLOG_CUMULANT_LIMIT else math.inf
     return lambda xs, vs: [

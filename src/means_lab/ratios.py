@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 from .exceptions import DomainError, check_int, check_real, check_type
 from .means import stable_asinh
-from .series import CoefficientKind, solve_p0, truncated_quotient
+from .series import CoefficientKind, _horner, solve_p0, truncated_quotient
 
 __all__ = [
     "SharpConstants",
@@ -126,13 +126,6 @@ _GQ_DEN_COEFFS = (
 )
 
 
-def _poly(coeffs, s: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * s + c
-    return acc
-
-
 def _ratio_gq_closed(x: float) -> float:
     s1 = math.sqrt(1.0 + x * x)
     s2 = math.sqrt(1.0 - x * x)
@@ -165,7 +158,7 @@ _RATIO_ROWS = {
         lambda t: truncated_quotient(CoefficientKind.C, CoefficientKind.D, t, _SERIES_TERMS),
         _phi_hc_closed, ASINH_ONE, "beta3", "alpha3", even=True),
     RatioFunctionKind.RATIO_GQ: _RatioRow(
-        lambda x: _poly(_GQ_NUM_COEFFS, x * x) / _poly(_GQ_DEN_COEFFS, x * x),
+        lambda x: _horner(_GQ_NUM_COEFFS, x * x) / _horner(_GQ_DEN_COEFFS, x * x),
         _ratio_gq_closed, 1.0, "alpha2", "lambda0"),
 }
 
@@ -249,7 +242,7 @@ def _asinh_deficit(x: float) -> float:
     """x - asinh(x), computed with full relative accuracy also for small x
     where the direct subtraction would cancel."""
     if x < 0.1:
-        return x * x * x * _poly(_ASINH_DEFICIT_COEFFS, x * x)
+        return x * x * x * _horner(_ASINH_DEFICIT_COEFFS, x * x)
     return x - stable_asinh(x)
 
 

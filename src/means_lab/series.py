@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum, unique
 from fractions import Fraction
 
-from .exceptions import DomainError, EvaluationError, check_int, check_real, check_type
+from .exceptions import EvaluationError, check_int, check_real, check_type
 
 __all__ = [
     "CoefficientKind",
@@ -44,6 +44,7 @@ class CoefficientKind(Enum):
 
 def coefficient_exact(kind: CoefficientKind, n: int) -> Fraction:
     """Exact rational value of the n-th coefficient."""
+    check_type("coefficient kind", kind, CoefficientKind)
     check_int("coefficient index n", n, 1)
     fact = math.factorial(2 * n)
     if kind is CoefficientKind.A:
@@ -52,9 +53,7 @@ def coefficient_exact(kind: CoefficientKind, n: int) -> Fraction:
         return Fraction(2 ** (2 * n - 1) + 1, fact)
     if kind is CoefficientKind.C:
         return Fraction(2 ** (2 * n), fact) - Fraction(2, fact * (2 * n + 1))
-    if kind is CoefficientKind.D:
-        return Fraction(2 ** (2 * n + 1), fact)
-    raise DomainError(f"unknown coefficient kind {kind!r}")
+    return Fraction(2 ** (2 * n + 1), fact)  # D
 
 
 def ratio_difference(numerator_kind: CoefficientKind, denominator_kind: CoefficientKind,
@@ -116,6 +115,14 @@ def _float_coefficients(kind: CoefficientKind, N: int) -> tuple[float, ...]:
     return tuple(coeffs)
 
 
+def _horner(coeffs, s: float) -> float:
+    """sum(c * s**k for k, c in enumerate(coeffs)), by Horner's rule."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * s + c
+    return acc
+
+
 def truncated_quotient(numerator_kind: CoefficientKind,
                        denominator_kind: CoefficientKind,
                        t: float, N: int = 40) -> float:
@@ -128,13 +135,8 @@ def truncated_quotient(numerator_kind: CoefficientKind,
     check_real("series argument t", t, -1.5, 1.5, lo_open=True, hi_open=True)
     check_int("number of terms N", N, 1)
     s = t * t
-    num = 0.0
-    den = 0.0
-    for cn, dn in zip(reversed(_float_coefficients(numerator_kind, N)),
-                      reversed(_float_coefficients(denominator_kind, N))):
-        num = num * s + cn
-        den = den * s + dn
-    return num / den
+    return (_horner(_float_coefficients(numerator_kind, N), s)
+            / _horner(_float_coefficients(denominator_kind, N), s))
 
 
 def solve_p0(tolerance: float) -> float:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -94,17 +95,6 @@ class TestClaimConstruction:
         fields[field] = bad
         with pytest.raises(DomainError, match=field):
             BoundClaim(**fields)
-
-    def test_combination_value(self):
-        combo = ConvexCombination(0.25, HARMONIC, QUADRATIC)
-        pair = pair_from_gap(0.5, 2.0)
-        expected = 0.25 * evaluate_mean(HARMONIC, pair) + 0.75 * evaluate_mean(QUADRATIC, pair)
-        assert combo.value(pair) == expected
-
-    def test_combination_shape_matches_unit_scale_value(self):
-        combo = ConvexCombination(0.4, HARMONIC, QUADRATIC)
-        for x in (0.0, 1e-6, 0.3, 0.999):
-            assert combo.shape(x) == pytest.approx(combo.value(pair_from_gap(x, 1.0)), rel=1e-13)
 
 
 class TestGapGrid:
@@ -265,11 +255,6 @@ class TestOneSweep:
             verify_bound([claims[0], "1.3-upper"], 500)
         with pytest.raises(DomainError):
             verify_bound(3, 500)
-
-    def test_memory_stays_near_the_grid(self):
-        grid_peak = traced_peak(lambda: gap_grid(100_000))
-        sweep_peak = traced_peak(lambda: verify_bound(SWEEP_CASES["1.1"], 100_000))
-        assert sweep_peak <= 2 * grid_peak
 
     def test_memory_does_not_grow_with_the_grid(self):
         # the grid is made a block at a time, so the sweep never holds it
@@ -549,6 +534,14 @@ class TestCorpus:
         # both counts fill whole blocks; 100 samples would not fill one
         assert traced_peak(lambda: verify_corpus(10_000, seed=42)) \
             <= 1.25 * traced_peak(lambda: verify_corpus(1_000, seed=42))
+
+
+@pytest.mark.parametrize("verify", [verify_chain, verify_corpus])
+@pytest.mark.parametrize("seed", [None, True, 1.5, "7", -5])
+def test_seed_is_a_nonnegative_int(verify, seed):
+    # None once seeded the chain from OS entropy, and -5 drew seed 5's stream
+    with pytest.raises(DomainError, match=f"^seed must be an integer >= 0, got {re.escape(repr(seed))}$"):
+        verify(300, seed)
 
 
 def _reference_chain_pair(rng):

@@ -58,6 +58,11 @@ class TestEval:
         assert code == 2
         assert "error" in err
 
+    def test_pair_of_three_exit_2(self, capsys):
+        code, out, err = run_main(capsys, "eval", "--means", "H", "--pair", "1,2,3")
+        assert code == 2 and out == ""
+        assert err == "error: --pair expects two decimal literals 'a,b', got '1,2,3'\n"
+
     def test_bad_token_exit_2(self, capsys):
         code, _, err = run_main(capsys, "eval", "--means", "Z", "--pair", "1,2")
         assert code == 2
@@ -130,6 +135,13 @@ class TestVerify:
         row = json.loads(out)["verdicts"][0]
         assert not row["holds"]
         assert row["min_margin"] is None and row["near_zero"] == 8 * 50
+
+    @pytest.mark.parametrize("target", ["chain", "corpus"])
+    def test_negative_seed_exit_2(self, capsys, target):
+        # random.Random(-5) draws seed 5's stream, which a report of seed -5 would hide
+        code, out, err = run_main(capsys, "verify", target, "--samples", "50", "--seed", "-5")
+        assert code == 2 and out == ""
+        assert err == "error: seed must be an integer >= 0, got -5\n"
 
     def test_small_grid_usage_error(self, capsys):
         code, _, err = run_main(capsys, "verify", "1.1", "--grid", "50")

@@ -30,11 +30,20 @@ from means_lab import (
     stable_asinh,
 )
 from means_lab.cli import main
-from means_lab.means import (SMALL_GAP, _columns_fn, _glog_log_shape, _half_log_ratio,
-                              _logarithmic_shapes, _mean, _shape_fn)
+from means_lab.means import (SMALL_GAP, _columns_fn, _glog_log_shape, _logarithmic_shapes,
+                              _mean, _shape_fn)
 from oracles import mean_oracle, rel_err
 
 MAX_FLOAT = sys.float_info.max
+
+
+def _half_log_ratio(x: float, v: float) -> float:
+    """atanh(x) from the exact complement v = 1-x, the rule the L and L_p
+    kernels inline: atanh up to 0.5, then 0.5*log((1+x)/v)."""
+    if x <= 0.5:
+        return math.atanh(x)
+    return 0.5 * math.log((1.0 + x) / v)
+
 
 # the ten families, with representative exponents for the generalized log
 ALL_KINDS = list(CHAIN_ORDER) + [generalized_log(2.0)]
@@ -99,6 +108,15 @@ class TestNormalizedGap:
             x = normalized_gap((a, b))
             assert x == normalized_gap((b, a))
             assert 0.0 <= x < 1.0
+
+    @pytest.mark.parametrize("a,b", [(1e308, 1.7e308), (MAX_FLOAT, 1e300), (1e308, 9e307)])
+    def test_sum_past_the_float_range(self, a, b):
+        # a + b overflows, so the gap is taken from the pair scaled by 1/4
+        assert math.isinf(a + b)
+        x = normalized_gap((a, b))
+        assert x.hex() == normalized_gap((b, a)).hex()
+        lo, hi = Fraction(min(a, b)), Fraction(max(a, b))
+        assert abs(Fraction(x) - (hi - lo) / (hi + lo)) <= Fraction(math.ulp(x))
 
 
 class TestPairFromGap:

@@ -1,5 +1,8 @@
+import ast
 import re
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -12,10 +15,12 @@ from means_lab import (
     DomainError,
     MeanKind,
     RatioFunctionKind,
+    coefficient_exact,
     endpoint_value,
     evaluate_mean,
     mean_shape,
     ratio_function_domain,
+    ratio_sequence_verdict,
     recover_constant,
     sharpness_probe,
     truncated_quotient,
@@ -47,9 +52,26 @@ def test_exports_exactly_the_module_apis():
     (lambda: sharpness_probe(None, 1e-3), "claim", None),
     # an unhashable kind once reached the coefficient cache as a TypeError
     (lambda: truncated_quotient([1], CoefficientKind.B, 0.1), "numerator kind", [1]),
+    # a kind's value once raised "unknown coefficient kind 'A'"
+    (lambda: coefficient_exact("A", 1), "coefficient kind", "A"),
+    (lambda: ratio_sequence_verdict("A", CoefficientKind.B, 5), "coefficient kind", "A"),
 ], ids=["MeanKind-value", "MeanKind-Lp-value", "evaluate_mean", "mean_shape", "ConvexCombination",
         "ratio_function_domain", "endpoint_value", "recover_constant", "verify_bound",
-        "sharpness_probe", "truncated_quotient"])
+        "sharpness_probe", "truncated_quotient", "coefficient_exact", "ratio_sequence_verdict"])
 def test_class_arguments_checked(call, name, value):
     with pytest.raises(DomainError, match=f"^{name} must be of type .*, got {re.escape(repr(value))}$"):
         call()
+
+
+def test_runtime_code_imports_only_the_standard_library():
+    package = Path(means_lab.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [node.module.partition(".")[0]]
+            else:
+                continue
+            for root in roots:
+                assert root in sys.stdlib_module_names or root == "means_lab", (path.name, root)

@@ -1,12 +1,15 @@
 import math
+import types
 from fractions import Fraction
 
 import pytest
 
+from means_lab import means, ratios
 from means_lab import (
     CoefficientKind,
     Direction,
     DomainError,
+    MeanFamily,
     coefficient_exact,
     phi_hc,
     phi_hq,
@@ -159,3 +162,68 @@ class TestSolveP0:
         for tol in (0.0, -1e-9, True):
             with pytest.raises(DomainError):
                 solve_p0(tol)
+
+
+# Exact Maclaurin coefficients in s = x^2, as lists of the first `terms`
+# Fractions: f(x)/x for the four inverse functions, and sqrt(1 +- x^2).
+def _inverse_series(terms, alternating, central):
+    """sum (+-1)^n c_n s^n with c_n = C(2n,n)/(4^n (2n+1)) if central
+    (asin, asinh), else 1/(2n+1) (atanh, atan)."""
+    return [(-1) ** (n * alternating)
+            * (Fraction(math.comb(2 * n, n), 4**n) if central else 1) / (2 * n + 1)
+            for n in range(terms)]
+
+
+def _sqrt_series(terms, sign):
+    """sqrt(1 + sign*s) by the binomial series, C(1/2, n) sign^n."""
+    out, c = [], Fraction(1)
+    for n in range(terms):
+        out.append(c * sign**n)
+        c = c * (Fraction(1, 2) - n) / (n + 1)
+    return out
+
+
+def _product(f, g):
+    return [sum(f[i] * g[n - i] for i in range(n + 1)) for n in range(min(len(f), len(g)))]
+
+
+ASINH = _inverse_series(13, True, True)
+ASIN = _inverse_series(4, False, True)
+ATAN = _inverse_series(4, True, False)
+ATANH = _inverse_series(4, False, False)
+
+
+class TestHandTypedCoefficients:
+    """The float coefficient tables and series kernels typed into the source
+    are the correctly rounded exact series coefficients."""
+
+    def test_ratio_tables(self):
+        # (sqrt(1+x^2)*asinh(x) - x)/x^3 = (S1*A - 1)/s, with A = asinh(x)/x
+        num = _product(_sqrt_series(10, 1), ASINH)[1:]
+        # (sqrt(1+x^2) - sqrt(1-x^2))*asinh(x)/x^3 = ((S1 - S2)/s) * A
+        diff = [p - m for p, m in zip(_sqrt_series(10, 1), _sqrt_series(10, -1))][1:]
+        den = _product(diff, ASINH)
+        # x - asinh(x) = x^3 * (-(A - 1)/s)
+        deficit = [-a for a in ASINH[1:]]
+        for table, exact in ((ratios._GQ_NUM_COEFFS, num), (ratios._GQ_DEN_COEFFS, den),
+                             (ratios._ASINH_DEFICIT_COEFFS, deficit)):
+            assert list(table) == [float(c) for c in exact[:len(table)]]
+        assert len(ratios._GQ_NUM_COEFFS) + len(ratios._GQ_DEN_COEFFS) \
+            + len(ratios._ASINH_DEFICIT_COEFFS) == 27
+
+    @pytest.mark.parametrize("family,series", [
+        (MeanFamily.NEUMAN_SANDOR, ASINH), (MeanFamily.SEIFFERT_FIRST, ASIN),
+        (MeanFamily.SEIFFERT_SECOND, ATAN), (MeanFamily.LOGARITHMIC, ATANH)])
+    def test_kernel_series(self, family, series):
+        # the kernel's small-gap branch is 1/(1 + s*(c1 + s*(c2 + s*c3))) with
+        # c_n the series of f(x)/x; its folded literals sit in the code objects
+        def floats(code):
+            for const in code.co_consts:
+                if isinstance(const, float):
+                    yield const
+                elif isinstance(const, types.CodeType):
+                    yield from floats(const)
+
+        consts = set(floats(means._SHAPES[family].__code__))
+        for c in series[1:4]:
+            assert float(c) in consts, c
