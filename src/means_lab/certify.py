@@ -68,7 +68,6 @@ __all__ = [
     "Relation",
     "SharpAt",
     "Objective",
-    "ConvexCombination",
     "BoundClaim",
     "CertificationReport",
     "SharpnessReport",
@@ -122,30 +121,20 @@ class Objective(Enum):
 
 
 @dataclass(frozen=True)
-class ConvexCombination:
-    """w * first + (1-w) * second."""
+class BoundClaim:
+    """A one-sided bound of M by weight * first + (1-weight) * second at the
+    claimed sharp weight; sharp_at is the gap endpoint where it bites."""
 
     weight: float
     first: MeanKind
     second: MeanKind
+    relation: Relation
+    sharp_at: SharpAt
 
     def __post_init__(self) -> None:
         check_real("weight", self.weight, 0.0, 1.0)
         check_type("first", self.first, MeanKind)
         check_type("second", self.second, MeanKind)
-
-
-@dataclass(frozen=True)
-class BoundClaim:
-    """A one-sided weighted-mean bound against M; the combination's weight is
-    the claimed sharp weight, and sharp_at the gap endpoint where it bites."""
-
-    combination: ConvexCombination
-    relation: Relation
-    sharp_at: SharpAt
-
-    def __post_init__(self) -> None:
-        check_type("combination", self.combination, ConvexCombination)
         check_type("relation", self.relation, Relation)
         check_type("sharp_at", self.sharp_at, SharpAt)
 
@@ -179,8 +168,8 @@ def theorem_claims(which: str) -> list[tuple[str, BoundClaim]]:
     if which not in table:
         raise DomainError(f"unknown theorem {which!r}; expected 1.1, 1.2 or 1.3")
     first, second, alpha, alpha_at, beta, beta_at = table[which]
-    lower = BoundClaim(ConvexCombination(alpha, first, second), Relation.LESS_THAN_M, alpha_at)
-    upper = BoundClaim(ConvexCombination(beta, first, second), Relation.GREATER_THAN_M, beta_at)
+    lower = BoundClaim(alpha, first, second, Relation.LESS_THAN_M, alpha_at)
+    upper = BoundClaim(beta, first, second, Relation.GREATER_THAN_M, beta_at)
     return [(f"{which}-lower", lower), (f"{which}-upper", upper)]
 
 
@@ -226,8 +215,8 @@ def _margin_fn(claims: list[BoundClaim]):
     """xs -> one column per claim of its normalized margins at the gaps xs;
     each shape column is computed once for all the claims that use it."""
     m = _shape_fn(NEUMAN_SANDOR)
-    rows = [(c.combination.weight, c.relation is Relation.LESS_THAN_M,
-             _shape_fn(c.combination.first), _shape_fn(c.combination.second)) for c in claims]
+    rows = [(c.weight, c.relation is Relation.LESS_THAN_M, _shape_fn(c.first), _shape_fn(c.second))
+            for c in claims]
     shapes = list(dict.fromkeys([m] + [shape for row in rows for shape in row[2:]]))
 
     def margins(xs: list[float]) -> list[list[float]]:
@@ -306,10 +295,9 @@ def sharpness_probe(claim: BoundClaim, epsilon: float) -> SharpnessReport:
     first rung where it breaks is the witness."""
     check_type("claim", claim, BoundClaim)
     check_real("epsilon", epsilon, 0.0, 1e-2, lo_open=True)
-    c = claim.combination
-    weight = c.weight - epsilon if claim.relation is Relation.LESS_THAN_M else c.weight + epsilon
-    # the combination checks that the perturbed weight stays in [0, 1]
-    perturbed = replace(claim, combination=replace(c, weight=weight))
+    lower = claim.relation is Relation.LESS_THAN_M
+    # the claim checks that the perturbed weight stays in [0, 1]
+    perturbed = replace(claim, weight=claim.weight - epsilon if lower else claim.weight + epsilon)
     xs = [0.5**k if claim.sharp_at is SharpAt.GAP_ZERO else 1.0 - 0.5**k for k in range(1, 50)]
     (column,) = _margin_fn([perturbed])(xs)
     x = next((x for x, margin in zip(xs, column) if margin < -_VIOLATION_THRESHOLD), None)

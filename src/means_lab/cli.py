@@ -2,10 +2,10 @@
 probing, constant recovery, and series verdicts, with table/JSON/CSV output.
 
 Exit codes: 0 = all claims hold / expected witness found, 1 = a verification
-failed, 2 = usage or domain error, 3 = internal error; a closed stdout drops
-the rest of the output and keeps the verdict's code.  Every JSON document
-carries the same top-level keys: command, seed, grid_size, samples, verdicts,
-worst_case; it is strict JSON, with every non-finite float written as null.
+failed, 2 = usage or domain error, 3 = internal error, 130 = interrupted; a
+closed stdout drops the rest of the output and keeps the verdict's code.
+Every JSON document carries the same top-level keys: command, seed, grid_size,
+samples, verdicts, worst_case; it is strict JSON, non-finite floats as null.
 """
 
 from __future__ import annotations
@@ -143,7 +143,7 @@ def _theorem_reports(args) -> list[dict]:
     for claim_id, claim in theorem_claims(args.target):
         override = args.weight_lower if claim.relation is Relation.LESS_THAN_M else args.weight_upper
         if override is not None:
-            claim = replace(claim, combination=replace(claim.combination, weight=override))
+            claim = replace(claim, weight=override)
         ids.append(claim_id)
         claims.append(claim)
     # both claims of the theorem from one sweep of the grid
@@ -303,6 +303,9 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # the reader is gone; exit flushes stdout again
         with open(os.devnull, "w") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
     except Exception as exc:  # the one exit path: no traceback leaves the CLI
         expected = isinstance(exc, (DomainError, EvaluationError))
         detail = str(exc) if expected else f"internal {type(exc).__name__}: {exc}"

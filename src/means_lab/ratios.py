@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum, unique
 from typing import Callable, NamedTuple
 
-from .exceptions import DomainError, check_int, check_real, check_type
+from .exceptions import DomainError, check_real, check_type
 from .means import stable_asinh
 from .series import CoefficientKind, _horner, solve_p0, truncated_quotient
 
@@ -308,22 +308,25 @@ def mu_lambda0(x: float) -> float:
     return first * s1 - second * s2
 
 
-def locate_h_lambda0_sign_change(grid_points: int = 10_000, tol: float = 1e-12) -> float:
-    """The unique root x0 of h_lambda0 in (0, 0.9): grid scan to isolate the
-    bracket (verifying there is exactly one sign change), then bisection."""
-    check_int("grid_points", grid_points, 10)
-    check_real("tol", tol, 0.0, math.inf, lo_open=True)
-    xs = [0.9 * k / grid_points for k in range(grid_points + 1)]
+_SIGN_SCAN_POINTS = 10_000  # isolate the one sign change of h_lambda0 on (0, 0.9)
+
+
+def locate_h_lambda0_sign_change() -> float:
+    """The unique root of h_lambda0 in (0, 0.9), as the float just below it: a
+    grid scan checks there is one sign change, and bisection narrows it."""
+    n = _SIGN_SCAN_POINTS
+    xs = [0.9 * k / n for k in range(n + 1)]
     values = [h_lambda0(x) for x in xs]
-    brackets = [i for i in range(grid_points) if values[i] > 0.0 >= values[i + 1]]
-    flips = [i for i in range(grid_points) if (values[i] > 0.0) != (values[i + 1] > 0.0)]
-    if len(brackets) != 1 or len(flips) != 1:
+    flips = [i for i in range(n) if (values[i] > 0.0) != (values[i + 1] > 0.0)]
+    # one flip, from a positive start, is the one bracket where h_lambda0 falls
+    if len(flips) != 1 or values[0] <= 0.0:
         raise DomainError(f"expected exactly one sign change on (0, 0.9), found {len(flips)}")
-    lo, hi = xs[brackets[0]], xs[brackets[0] + 1]
-    while hi - lo > tol:
+    lo, hi = xs[flips[0]], xs[flips[0] + 1]
+    # until lo and hi are adjacent, their midpoint rounds to a float between
+    while math.nextafter(lo, hi) < hi:
         mid = 0.5 * (lo + hi)
         if h_lambda0(mid) > 0.0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return lo

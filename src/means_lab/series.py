@@ -10,6 +10,7 @@ also makes them exact at t = 0 (first-coefficient ratio).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum, unique
@@ -107,12 +108,10 @@ def ratio_sequence_verdict(numerator_kind: CoefficientKind,
 @functools.lru_cache(maxsize=32)
 def _float_coefficients(kind: CoefficientKind, N: int) -> tuple[float, ...]:
     """The first N coefficients of a sequence, each correctly rounded from
-    its exact value.  Every sequence strictly decreases in n, so past the
-    first coefficient that underflows to 0.0 the rest are 0.0 unbuilt."""
-    coeffs = []
-    for n in range(1, N + 1):
-        coeffs.append(float(coefficient_exact(kind, n)) if n == 1 or coeffs[-1] else 0.0)
-    return tuple(coeffs)
+    its exact value, cut before the first that underflows to 0.0: every
+    sequence strictly decreases in n, so the rest would add exact zeros."""
+    floats = (float(coefficient_exact(kind, n)) for n in range(1, N + 1))
+    return tuple(itertools.takewhile(bool, floats))
 
 
 def _horner(coeffs, s: float) -> float:

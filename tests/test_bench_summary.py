@@ -59,7 +59,7 @@ def test_summary_layout(runs_dir):
     out = tool.summarize(runs_dir, BENCHMARK, "a change", "abc123", "grid:pass_s",
                          {"host": "a test host"})
     assert list(out) == ["change", "parent_commit", "change_commit", "claim", "conditions",
-                         "src_lines", "workloads"]
+                         "reference", "src_lines", "workloads"]
     assert out["src_lines"] == {"parent": {"src.src_lines": 100}, "change": {"src.src_lines": 90}}
     conditions = out["conditions"]
     assert conditions["seeds"] == SEEDS and conditions["held_out_seed"] == 101
@@ -146,6 +146,29 @@ def test_regression_beyond_the_bound_is_flagged(tmp_path):
     (1.0, 0.0, 0.5, 0.5), (-1.0, 0.0, 0.0, 0.0)])
 def test_relative_worsening(sign, parent, change, worse_by):
     assert tool.relative_worsening(sign, parent, change) == pytest.approx(worse_by)
+
+
+def test_drift_from_the_reference_file(runs_dir, tmp_path, monkeypatch):
+    # the reference has the grid workload's pass_s and ok_share, but not the
+    # chain workload; its change medians are never read
+    reference = {"workloads": {"grid": {"metrics": {
+        "pass_s": {"parent": {"median": 0.8}, "change": {"median": 5.0}},
+        "ok_share": {"parent": {"median": 1.0}, "change": {"median": 5.0}}}}}}
+    (tmp_path / "BENCH_0.json").write_text(json.dumps(reference))
+    monkeypatch.setattr(tool, "REFERENCE", tmp_path / "BENCH_0.json")
+    out = tool.summarize(runs_dir, BENCHMARK, "c", "p")
+    assert out["reference"]["file"] == "BENCH_0.json"
+    assert "not paired" in out["reference"]["note"]
+    grid = out["workloads"]["grid"]["metrics"]
+    # a change median of 0.845 s against 0.8 s drifts 5.6% worse, and is not
+    # flagged: regressed still compares with the paired parent runs only
+    assert grid["pass_s"]["reference_median"] == 0.8
+    assert grid["pass_s"]["drift"] == pytest.approx((0.845 - 0.8) / 0.8)
+    assert grid["pass_s"]["regressed"] is False
+    # higher is better: the change median 1.0 equals the reference
+    assert grid["ok_share"]["drift"] == 0.0
+    chain = out["workloads"]["chain"]["metrics"]["pass_s"]
+    assert "reference_median" not in chain and "drift" not in chain
 
 
 def test_mismatched_seeds_rejected(runs_dir):

@@ -3,13 +3,13 @@ import math
 import random
 import re
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
 from means_lab import certify, means, ratios
 from means_lab import (
     BoundClaim,
-    ConvexCombination,
     DomainError,
     Endpoint,
     GRID_EDGE,
@@ -48,12 +48,12 @@ ALL_CLAIMS = [item for name in ("1.1", "1.2", "1.3") for item in theorem_claims(
 class TestClaimConstruction:
     def test_weights_and_endpoints(self):
         claims = dict(ALL_CLAIMS)
-        assert claims["1.1-lower"].combination.weight == C.alpha1
-        assert claims["1.1-upper"].combination.weight == C.beta1
-        assert claims["1.2-lower"].combination.weight == C.alpha2
-        assert claims["1.2-upper"].combination.weight == C.beta2
-        assert claims["1.3-lower"].combination.weight == C.alpha3
-        assert claims["1.3-upper"].combination.weight == C.beta3
+        assert claims["1.1-lower"].weight == C.alpha1
+        assert claims["1.1-upper"].weight == C.beta1
+        assert claims["1.2-lower"].weight == C.alpha2
+        assert claims["1.2-upper"].weight == C.beta2
+        assert claims["1.3-lower"].weight == C.alpha3
+        assert claims["1.3-upper"].weight == C.beta3
         for cid, claim in ALL_CLAIMS:
             expected_relation = Relation.LESS_THAN_M if cid.endswith("lower") else Relation.GREATER_THAN_M
             assert claim.relation is expected_relation
@@ -71,16 +71,17 @@ class TestClaimConstruction:
             theorem_claims("2.1")
 
     def test_combination_validation(self):
-        with pytest.raises(DomainError):
-            ConvexCombination(1.2, HARMONIC, QUADRATIC)
-        with pytest.raises(DomainError):
-            ConvexCombination(-0.1, HARMONIC, QUADRATIC)
-        with pytest.raises(DomainError):
-            ConvexCombination(True, HARMONIC, QUADRATIC)
+        for weight in (1.2, -0.1, True):
+            with pytest.raises(DomainError, match="weight"):
+                BoundClaim(weight, HARMONIC, QUADRATIC, Relation.LESS_THAN_M, SharpAt.GAP_ZERO)
 
     @pytest.mark.parametrize("field,bad", [
-        ("combination", (0.3, HARMONIC, QUADRATIC)),
-        ("combination", None),
+        ("weight", None),
+        ("weight", "0.3"),
+        ("first", "H"),
+        ("first", None),
+        ("second", QUADRATIC.token),
+        ("second", (0.3, HARMONIC, QUADRATIC)),
         ("relation", Relation.LESS_THAN_M.value),
         ("relation", "lower"),
         ("sharp_at", SharpAt.GAP_ZERO.value),
@@ -89,7 +90,7 @@ class TestClaimConstruction:
     def test_claim_fields_checked(self, field, bad):
         # an enum's own value is not the enum: "combination < M" was once
         # verified as an upper bound, and "gap-zero" walked toward gap 1
-        fields = {"combination": ConvexCombination(0.3, HARMONIC, QUADRATIC),
+        fields = {"weight": 0.3, "first": HARMONIC, "second": QUADRATIC,
                   "relation": Relation.LESS_THAN_M, "sharp_at": SharpAt.GAP_ZERO}
         BoundClaim(**fields)
         fields[field] = bad
@@ -145,14 +146,12 @@ class TestVerifyBound:
         assert report.grid_size == 2000
 
     def test_degenerate_quadratic_upper(self):
-        claim = BoundClaim(ConvexCombination(0.0, HARMONIC, QUADRATIC),
-                           Relation.GREATER_THAN_M, SharpAt.GAP_ONE)
+        claim = BoundClaim(0.0, HARMONIC, QUADRATIC, Relation.GREATER_THAN_M, SharpAt.GAP_ONE)
         report = verify_bound(claim, 500)
         assert report.holds and report.min_margin > 0.0
 
     def test_below_sharp_lower_weight_fails(self):
-        claim = BoundClaim(ConvexCombination(0.2210, HARMONIC, QUADRATIC),
-                           Relation.LESS_THAN_M, SharpAt.GAP_ZERO)
+        claim = BoundClaim(0.2210, HARMONIC, QUADRATIC, Relation.LESS_THAN_M, SharpAt.GAP_ZERO)
         report = verify_bound(claim, 2000)
         assert not report.holds
         assert report.min_margin < 0.0
@@ -172,26 +171,20 @@ class TestVerifyBound:
     def test_no_resolvable_margin_does_not_hold(self, relation):
         # M against the combination 0.5*M + 0.5*M: every margin is exactly
         # zero, so neither M < M nor M > M may hold
-        claim = BoundClaim(ConvexCombination(0.5, NEUMAN_SANDOR, NEUMAN_SANDOR),
-                           relation, SharpAt.GAP_ZERO)
+        claim = BoundClaim(0.5, NEUMAN_SANDOR, NEUMAN_SANDOR, relation, SharpAt.GAP_ZERO)
         report = verify_bound(claim, 100)
         assert report.min_margin == math.inf
         assert report.near_zero == 100
         assert not report.holds
 
 
-def _with_weight(claim, weight):
-    c = claim.combination
-    return BoundClaim(ConvexCombination(weight, c.first, c.second), claim.relation, claim.sharp_at)
-
-
 def _point_margin(claim, weight, x):
     """The claim's normalized margin at gap x with its combination weighted
     by weight, one point at a time: the reference for the column sweeps."""
-    c = claim.combination
     v = 1.0 - x
     m_x = means._shape_fn(NEUMAN_SANDOR)([x], [v])[0]
-    first, second = means._shape_fn(c.first)([x], [v])[0], means._shape_fn(c.second)([x], [v])[0]
+    first = means._shape_fn(claim.first)([x], [v])[0]
+    second = means._shape_fn(claim.second)([x], [v])[0]
     combo = weight * first + (1.0 - weight) * second
     return m_x - combo if claim.relation is Relation.LESS_THAN_M else combo - m_x
 
@@ -200,7 +193,7 @@ def _point_margin(claim, weight, x):
 # lies past the first block of the sweep
 SWEEP_CASES = {
     **{t: [claim for _, claim in theorem_claims(t)] for t in ("1.1", "1.2", "1.3")},
-    "1.1-lower-0.2210": [_with_weight(theorem_claims("1.1")[0][1], 0.2210),
+    "1.1-lower-0.2210": [replace(theorem_claims("1.1")[0][1], weight=0.2210),
                          theorem_claims("1.1")[1][1]],
 }
 BLOCK = certify._SWEEP_BLOCK
@@ -226,7 +219,7 @@ class TestOneSweep:
         grid = gap_grid(n)
         worst = []
         for claim, report in zip(claims, reports):
-            weight = claim.combination.weight
+            weight = claim.weight
             best, worst_x, near = math.inf, 0.5, 0
             for x in grid:
                 margin = _point_margin(claim, weight, x)
@@ -356,8 +349,7 @@ class TestSharpness:
                 sharpness_probe(claim, eps)
 
     def test_perturbed_weight_must_stay_in_unit_interval(self):
-        claim = BoundClaim(ConvexCombination(0.0, HARMONIC, QUADRATIC),
-                           Relation.LESS_THAN_M, SharpAt.GAP_ZERO)
+        claim = BoundClaim(0.0, HARMONIC, QUADRATIC, Relation.LESS_THAN_M, SharpAt.GAP_ZERO)
         with pytest.raises(DomainError):
             sharpness_probe(claim, 1e-3)
 
@@ -366,8 +358,8 @@ class TestSharpness:
     def test_equals_per_point_walk(self, claim_id, claim, epsilon):
         # halve the offset from the sharp end from 0.5 while it is at least
         # 1e-15, and stop at the first margin below -_VIOLATION_THRESHOLD
-        c = claim.combination
-        weight = c.weight - epsilon if claim.relation is Relation.LESS_THAN_M else c.weight + epsilon
+        lower = claim.relation is Relation.LESS_THAN_M
+        weight = claim.weight - epsilon if lower else claim.weight + epsilon
         witness, offset = None, 0.5
         while witness is None and offset >= 1e-15:
             x = offset if claim.sharp_at is SharpAt.GAP_ZERO else 1.0 - offset
@@ -388,10 +380,10 @@ class TestSharpness:
 
     def test_probe_perturbs_the_verified_weight(self):
         # one weight per claim: 1.1-lower at 0.3 holds, and so does 0.3 - 1e-3
-        claim = _with_weight(theorem_claims("1.1")[0][1], 0.3)
+        claim = replace(theorem_claims("1.1")[0][1], weight=0.3)
         assert verify_bound(claim, 500).holds
         assert not sharpness_probe(claim, 1e-3).violated
-        assert sharpness_probe(_with_weight(claim, 0.2), 1e-3).violated
+        assert sharpness_probe(replace(claim, weight=0.2), 1e-3).violated
 
     def test_sharpness_duality(self):
         # the bound holds at the sharp weight and breaks at eps past it

@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -279,6 +281,28 @@ class TestFormats:
             os.close(write_end)
         assert proc.returncode == code
         assert proc.stderr == ""
+
+    def test_interrupt_exit_130_without_traceback(self):
+        # a 20M-point grid is still sweeping 1.5 s in; the child gets the
+        # default SIGINT action even where this process ignores SIGINT, since
+        # Python turns SIGINT into KeyboardInterrupt only if it was not ignored
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "means_lab", "verify", "1.1", "--grid", "20000000",
+             "--format", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+        try:
+            time.sleep(1.5)
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == 130
+        assert out == ""
+        assert "Traceback" not in err
+        assert err == "error: interrupted\n"
 
     def test_unexpected_error_exit_3_without_traceback(self, capsys, monkeypatch):
         def boom(args):

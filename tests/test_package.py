@@ -10,11 +10,13 @@ import means_lab
 from means_lab import certify, means, ratios, series
 from means_lab import (
     HARMONIC,
+    BoundClaim,
     CoefficientKind,
-    ConvexCombination,
     DomainError,
     MeanKind,
     RatioFunctionKind,
+    Relation,
+    SharpAt,
     coefficient_exact,
     endpoint_value,
     evaluate_mean,
@@ -42,7 +44,7 @@ def test_exports_exactly_the_module_apis():
     (lambda: MeanKind("Lp", 2.0), "family", "Lp"),
     (lambda: evaluate_mean("H", (1, 2)), "mean kind", "H"),
     (lambda: mean_shape("M", 0.3), "mean kind", "M"),
-    (lambda: ConvexCombination(0.3, HARMONIC, "Q"), "second", "Q"),
+    (lambda: BoundClaim(0.3, HARMONIC, "Q", Relation.LESS_THAN_M, SharpAt.GAP_ZERO), "second", "Q"),
     (lambda: ratio_function_domain("phi-hq"), "ratio function kind", "phi-hq"),
     (lambda: endpoint_value(RatioFunctionKind.PHI_HQ, "lower"), "endpoint", "lower"),
     # a str is one bad argument, not a sequence of them: these two were once
@@ -55,7 +57,7 @@ def test_exports_exactly_the_module_apis():
     # a kind's value once raised "unknown coefficient kind 'A'"
     (lambda: coefficient_exact("A", 1), "coefficient kind", "A"),
     (lambda: ratio_sequence_verdict("A", CoefficientKind.B, 5), "coefficient kind", "A"),
-], ids=["MeanKind-value", "MeanKind-Lp-value", "evaluate_mean", "mean_shape", "ConvexCombination",
+], ids=["MeanKind-value", "MeanKind-Lp-value", "evaluate_mean", "mean_shape", "BoundClaim",
         "ratio_function_domain", "endpoint_value", "recover_constant", "verify_bound",
         "sharpness_probe", "truncated_quotient", "coefficient_exact", "ratio_sequence_verdict"])
 def test_class_arguments_checked(call, name, value):

@@ -269,6 +269,13 @@ class TestLemmaSignFunctions:
         assert x0 == pytest.approx(0.6400838152032047, abs=1e-9)
         assert h_lambda0(x0 - 1e-6) > 0.0 > h_lambda0(x0 + 1e-6)
 
+    def test_sign_change_brackets_adjacent_floats(self):
+        # the bisection ends on two adjacent floats, the lower one still
+        # positive; a width tolerance once stopped it 609 ulps past the root,
+        # where h_lambda0 reads -1.77e-13
+        x0 = locate_h_lambda0_sign_change()
+        assert h_lambda0(x0) > 0.0 >= h_lambda0(math.nextafter(x0, 1.0))
+
     def test_mu_lambda0_values(self):
         assert rel_err(mu_lambda0(0.9), "-1.679602424891762267635") < 1e-13
         assert mu_lambda0(0.9) <= -0.3514 + 1e-3
@@ -281,8 +288,6 @@ class TestLemmaSignFunctions:
     def test_mu_domain(self):
         with pytest.raises(DomainError):
             mu_lambda0(0.95)
-        with pytest.raises(DomainError):
-            locate_h_lambda0_sign_change(100, float("nan"))
 
     def test_subcase_bracket_values(self):
         lam = C.lambda0

@@ -44,10 +44,20 @@ class TestCoefficients:
                 assert coefficient_exact(kind, n) > 0
 
     def test_float_coefficients_are_the_rounded_exact_values(self):
-        # past n ~ 100 every coefficient underflows; the filled zeros must agree
+        # past n ~ 100 every coefficient underflows; the returned prefix is the
+        # rounded exact values, and every coefficient it leaves out rounds to 0.0
         for kind in (A, B, C, D):
-            assert _float_coefficients(kind, 150) == tuple(
-                float(coefficient_exact(kind, n)) for n in range(1, 151))
+            coeffs = _float_coefficients(kind, 150)
+            assert coeffs == tuple(float(coefficient_exact(kind, n))
+                                   for n in range(1, len(coeffs) + 1))
+            assert all(float(coefficient_exact(kind, n)) == 0.0
+                       for n in range(len(coeffs) + 1, 151))
+
+    def test_float_coefficients_stop_at_the_first_underflow(self):
+        # once padded with zeros to N entries: N = 10**6 took seconds and
+        # tens of MB, and every entry past the 88th was 0.0
+        assert len(_float_coefficients(A, 10**6)) == 88
+        assert truncated_quotient(A, B, 0.5, 10**6) == truncated_quotient(A, B, 0.5, 200)
 
     def test_bad_index(self):
         for n in (0, -1, 1.5, "2"):

@@ -16,6 +16,9 @@ those lines back and writes, per workload and end-to-end metric of
 the change won or tied, how far its median moved in the worse direction
 (``worse_by``) and whether that exceeds the metric's bound (``regressed``);
 with ``--claim`` it also applies the gain rule to one workload's metric.
+Against the parent medians of REFERENCE, the first file this tool wrote, it
+also reports each metric's cumulative ``drift``: those runs come from another
+session and are not paired, so drift flags nothing and gates nothing.
 Standard library only.
 """
 
@@ -32,6 +35,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+REFERENCE = ROOT / "BENCH_12.json"
 SIDES = ("parent", "change")
 SEEDS = (101, 41, 42, 43, 44, 45, 46, 47, 48, 49)
 COMMAND = "python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0"
@@ -89,6 +93,7 @@ def summarize(runs_dir: Path, benchmark: dict, change: str, parent_commit: str,
               claim: str | None = None, notes: dict | None = None) -> dict:
     runs = {side: read_runs(runs_dir / f"{side}.jsonl") for side in SIDES}
     metrics = benchmark["end_to_end"]
+    reference = json.loads(REFERENCE.read_text())["workloads"]
     workloads = {}
     for name in dict.fromkeys(cond["workload"] for cond, _ in runs["parent"]):
         sides = {side: [run for run in runs[side] if run[0]["workload"] == name] for side in SIDES}
@@ -115,6 +120,12 @@ def summarize(runs_dir: Path, benchmark: dict, change: str, parent_commit: str,
                 "tied_pairs": sum(g == 0.0 for g in gains),
                 "worse_by": worse_by, "regressed": worse_by > metric["bound"],
             }
+            old = reference.get(name, {}).get("metrics", {}).get(metric["name"])
+            if old:
+                entry["metrics"][metric["name"]].update(
+                    reference_median=old["parent"]["median"],
+                    drift=relative_worsening(sign, old["parent"]["median"],
+                                             spreads["change"]["median"]))
         workloads[name] = entry
     conditions = runs["parent"][0][0]
     all_seeds = list(dict.fromkeys(cond["seed"] for cond, _ in runs["parent"]))
@@ -131,6 +142,11 @@ def summarize(runs_dir: Path, benchmark: dict, change: str, parent_commit: str,
         "seeds": all_seeds,
         "held_out_seed": all_seeds[0],
     }
+    out["reference"] = {
+        "file": REFERENCE.name,
+        "note": ("reference_median is the parent median of this file and drift the change "
+                 "median's worsening from it; those runs come from another session and are "
+                 "not paired with these, so drift flags nothing and gates nothing")}
     out["src_lines"] = {side: runs[side][0][0]["src_lines"] for side in SIDES}
     out["workloads"] = workloads
     return out
