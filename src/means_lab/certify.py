@@ -13,8 +13,10 @@ no resolvable margin (``min_margin`` inf) does not hold.
 All three sweeps (the gap grid of ``verify_bound``, the seeded draws of
 ``verify_chain`` and ``verify_corpus``) go through one walker, ``_sweep``,
 which maps their blocks of points, each made only when it is reached, to
-margin columns, each mean's column computed by one call of its shape kernel
-in ``means``, and ranks them; ``_report`` turns its result into a report.
+margin columns, and ranks them; ``_report`` turns its result into a report.
+Each sweep's margins are output expressions of one kernel compiled by
+``means._kernel``, which computes every mean and margin of a block in one
+list comprehension.
 Memory so holds one block and does not grow with the grid or sample size.
 A theorem's claims share a sweep, as a ratio function's objectives share one
 scan in ``recover_constant``.
@@ -47,7 +49,7 @@ from .means import (
     MeanKind,
     PositivePair,
     _columns_fn,
-    _shape_fn,
+    _kernel,
     evaluate_mean,  # with mean_shape, unused here but rebound by perfbench/tracer.py
     generalized_log,
     mean_shape,
@@ -211,28 +213,20 @@ def _grid_blocks(n: int):
     return blocks()
 
 
+# a claim's normalized margin, M against weight*first + rest*second with
+# rest = 1 - weight, as a kernel output template
+_MARGINS = {
+    Relation.LESS_THAN_M: "{m} - ({weight} * {first} + {rest} * {second})",
+    Relation.GREATER_THAN_M: "({weight} * {first} + {rest} * {second}) - {m}",
+}
+
+
 def _margin_fn(claims: list[BoundClaim]):
-    """xs -> one column per claim of its normalized margins at the gaps xs;
-    each shape column is computed once for all the claims that use it."""
-    m = _shape_fn(NEUMAN_SANDOR)
-    rows = [(c.weight, c.relation is Relation.LESS_THAN_M, _shape_fn(c.first), _shape_fn(c.second))
-            for c in claims]
-    shapes = list(dict.fromkeys([m] + [shape for row in rows for shape in row[2:]]))
-
-    def margins(xs: list[float]) -> list[list[float]]:
-        vs = [1.0 - x for x in xs]
-        columns = {shape: shape(xs, vs) for shape in shapes}
-        out = []
-        for weight, lower, first, second in rows:
-            rest = 1.0 - weight
-            triples = zip(columns[m], columns[first], columns[second])
-            if lower:
-                out.append([m_x - (weight * f + rest * s) for m_x, f, s in triples])
-            else:
-                out.append([(weight * f + rest * s) - m_x for m_x, f, s in triples])
-        return out
-
-    return margins
+    """xs -> one column per claim of its normalized margins at the gaps xs,
+    from one kernel that computes each shape once per gap."""
+    return _kernel([(_MARGINS[c.relation], {"m": NEUMAN_SANDOR, "first": c.first, "second": c.second,
+                                            "weight": c.weight, "rest": 1.0 - c.weight})
+                    for c in claims], unit=True)
 
 
 def _sweep(blocks, margin_columns) -> list[tuple[float, int, object, int]]:
@@ -377,18 +371,19 @@ def _chain_draw(rng: random.Random, count: int) -> list[tuple[float, float]]:
 def _sampled_sweep(draw, rng: random.Random, sample_count: int, margin_columns,
                    seed: int) -> CertificationReport:
     """Report over sample_count pairs (a, b) that draw(rng, count) returns a
-    block at a time; margin_columns maps a block's columns (as, bs) to margin
-    columns (a chain pair has a >= b, a ky-fan pair either order)."""
+    block at a time; margin_columns maps a block of pairs to margin columns
+    (a chain pair has a >= b, a ky-fan pair either order)."""
     blocks = (draw(rng, min(_SWEEP_BLOCK, sample_count - start))
               for start in range(0, sample_count, _SWEEP_BLOCK))
-    # itemgetter, unlike zip(*pairs), builds no iterator per pair
-    a_of, b_of = operator.itemgetter(0), operator.itemgetter(1)
-    scans = _sweep(blocks, lambda pairs: margin_columns(list(map(a_of, pairs)),
-                                                        list(map(b_of, pairs))))
+    scans = _sweep(blocks, margin_columns)
     # a tie between columns goes to the earlier draw, whatever the column order
     best, _, worst, _ = min(scans, key=operator.itemgetter(0, 1))
     return _report(sample_count, best, worst, sum(scan[3] for scan in scans),
                    lambda pair: PositivePair(*pair), seed)
+
+
+# one step of the chain, normalized by A
+_CHAIN_STEP = "({above} - {below}) / {a}"
 
 
 def verify_chain(sample_count: int, seed: int) -> CertificationReport:
@@ -396,16 +391,9 @@ def verify_chain(sample_count: int, seed: int) -> CertificationReport:
     reporting the smallest resolvable normalized margin."""
     check_int("sample_count", sample_count, 1)
     check_int("seed", seed, 0)
-    columns = _columns_fn(CHAIN_ORDER)
-    a_index = CHAIN_ORDER.index(ARITHMETIC)
-
-    def margins(as_, bs):
-        values = columns(bs, as_)  # a chain pair has a >= b
-        a_means = values[a_index]
-        return [list(map(operator.truediv, map(operator.sub, above, below), a_means))
-                for below, above in zip(values, values[1:])]
-
-    return _sampled_sweep(_chain_draw, random.Random(seed), sample_count, margins, seed)
+    steps = _kernel([(_CHAIN_STEP, {"above": above, "below": below, "a": ARITHMETIC})
+                     for below, above in zip(CHAIN_ORDER, CHAIN_ORDER[1:])])
+    return _sampled_sweep(_chain_draw, random.Random(seed), sample_count, steps, seed)
 
 
 # The two weighted Q/A displays cannot both be sharp as printed; they are
@@ -435,50 +423,45 @@ def _ky_fan_draw(rng: random.Random, count: int) -> list[tuple[float, float]]:
     return [_ky_fan_pair(rng.random) for _ in range(count)]
 
 
-def _pair_margins(margin, *kinds):
-    """(as, bs) -> [the column of margin(a, m, *values) per pair], from the
-    columns of A, M and kinds, for chain pairs (a >= b)."""
-    columns = _columns_fn((ARITHMETIC, NEUMAN_SANDOR) + kinds)
-    return lambda as_, bs: [list(itertools.starmap(margin, zip(*columns(bs, as_))))]
-
-
-def _qa_margin(weight: float, lower: bool, a: float, m: float, q: float) -> float:
-    """M against weight*Q + (1-weight)*A, normalized by A."""
-    combo = weight * q + (1.0 - weight) * a
-    return (m - combo if lower else combo - m) / a
-
-
 def _corpus_claims():
     """(claim_id, draw, margin_columns) triples; draw samples a block of
-    pairs (a, b) from an rng, margin_columns maps the (as, bs) columns of a
-    block to a one-column list: each pair's smallest normalized margin over
-    the claim's strict inequalities."""
+    pairs (a, b) from an rng, margin_columns maps a block to a one-column
+    list: each pair's smallest normalized margin over the claim's strict
+    inequalities."""
     neuman_alpha = (1.0 - ASINH_ONE) / ((math.sqrt(2.0) - 1.0) * ASINH_ONE)
     neuman_lambda = (1.0 - ASINH_ONE) / ASINH_ONE
     ky_fan_means = _columns_fn(_KY_FAN_KINDS)
 
-    def ky_fan(as_, bs):
+    def ky_fan(pairs):
         # ky-fan's draws are unordered: order them, and the mirror pairs (1-a, 1-b)
-        los, his = list(map(min, as_, bs)), list(map(max, as_, bs))
-        mirrors = ky_fan_means([1.0 - hi for hi in his], [1.0 - lo for lo in los])
+        ordered = [(a, b) if a > b else (b, a) for a, b in pairs]
+        mirrors = ky_fan_means([(1.0 - lo, 1.0 - hi) for hi, lo in ordered])
         ratios = [list(map(operator.truediv, m, mirror))
-                  for m, mirror in zip(ky_fan_means(los, his), mirrors)]
+                  for m, mirror in zip(ky_fan_means(ordered), mirrors)]
         steps = [list(map(operator.sub, nxt, prev)) for prev, nxt in zip(ratios, ratios[1:])]
         return [list(map(min, *steps))]
 
+    def qa(weight: float, relation: Relation):
+        # M against weight*Q + (1-weight)*A, normalized by A
+        return "(" + _MARGINS[relation] + ") / {a}", {"first": QUADRATIC, "second": ARITHMETIC,
+                                                      "weight": weight, "rest": 1.0 - weight}
+
+    # each margin over A, M and the claim's slots
     pair_claims = [
-        ("pm-lt-a2", lambda a, m, p: (a * a - p * m) / (a * a), SEIFFERT_FIRST),
-        ("at-lt-m2", lambda a, m, t: (m * m - a * t) / (a * a), SEIFFERT_SECOND),
-        ("m2-lt-square-mean", lambda a, m, t: ((a * a + t * t) / 2.0 - m * m) / (a * a), SEIFFERT_SECOND),
-        ("lp0-lt-m", lambda a, m, lp0: (m - lp0) / a, generalized_log(sharp_constants().p0)),
-        ("m-lt-l2", lambda a, m, l2: (l2 - m) / a, generalized_log(2.0)),
-        ("neuman-qa-alpha-lower", functools.partial(_qa_margin, neuman_alpha, True), QUADRATIC),
-        ("neuman-qa-beta-upper", functools.partial(_qa_margin, 1.0 / 3.0, False), QUADRATIC),
-        ("neuman-qa-lambda-lower", functools.partial(_qa_margin, neuman_lambda, True), QUADRATIC),
-        ("neuman-qa-mu-upper", functools.partial(_qa_margin, 1.0 / 6.0, False), QUADRATIC),
+        ("pm-lt-a2", "({a} * {a} - {p} * {m}) / ({a} * {a})", {"p": SEIFFERT_FIRST}),
+        ("at-lt-m2", "({m} * {m} - {a} * {t}) / ({a} * {a})", {"t": SEIFFERT_SECOND}),
+        ("m2-lt-square-mean", "(({a} * {a} + {t} * {t}) / 2.0 - {m} * {m}) / ({a} * {a})",
+         {"t": SEIFFERT_SECOND}),
+        ("lp0-lt-m", "({m} - {lp0}) / {a}", {"lp0": generalized_log(sharp_constants().p0)}),
+        ("m-lt-l2", "({l2} - {m}) / {a}", {"l2": generalized_log(2.0)}),
+        ("neuman-qa-alpha-lower", *qa(neuman_alpha, Relation.LESS_THAN_M)),
+        ("neuman-qa-beta-upper", *qa(1.0 / 3.0, Relation.GREATER_THAN_M)),
+        ("neuman-qa-lambda-lower", *qa(neuman_lambda, Relation.LESS_THAN_M)),
+        ("neuman-qa-mu-upper", *qa(1.0 / 6.0, Relation.GREATER_THAN_M)),
     ]
-    return [("ky-fan", _ky_fan_draw, ky_fan)] + [(claim_id, _chain_draw, _pair_margins(margin, kind))
-                                                 for claim_id, margin, kind in pair_claims]
+    return [("ky-fan", _ky_fan_draw, ky_fan)] + [
+        (claim_id, _chain_draw, _kernel([(margin, {"a": ARITHMETIC, "m": NEUMAN_SANDOR, **slots})]))
+        for claim_id, margin, slots in pair_claims]
 
 
 def verify_corpus(sample_count: int, seed: int) -> list[tuple[str, CertificationReport]]:

@@ -10,12 +10,19 @@ stays at the rounding level through the switch region.
 
 The diagonal a = b, excluded from the classical definitions, is defined here
 by continuity: every mean returns ``a`` exactly.
+
+Each shape is stated once, as source text in the table ``_SHAPES``.  One
+compiler, ``_kernel``, turns the shapes of some kinds and output expressions
+over their means into one function, compiled on first use and cached by its
+source: a block kernel evaluates every row of a block in one list
+comprehension, each mean once per row, and a scalar kernel one row, the
+path of ``evaluate_mean`` and ``mean_shape``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum, unique
 
@@ -180,57 +187,6 @@ def pair_from_gap(x: float, scale: float) -> PositivePair:
 stable_asinh = math.asinh
 
 
-# --- shape factors ------------------------------------------------------
-#
-# Each shape kernel maps the columns (xs, vs) to the column of
-# mean((1+x, 1-x)) for the unit arithmetic mean, with v the exact complement
-# 1-x of the gap x, in one list comprehension: a column costs one Python call,
-# not one per point.  The series below are the Maclaurin expansions of
-# f(x)/x in s = x^2, truncated after x^6; at the SMALL_GAP switch the omitted
-# x^8 term is below 1e-32 relative.
-
-
-def _neuman_sandor_shapes(xs: list[float], vs: list[float]) -> list[float]:
-    return [1.0 / (1.0 + (s := x * x) * (-1.0 / 6.0 + s * (3.0 / 40.0 + s * (-15.0 / 336.0))))
-            if x < SMALL_GAP else x / stable_asinh(x) for x in xs]
-
-
-def _seiffert_second_shapes(xs: list[float], vs: list[float]) -> list[float]:
-    return [1.0 / (1.0 + (s := x * x) * (-1.0 / 3.0 + s * (1.0 / 5.0 + s * (-1.0 / 7.0))))
-            if x < SMALL_GAP else x / math.atan(x) for x in xs]
-
-
-def _seiffert_first_shapes(xs: list[float], vs: list[float]) -> list[float]:
-    # past 0.5, asin(x) = pi/2 - 2*asin(sqrt((1-x)/2)) keeps full accuracy as x -> 1
-    return [1.0 / (1.0 + (s := x * x) * (1.0 / 6.0 + s * (3.0 / 40.0 + s * (15.0 / 336.0))))
-            if x < SMALL_GAP else x / math.asin(x) if x <= 0.5
-            else x / (0.5 * math.pi - 2.0 * math.asin(math.sqrt(0.5 * v)))
-            for x, v in zip(xs, vs)]
-
-
-def _logarithmic_shapes(xs: list[float], vs: list[float]) -> list[float]:
-    # atanh(x), as 0.5*log((1+x)/v) from the exact complement v past 0.5
-    return [1.0 / (1.0 + (s := x * x) * (1.0 / 3.0 + s * (1.0 / 5.0 + s * (1.0 / 7.0))))
-            if x < SMALL_GAP else x / math.atanh(x) if x <= 0.5
-            else x / (0.5 * math.log((1.0 + x) / v))
-            for x, v in zip(xs, vs)]
-
-
-# The shape kernel of every parameter-free family; L_p binds its exponent in
-# _shape_fn.
-_SHAPES = {
-    MeanFamily.HARMONIC: lambda xs, vs: [(1.0 + x) * v for x, v in zip(xs, vs)],
-    MeanFamily.GEOMETRIC: lambda xs, vs: [math.sqrt((1.0 + x) * v) for x, v in zip(xs, vs)],
-    MeanFamily.LOGARITHMIC: _logarithmic_shapes,
-    MeanFamily.SEIFFERT_FIRST: _seiffert_first_shapes,
-    MeanFamily.ARITHMETIC: lambda xs, vs: [1.0] * len(xs),
-    MeanFamily.NEUMAN_SANDOR: _neuman_sandor_shapes,
-    MeanFamily.SEIFFERT_SECOND: _seiffert_second_shapes,
-    MeanFamily.QUADRATIC: lambda xs, vs: [math.sqrt(1.0 + x * x) for x in xs],
-    MeanFamily.CONTRA_HARMONIC: lambda xs, vs: [1.0 + x * x for x in xs],
-}
-
-
 def _log_expm1_ratio(w: float) -> float:
     """log((1 - exp(-w))/w) for w != 0, any sign, without overflow."""
     if w < 0.0:
@@ -292,102 +248,181 @@ def _glog_log_shape(p: float, x: float, v: float, half_log_ratio: float) -> floa
     return (q * math.log1p(x) + _log_expm1_ratio(w) + math.log(half_log_ratio / x)) / p
 
 
-def _shape_fn(kind: MeanKind):
-    """The unchecked shape kernel (xs, vs) -> shapes of a kind, for
-    0 <= x < 1 and v = 1-x."""
-    p = kind.p
-    if p is None:
-        return _SHAPES[kind.family]
-    if abs(p + 1.0) < _GLOG_SPECIAL_EPS:
-        return _logarithmic_shapes
-    # _glog_log_shape's main branch, for 1e-3 <= w < inf, inline with h = atanh(x)
-    # up to 0.5, then 0.5*log((1+x)/v); other rows, and every row of a p in the
-    # cumulant window, call it
-    q = p + 1.0
-    cut = 1e-3 if abs(p) >= _GLOG_CUMULANT_LIMIT else math.inf
-    return lambda xs, vs: [
-        math.exp((q * math.log1p(x) + math.log(-math.expm1(-w) / w) + math.log(h / x)) / p)
-        if cut <= (w := 2.0 * q * (h := math.atanh(x) if x <= 0.5 else 0.5 * math.log((1.0 + x) / v))) < math.inf
-        else math.exp(_glog_log_shape(p, x, v, h)) for x, v in zip(xs, vs)]
+# --- shape expressions and the kernel compiler ---------------------------
+#
+# Per family, the source of its shape, the mean of the pair (1+x, 1-x) whose
+# arithmetic mean is 1, in the gap x, its exact complement v = 1-x and
+# s = x*x; and for H, G and A the source of their mean on a pair lo <= hi,
+# with t = lo + hi and h = t/2 (every other mean is h times its shape).  The
+# series are the Maclaurin expansions of f(x)/x in s, truncated after x^6; at
+# the SMALL_GAP switch the omitted x^8 term is below 1e-32 relative.  Past
+# 0.5, P uses asin(x) = pi/2 - 2*asin(sqrt(v/2)) and L atanh(x) =
+# 0.5*log((1+x)/v), which keep full accuracy as x -> 1.  L_p's shape is
+# _glog_log_shape's main branch, inline for cut <= w < inf; it reads
+# hl = atanh(x) and w = 2*q*hl, bound first by _LP_STEPS, and the exponent
+# p, q = p+1 and the cut-off, passed in when a kernel is built.  Names bound
+# per kind carry the kind's index k in the kernel.
+_SHAPES = {
+    MeanFamily.HARMONIC: ("(1.0 + x) * v", "2.0 * lo * (hi / t)"),
+    MeanFamily.GEOMETRIC: ("sqrt((1.0 + x) * v)", "sqrt(lo) * sqrt(hi)"),
+    MeanFamily.LOGARITHMIC: (
+        "1.0 / (1.0 + s * (1.0 / 3.0 + s * (1.0 / 5.0 + s * (1.0 / 7.0)))) if x < SMALL_GAP"
+        " else x / atanh(x) if x <= 0.5 else x / (0.5 * log((1.0 + x) / v))", None),
+    MeanFamily.SEIFFERT_FIRST: (
+        "1.0 / (1.0 + s * (1.0 / 6.0 + s * (3.0 / 40.0 + s * (15.0 / 336.0)))) if x < SMALL_GAP"
+        " else x / asin(x) if x <= 0.5 else x / (0.5 * pi - 2.0 * asin(sqrt(0.5 * v)))", None),
+    MeanFamily.ARITHMETIC: ("1.0", "h"),
+    MeanFamily.NEUMAN_SANDOR: (
+        "1.0 / (1.0 + s * (-1.0 / 6.0 + s * (3.0 / 40.0 + s * (-15.0 / 336.0)))) if x < SMALL_GAP"
+        " else x / asinh(x)", None),
+    MeanFamily.SEIFFERT_SECOND: (
+        "1.0 / (1.0 + s * (-1.0 / 3.0 + s * (1.0 / 5.0 + s * (-1.0 / 7.0)))) if x < SMALL_GAP"
+        " else x / atan(x)", None),
+    MeanFamily.QUADRATIC: ("sqrt(1.0 + s)", None),
+    MeanFamily.CONTRA_HARMONIC: ("1.0 + s", None),
+    MeanFamily.GENERALIZED_LOG: (
+        "exp((q{k} * log1p(x) + log(-expm1(-w{k}) / w{k}) + log(hl{k} / x)) / p{k})"
+        " if cut{k} <= w{k} < inf else exp(_glog_log_shape(p{k}, x, v, hl{k}))", None),
+}
+_LP_STEPS = (("hl{k}", "atanh(x) if x <= 0.5 else 0.5 * log((1.0 + x) / v)"),
+             ("w{k}", "2.0 * q{k} * hl{k}"))
+
+# Per kernel form (unit, block): its parameters, its row loop (None for a
+# scalar, which takes one row as its parameters) and the names bound per row
+# before the means.  A unit kernel reads gaps; a pair block reads pairs
+# (a, b) with a >= b > 0, both finite, and its rows with v outside
+# [1e-300, 1) (the diagonal, a sum past max_float, the log forms) take their
+# means from _mean, and x = 0, at which every binding is defined.
+_FORMS = {
+    (True, True): ("xs", "x in xs", (("v", "1.0 - x"), ("s", "x * x"))),
+    (False, True): ("rows", "hi, lo in rows", (
+        ("t", "lo + hi"), ("v", "2.0 * lo / t"), ("ok", "1e-300 <= v < 1.0"), ("x", "(hi - lo) / t"),
+        ("x", "(_LARGEST_GAP if _LARGEST_GAP < x else x) if ok else 0.0"), ("s", "x * x"),
+        ("h", "0.5 * t"))),
+    (True, False): ("x, v", None, (("s", "x * x"),)),
+    (False, False): ("lo, hi, t, x, v", None, (("s", "x * x"), ("h", "0.5 * t"))),
+}
+
+
+def _mean_steps(kind: MeanKind, k: int, unit: bool, block: bool, values: dict) -> list[tuple[str, str]]:
+    """The (name, source) bindings that compute kind's mean, or its shape if
+    unit, as m{k}; the values they read are added to values."""
+    shape, pair_form = _SHAPES[kind.family]
+    steps, p = [], kind.p
+    if p is not None and abs(p + 1.0) < _GLOG_SPECIAL_EPS:
+        shape = _SHAPES[MeanFamily.LOGARITHMIC][0]
+    elif p is not None:
+        steps += _LP_STEPS
+        values.update({f"p{k}": p, f"q{k}": p + 1.0,
+                       f"cut{k}": 1e-3 if abs(p) >= _GLOG_CUMULANT_LIMIT else math.inf})
+    mean = shape if unit else pair_form or "h * (" + shape + ")"
+    if not unit and p is not None:
+        mean = "min(max(" + mean + ", lo), hi)"
+    if block and not unit:
+        values[f"K{k}"] = kind
+        mean = "(" + mean + ") if ok else _mean(K{k}, lo, hi)"
+    return [(name.format(k=k), source.format(k=k)) for name, source in steps + [("m{k}", mean)]]
+
+
+@functools.lru_cache(maxsize=128)
+def _compiled(source: str):
+    """The factory make(*values) -> kernel of a kernel source, compiled on
+    first use."""
+    namespace = {"sqrt": math.sqrt, "asin": math.asin, "atan": math.atan, "atanh": math.atanh,
+                 "asinh": stable_asinh, "log": math.log, "log1p": math.log1p, "exp": math.exp,
+                 "expm1": math.expm1, "pi": math.pi, "inf": math.inf, "SMALL_GAP": SMALL_GAP,
+                 "_LARGEST_GAP": _LARGEST_GAP, "_mean": _mean, "_glog_log_shape": _glog_log_shape}
+    exec(compile(source, "<means kernel>", "exec"), namespace)
+    return namespace["make"]
+
+
+def _kernel(outputs, *, unit: bool = False, block: bool = True):
+    """One compiled function for outputs, a list of (template, slots): each
+    template is a fixed string of the calling code, an expression over the
+    names of its slots, and each slot is a MeanKind, standing for the kind's
+    mean on the row (its shape if unit), or a float passed in, never written
+    into the source.  Each mean is computed once per row, and a block kernel does
+    every row in one list comprehension:
+    - unit block: gaps xs -> one column of outputs per template;
+    - pair block: pairs (a, b), a >= b > 0 finite -> the same, a row's means
+      equal to _mean(kind, b, a) bit for bit;
+    - scalars (block False) take one row, (x, v) if unit, else a regular row
+      (lo, hi, t, x, v) of _mean, and return the one output.
+    Kernels are compiled once per source, so one compiled kernel serves
+    every weight and L_p exponent."""
+    values, binds, exprs, kinds = {}, [], [], {}
+    for template, slots in outputs:
+        names = {}
+        for slot, item in slots.items():
+            if isinstance(item, MeanKind):
+                if item not in kinds:
+                    kinds[item] = len(kinds)
+                    binds += _mean_steps(item, kinds[item], unit, block, values)
+                names[slot] = f"m{kinds[item]}"
+            else:
+                names[slot] = f"c{len(exprs)}{slot}"
+                values[names[slot]] = item
+        exprs.append(template.format(**names))
+    head, loop, prelude = _FORMS[unit, block]
+    binds = list(prelude) + binds
+    out = exprs[0] if len(exprs) == 1 else "(" + "".join(expr + ", " for expr in exprs) + ")"
+    if loop is None:
+        body = "".join(f"  {name} = {source}\n" for name, source in binds)
+        source = f"def make({', '.join(values)}):\n def row({head}):\n{body}  return {out}\n return row\n"
+    else:
+        rows = f"[{out} for {loop}" + "".join(f" for {name} in [{source}]" for name, source in binds) + "]"
+        body = f"[{rows}]" if len(exprs) == 1 else f"list(zip(*{rows}))"
+        source = f"def make({', '.join(values)}):\n return lambda {head}: {body}\n"
+    return _compiled(source)(**values)
+
+
+@functools.lru_cache(maxsize=256)
+def _scalar(kind: MeanKind, unit: bool):
+    """kind's compiled scalar: (x, v) -> its shape if unit, else
+    (lo, hi, t, x, v) -> its mean on a regular row of _mean."""
+    return _kernel([("{m}", {"m": kind})], unit=unit, block=False)
+
+
+def _columns_fn(kinds):
+    """pairs (a, b), a >= b > 0 finite -> per kind the column
+    (_mean(kind, b, a) for a, b in pairs), bit for bit, from one kernel."""
+    return _kernel([("{m}", {"m": kind}) for kind in kinds])
 
 
 def mean_shape(kind: MeanKind, x: float) -> float:
     """Value of the mean on the pair (1+x, 1-x): the scale-free profile used
     by the certification grids, clamped into [1-x, 1+x].  Requires
     0 <= x < 1."""
-    shape = _shape_fn(check_type("mean kind", kind, MeanKind))
+    check_type("mean kind", kind, MeanKind)
     x = check_real("gap", x, 0.0, 1.0, hi_open=True)
     v = 1.0 - x
-    return min(max(shape([x], [v])[0], v), 1.0 + x)
-
-
-def _regular_means(kind: MeanKind, los, his, ss, hs, xs, vs) -> list[float]:
-    """The column of the kind's means on rows with lo < hi, s = lo + hi
-    finite, h = s/2, gap x and complement v = 2*lo/s, v > 0 for L and L_p:
-    H and G from the pair, A as h, every other family as h times its shape,
-    and L_p clamped into [lo, hi]."""
-    fam = kind.family
-    if fam is MeanFamily.HARMONIC:
-        return [2.0 * lo * (hi / s) for lo, hi, s in zip(los, his, ss)]
-    if fam is MeanFamily.GEOMETRIC:
-        return [math.sqrt(lo) * math.sqrt(hi) for lo, hi in zip(los, his)]
-    if fam is MeanFamily.ARITHMETIC:
-        return hs.copy()
-    col = list(map(operator.mul, hs, _shape_fn(kind)(xs, vs)))
-    return col if kind.p is None else list(map(min, map(max, col, los), his))
+    return min(max(_scalar(kind, True)(x, v), v), 1.0 + x)
 
 
 def _mean(kind: MeanKind, lo: float, hi: float) -> float:
     """evaluate_mean without the argument checks: 0 < lo <= hi, both finite."""
     if lo == hi:
         return lo
-    s = lo + hi
-    if math.isinf(s):
+    t = lo + hi
+    if math.isinf(t):
         # exact power-of-two rescale keeps homogeneity bit-clean
         return 4.0 * _mean(kind, 0.25 * lo, 0.25 * hi)
-    x = min((hi - lo) / s, _LARGEST_GAP)
-    # 2*lo/s keeps the gap complement accurate where 1-x has already rounded
+    x = min((hi - lo) / t, _LARGEST_GAP)
+    # 2*lo/t keeps the gap complement accurate where 1-x has already rounded
     # away; once it is below 1e-300 the log forms read log(hi/lo) directly
-    v = 2.0 * lo / s
+    v = 2.0 * lo / t
     p = kind.p
     if v < 1e-300 and (p is not None or kind.family is MeanFamily.LOGARITHMIC):
         log_ratio = math.log(hi) - math.log(lo)
-        if _shape_fn(kind) is _logarithmic_shapes:  # L, and L_p near p = -1
+        if p is None or abs(p + 1.0) < _GLOG_SPECIAL_EPS:  # L, and L_p near p = -1
             return (hi - lo) / log_ratio
         log_shape = _glog_log_shape(p, x, v, 0.5 * log_ratio)
         unit = math.exp(log_shape)
         # a shape at or past underflow has lost precision (only p < -1):
         # reassemble the mean in log space
-        mean = 0.5 * s * unit if unit > 1e-300 else math.exp(log_shape + math.log(0.5 * s))
+        mean = 0.5 * t * unit if unit > 1e-300 else math.exp(log_shape + math.log(0.5 * t))
         return min(max(mean, lo), hi)
-    return _regular_means(kind, [lo], [hi], [s], [0.5 * s], [x], [v])[0]
-
-
-def _columns_fn(kinds):
-    """(los, his) -> per kind the column [_mean(k, lo, hi) for lo, hi in
-    zip(los, his)] bit for bit, for 0 < lo <= hi finite: one _regular_means
-    column per kind, in which the rows with v outside [1e-300, 1) (the
-    diagonal, a sum past max_float, the log forms) are replaced by _mean."""
-    def columns(los: list[float], his: list[float]) -> list[list[float]]:
-        ss = list(map(operator.add, los, his))
-        vs = [2.0 * lo / s for lo, s in zip(los, ss)]
-        # min((hi - lo) / s, _LARGEST_GAP) as min picks it, without a call per row
-        xs = [_LARGEST_GAP if _LARGEST_GAP < (x := (hi - lo) / s) else x
-              for lo, hi, s in zip(los, his, ss)]
-        odd = [i for i, v in enumerate(vs) if not 1e-300 <= v < 1.0]
-        for i in odd:  # v may be 0 here, and L's shape divides by v; every
-            xs[i], vs[i] = 0.0, 1.0  # kernel is defined at the unit diagonal
-        hs = [0.5 * s for s in ss]
-        cols = []
-        for kind in kinds:
-            col = _regular_means(kind, los, his, ss, hs, xs, vs)
-            for i in odd:
-                col[i] = _mean(kind, los[i], his[i])
-            cols.append(col)
-        return cols
-
-    return columns
-
+    return _scalar(kind, False)(lo, hi, t, x, v)
 
 def evaluate_mean(kind: MeanKind, pair) -> float:
     """Evaluate one mean on a pair of positive reals.

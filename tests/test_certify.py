@@ -182,9 +182,9 @@ def _point_margin(claim, weight, x):
     """The claim's normalized margin at gap x with its combination weighted
     by weight, one point at a time: the reference for the column sweeps."""
     v = 1.0 - x
-    m_x = means._shape_fn(NEUMAN_SANDOR)([x], [v])[0]
-    first = means._shape_fn(claim.first)([x], [v])[0]
-    second = means._shape_fn(claim.second)([x], [v])[0]
+    m_x = means._scalar(NEUMAN_SANDOR, True)(x, v)
+    first = means._scalar(claim.first, True)(x, v)
+    second = means._scalar(claim.second, True)(x, v)
     combo = weight * first + (1.0 - weight) * second
     return m_x - combo if claim.relation is Relation.LESS_THAN_M else combo - m_x
 
@@ -653,22 +653,26 @@ class TestSampledDrawOrder:
         # earlier draw must be the worst pair in either column order
         halved = {first: columns[0], second: columns[1]}
 
-        def fake_columns_fn(kinds):
-            def fake_columns(los, his):
+        def fake_kernel(outputs):
+            # the chain kernel's outputs, the steps (above - below) / A, from
+            # the fake chain values of each pair
+            assert len(outputs) == 8
+
+            def fake_steps(pairs):
                 rows = []
-                for hi in his:
-                    v = [k + 1.0 for k in range(len(kinds))]
+                for hi, _ in pairs:
+                    v = [k + 1.0 for k in range(9)]
                     c = halved.get(int(hi) - 2)
                     # halve the step above v[c] without moving A = v[4]
                     if c is not None and c >= 4:
                         v[c + 1:] = [value - 0.5 for value in v[c + 1:]]
                     elif c is not None:
                         v[:c + 1] = [value + 0.5 for value in v[:c + 1]]
-                    rows.append(v)
+                    rows.append([(above - below) / v[4] for below, above in zip(v, v[1:])])
                 return [list(column) for column in zip(*rows)]
-            return fake_columns
+            return fake_steps
 
-        monkeypatch.setattr(certify, "_columns_fn", fake_columns_fn)
+        monkeypatch.setattr(certify, "_kernel", fake_kernel)
         _fixed_draws(monkeypatch, [(i + 2.0, 1.0) for i in range(400)])
         report = verify_chain(400, seed=1)
         assert report.min_margin == 0.5 / 5.0

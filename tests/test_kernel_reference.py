@@ -1,0 +1,307 @@
+"""The compiled kernels against the column kernels they replaced, kept here
+as the reference: every margin column of every sweep, and every mean of the
+pair and gap entry points, must equal the reference bit for bit."""
+
+import itertools
+import math
+import operator
+import random
+from dataclasses import replace
+
+import pytest
+
+from means_lab import certify
+from means_lab.certify import Relation, theorem_claims
+from means_lab.means import (
+    ARITHMETIC,
+    CHAIN_ORDER,
+    NEUMAN_SANDOR,
+    QUADRATIC,
+    SEIFFERT_FIRST,
+    SEIFFERT_SECOND,
+    SMALL_GAP,
+    MeanFamily,
+    _columns_fn,
+    _glog_log_shape,
+    _mean,
+    generalized_log,
+    mean_shape,
+)
+from means_lab.ratios import ASINH_ONE, sharp_constants
+from test_means_core import EDGE_GAPS, KERNEL_KIND_LISTS, LP_EDGE_EXPONENTS, _kernel_pairs
+
+_GLOG_SPECIAL_EPS = 1e-8
+_GLOG_CUMULANT_LIMIT = 3e-3
+_LARGEST_GAP = math.nextafter(1.0, 0.0)
+
+
+# --- the reference: the column kernels as they were, one list per step ---
+
+def _neuman_sandor_shapes(xs, vs):
+    return [1.0 / (1.0 + (s := x * x) * (-1.0 / 6.0 + s * (3.0 / 40.0 + s * (-15.0 / 336.0))))
+            if x < SMALL_GAP else x / math.asinh(x) for x in xs]
+
+
+def _seiffert_second_shapes(xs, vs):
+    return [1.0 / (1.0 + (s := x * x) * (-1.0 / 3.0 + s * (1.0 / 5.0 + s * (-1.0 / 7.0))))
+            if x < SMALL_GAP else x / math.atan(x) for x in xs]
+
+
+def _seiffert_first_shapes(xs, vs):
+    return [1.0 / (1.0 + (s := x * x) * (1.0 / 6.0 + s * (3.0 / 40.0 + s * (15.0 / 336.0))))
+            if x < SMALL_GAP else x / math.asin(x) if x <= 0.5
+            else x / (0.5 * math.pi - 2.0 * math.asin(math.sqrt(0.5 * v)))
+            for x, v in zip(xs, vs)]
+
+
+def _logarithmic_shapes(xs, vs):
+    return [1.0 / (1.0 + (s := x * x) * (1.0 / 3.0 + s * (1.0 / 5.0 + s * (1.0 / 7.0))))
+            if x < SMALL_GAP else x / math.atanh(x) if x <= 0.5
+            else x / (0.5 * math.log((1.0 + x) / v))
+            for x, v in zip(xs, vs)]
+
+
+_SHAPES = {
+    MeanFamily.HARMONIC: lambda xs, vs: [(1.0 + x) * v for x, v in zip(xs, vs)],
+    MeanFamily.GEOMETRIC: lambda xs, vs: [math.sqrt((1.0 + x) * v) for x, v in zip(xs, vs)],
+    MeanFamily.LOGARITHMIC: _logarithmic_shapes,
+    MeanFamily.SEIFFERT_FIRST: _seiffert_first_shapes,
+    MeanFamily.ARITHMETIC: lambda xs, vs: [1.0] * len(xs),
+    MeanFamily.NEUMAN_SANDOR: _neuman_sandor_shapes,
+    MeanFamily.SEIFFERT_SECOND: _seiffert_second_shapes,
+    MeanFamily.QUADRATIC: lambda xs, vs: [math.sqrt(1.0 + x * x) for x in xs],
+    MeanFamily.CONTRA_HARMONIC: lambda xs, vs: [1.0 + x * x for x in xs],
+}
+
+
+def _shape_fn(kind):
+    p = kind.p
+    if p is None:
+        return _SHAPES[kind.family]
+    if abs(p + 1.0) < _GLOG_SPECIAL_EPS:
+        return _logarithmic_shapes
+    q = p + 1.0
+    cut = 1e-3 if abs(p) >= _GLOG_CUMULANT_LIMIT else math.inf
+    return lambda xs, vs: [
+        math.exp((q * math.log1p(x) + math.log(-math.expm1(-w) / w) + math.log(h / x)) / p)
+        if cut <= (w := 2.0 * q * (h := math.atanh(x) if x <= 0.5 else 0.5 * math.log((1.0 + x) / v))) < math.inf
+        else math.exp(_glog_log_shape(p, x, v, h)) for x, v in zip(xs, vs)]
+
+
+def _reference_mean_shape(kind, x):
+    v = 1.0 - x
+    return min(max(_shape_fn(kind)([x], [v])[0], v), 1.0 + x)
+
+
+def _regular_means(kind, los, his, ss, hs, xs, vs):
+    fam = kind.family
+    if fam is MeanFamily.HARMONIC:
+        return [2.0 * lo * (hi / s) for lo, hi, s in zip(los, his, ss)]
+    if fam is MeanFamily.GEOMETRIC:
+        return [math.sqrt(lo) * math.sqrt(hi) for lo, hi in zip(los, his)]
+    if fam is MeanFamily.ARITHMETIC:
+        return hs.copy()
+    col = list(map(operator.mul, hs, _shape_fn(kind)(xs, vs)))
+    return col if kind.p is None else list(map(min, map(max, col, los), his))
+
+
+def _reference_mean(kind, lo, hi):
+    if lo == hi:
+        return lo
+    s = lo + hi
+    if math.isinf(s):
+        return 4.0 * _reference_mean(kind, 0.25 * lo, 0.25 * hi)
+    x = min((hi - lo) / s, _LARGEST_GAP)
+    v = 2.0 * lo / s
+    p = kind.p
+    if v < 1e-300 and (p is not None or kind.family is MeanFamily.LOGARITHMIC):
+        log_ratio = math.log(hi) - math.log(lo)
+        if _shape_fn(kind) is _logarithmic_shapes:
+            return (hi - lo) / log_ratio
+        log_shape = _glog_log_shape(p, x, v, 0.5 * log_ratio)
+        unit = math.exp(log_shape)
+        mean = 0.5 * s * unit if unit > 1e-300 else math.exp(log_shape + math.log(0.5 * s))
+        return min(max(mean, lo), hi)
+    return _regular_means(kind, [lo], [hi], [s], [0.5 * s], [x], [v])[0]
+
+
+def _reference_columns_fn(kinds):
+    def columns(los, his):
+        ss = list(map(operator.add, los, his))
+        vs = [2.0 * lo / s for lo, s in zip(los, ss)]
+        xs = [_LARGEST_GAP if _LARGEST_GAP < (x := (hi - lo) / s) else x
+              for lo, hi, s in zip(los, his, ss)]
+        odd = [i for i, v in enumerate(vs) if not 1e-300 <= v < 1.0]
+        for i in odd:
+            xs[i], vs[i] = 0.0, 1.0
+        hs = [0.5 * s for s in ss]
+        cols = []
+        for kind in kinds:
+            col = _regular_means(kind, los, his, ss, hs, xs, vs)
+            for i in odd:
+                col[i] = _reference_mean(kind, los[i], his[i])
+            cols.append(col)
+        return cols
+
+    return columns
+
+
+def _reference_margin_fn(claims):
+    m = _shape_fn(NEUMAN_SANDOR)
+    rows = [(c.weight, c.relation is Relation.LESS_THAN_M, _shape_fn(c.first), _shape_fn(c.second))
+            for c in claims]
+    shapes = list(dict.fromkeys([m] + [shape for row in rows for shape in row[2:]]))
+
+    def margins(xs):
+        vs = [1.0 - x for x in xs]
+        columns = {shape: shape(xs, vs) for shape in shapes}
+        out = []
+        for weight, lower, first, second in rows:
+            rest = 1.0 - weight
+            triples = zip(columns[m], columns[first], columns[second])
+            if lower:
+                out.append([m_x - (weight * f + rest * s) for m_x, f, s in triples])
+            else:
+                out.append([(weight * f + rest * s) - m_x for m_x, f, s in triples])
+        return out
+
+    return margins
+
+
+def _split(margins):
+    """A reference margin function of (as, bs), called on a block of pairs."""
+    return lambda pairs: margins([a for a, _ in pairs], [b for _, b in pairs])
+
+
+def _reference_chain():
+    columns = _reference_columns_fn(CHAIN_ORDER)
+    a_index = CHAIN_ORDER.index(ARITHMETIC)
+
+    def margins(as_, bs):
+        values = columns(bs, as_)
+        a_means = values[a_index]
+        return [list(map(operator.truediv, map(operator.sub, above, below), a_means))
+                for below, above in zip(values, values[1:])]
+
+    return _split(margins)
+
+
+def _pair_margins(margin, *kinds):
+    columns = _reference_columns_fn((ARITHMETIC, NEUMAN_SANDOR) + kinds)
+    return _split(lambda as_, bs: [list(itertools.starmap(margin, zip(*columns(bs, as_))))])
+
+
+def _qa_margin(weight, lower, a, m, q):
+    combo = weight * q + (1.0 - weight) * a
+    return (m - combo if lower else combo - m) / a
+
+
+def _reference_corpus():
+    neuman_alpha = (1.0 - ASINH_ONE) / ((math.sqrt(2.0) - 1.0) * ASINH_ONE)
+    neuman_lambda = (1.0 - ASINH_ONE) / ASINH_ONE
+    ky_fan_means = _reference_columns_fn(certify._KY_FAN_KINDS)
+
+    def ky_fan(as_, bs):
+        los, his = list(map(min, as_, bs)), list(map(max, as_, bs))
+        mirrors = ky_fan_means([1.0 - hi for hi in his], [1.0 - lo for lo in los])
+        ratios = [list(map(operator.truediv, m, mirror))
+                  for m, mirror in zip(ky_fan_means(los, his), mirrors)]
+        steps = [list(map(operator.sub, nxt, prev)) for prev, nxt in zip(ratios, ratios[1:])]
+        return [list(map(min, *steps))]
+
+    return {
+        "ky-fan": _split(ky_fan),
+        "pm-lt-a2": _pair_margins(lambda a, m, p: (a * a - p * m) / (a * a), SEIFFERT_FIRST),
+        "at-lt-m2": _pair_margins(lambda a, m, t: (m * m - a * t) / (a * a), SEIFFERT_SECOND),
+        "m2-lt-square-mean": _pair_margins(
+            lambda a, m, t: ((a * a + t * t) / 2.0 - m * m) / (a * a), SEIFFERT_SECOND),
+        "lp0-lt-m": _pair_margins(lambda a, m, lp0: (m - lp0) / a,
+                                  generalized_log(sharp_constants().p0)),
+        "m-lt-l2": _pair_margins(lambda a, m, l2: (l2 - m) / a, generalized_log(2.0)),
+        "neuman-qa-alpha-lower": _pair_margins(
+            lambda a, m, q: _qa_margin(neuman_alpha, True, a, m, q), QUADRATIC),
+        "neuman-qa-beta-upper": _pair_margins(
+            lambda a, m, q: _qa_margin(1.0 / 3.0, False, a, m, q), QUADRATIC),
+        "neuman-qa-lambda-lower": _pair_margins(
+            lambda a, m, q: _qa_margin(neuman_lambda, True, a, m, q), QUADRATIC),
+        "neuman-qa-mu-upper": _pair_margins(
+            lambda a, m, q: _qa_margin(1.0 / 6.0, False, a, m, q), QUADRATIC),
+    }
+
+
+# --- the checks -----------------------------------------------------------
+
+def _assert_same_columns(got, expected, context):
+    assert len(got) == len(expected), context
+    for k, (column, reference) in enumerate(zip(got, expected)):
+        assert list(column) == reference, (context, k)
+
+
+def _blocks(draw, rng, count):
+    for start in range(0, count, certify._SWEEP_BLOCK):
+        yield draw(rng, min(certify._SWEEP_BLOCK, count - start))
+
+
+def test_grid_margins_of_every_claim_at_and_beside_its_weight():
+    # the full default grid, each of the six claims at its weight and one
+    # float either side, all in one kernel as verify_bound builds it
+    claims = [replace(claim, weight=w)
+              for theorem in ("1.1", "1.2", "1.3") for _, claim in theorem_claims(theorem)
+              for w in (math.nextafter(claim.weight, 0.0), claim.weight,
+                        math.nextafter(claim.weight, 1.0))]
+    kernel, reference = certify._margin_fn(claims), _reference_margin_fn(claims)
+    for k, block in enumerate(certify._grid_blocks(100_000)):
+        _assert_same_columns(kernel(block), reference(block), k)
+
+
+def test_sharpness_ladders():
+    for theorem in ("1.1", "1.2", "1.3"):
+        claims = [claim for _, claim in theorem_claims(theorem)]
+        xs = [0.5**k for k in range(1, 50)] + [1.0 - 0.5**k for k in range(1, 50)]
+        _assert_same_columns(certify._margin_fn(claims)(xs), _reference_margin_fn(claims)(xs),
+                             theorem)
+
+
+@pytest.mark.parametrize("seed", [7, 42, 101])
+def test_chain_blocks(monkeypatch, seed):
+    # verify_chain's own kernel, taken from the sweep it starts
+    kernels = []
+    monkeypatch.setattr(certify, "_sampled_sweep",
+                        lambda draw, rng, count, columns, seed: kernels.append(columns))
+    certify.verify_chain(1, 0)
+    (kernel,), reference = kernels, _reference_chain()
+    for k, block in enumerate(_blocks(certify._chain_draw, random.Random(seed), 100_000)):
+        _assert_same_columns(kernel(block), reference(block), k)
+
+
+@pytest.mark.parametrize("seed", [7, 42, 101])
+def test_corpus_blocks(seed):
+    references = _reference_corpus()
+    claims = certify._corpus_claims()
+    assert [claim_id for claim_id, _, _ in claims] == list(references)
+    for claim_id, draw, margin_columns in claims:
+        rng = random.Random(f"{seed}:{claim_id}")
+        for k, block in enumerate(_blocks(draw, rng, 10_000)):
+            _assert_same_columns(margin_columns(block), references[claim_id](block), (claim_id, k))
+
+
+def test_columns_and_means_of_the_kernel_pairs():
+    # ordinary pairs with the rows the kernels hand back to _mean among
+    # them, for every kind list and L_p exponent the column tests use
+    pairs = _kernel_pairs()
+    ordered = [(max(pair), min(pair)) for pair in pairs]
+    his, los = [hi for hi, _ in ordered], [lo for _, lo in ordered]
+    for kinds in KERNEL_KIND_LISTS:
+        _assert_same_columns(_columns_fn(kinds)(ordered),
+                             _reference_columns_fn(kinds)(los, his), kinds)
+        for kind in kinds:
+            assert [_mean(kind, lo, hi) for hi, lo in ordered] == \
+                [_reference_mean(kind, lo, hi) for hi, lo in ordered], kind
+
+
+@pytest.mark.parametrize("kind", list(CHAIN_ORDER)
+                         + [generalized_log(p) for p in LP_EDGE_EXPONENTS + (-1.0, 0.0, 1e-9)])
+def test_mean_shape(kind):
+    xs = list(EDGE_GAPS) + [i / 997.0 for i in range(997)] + [1.0 - 2.0**-k for k in range(1, 53)]
+    assert [mean_shape(kind, x) for x in xs] == [_reference_mean_shape(kind, x) for x in xs]
+

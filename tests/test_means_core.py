@@ -1,8 +1,13 @@
 import json
 import math
+import os
 import random
+import subprocess
 import sys
+import types
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,9 +34,10 @@ from means_lab import (
     sharp_constants,
     stable_asinh,
 )
+from means_lab import certify, means
+from means_lab.certify import theorem_claims
 from means_lab.cli import main
-from means_lab.means import (SMALL_GAP, _columns_fn, _glog_log_shape, _logarithmic_shapes,
-                              _mean, _shape_fn)
+from means_lab.means import SMALL_GAP, _columns_fn, _glog_log_shape, _kernel, _mean, _scalar
 from oracles import mean_oracle, rel_err
 
 MAX_FLOAT = sys.float_info.max
@@ -310,13 +316,12 @@ def _kernel_pairs():
 
 
 def _assert_columns_equal_mean(pairs):
-    los = [min(pair) for pair in pairs]
-    his = [max(pair) for pair in pairs]
+    ordered = [(max(pair), min(pair)) for pair in pairs]
     for kinds in KERNEL_KIND_LISTS:
-        columns = _columns_fn(kinds)(los, his)
+        columns = _columns_fn(kinds)(ordered)
         assert len(columns) == len(kinds)
         for kind, column in zip(kinds, columns):
-            assert column == [_mean(kind, lo, hi) for lo, hi in zip(los, his)], (kinds, kind)
+            assert list(column) == [_mean(kind, lo, hi) for hi, lo in ordered], (kinds, kind)
 
 
 class TestColumnKernel:
@@ -333,6 +338,58 @@ class TestColumnKernel:
                                       (5e-324, 1.0)])
     def test_block_of_one_pair(self, pair):
         _assert_columns_equal_mean([pair])
+
+
+def _float_constants(code):
+    for const in code.co_consts:
+        if isinstance(const, float):
+            yield const
+        elif isinstance(const, types.CodeType):
+            yield from _float_constants(const)
+
+
+class TestKernelCompiler:
+    def test_import_compiles_nothing(self):
+        code = ("import means_lab.cli\n"
+                "from means_lab import means\n"
+                "print(means._compiled.cache_info().currsize, means._scalar.cache_info().currsize)")
+        env = dict(os.environ, PYTHONPATH=str(Path(means.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                             check=True, timeout=60).stdout
+        assert out.split() == ["0", "0"]
+
+    def test_claims_differing_in_weight_share_one_compiled_kernel(self):
+        means._compiled.cache_clear()
+        claim = theorem_claims("1.1")[0][1]
+        xs = [0.001, 0.25, 0.75]
+        (at_claim,) = certify._margin_fn([claim])(xs)
+        before = means._compiled.cache_info()
+        (at_other,) = certify._margin_fn([replace(claim, weight=0.3)])(xs)
+        after = means._compiled.cache_info()
+        assert before.currsize == after.currsize == 1
+        assert after.hits == before.hits + 1 and after.misses == before.misses
+        assert list(at_claim) != list(at_other)
+
+    def test_no_cli_value_is_compiled(self, monkeypatch, capsys):
+        sources = []
+        compiled = means._compiled
+
+        def recording(source):
+            sources.append(source)
+            return compiled(source)
+
+        monkeypatch.setattr(means, "_compiled", recording)
+        means._scalar.cache_clear()
+        assert main(["eval", "--means", "Lp:1e-320", "--pair", "1,2", "--format", "json"]) == 0
+        assert main(["verify", "1.2", "--grid", "100", "--weight-lower", "0.34",
+                     "--format", "json"]) in (0, 1)
+        capsys.readouterr()
+        assert any("p0" in source for source in sources)
+        assert any("c0weight" in source for source in sources)
+        passed = {0.34, 1.0 - 0.34, 1e-320}
+        for source in sources:
+            assert "0.34" not in source and "1e-320" not in source, source
+            assert passed.isdisjoint(_float_constants(compile(source, "<kernel>", "exec"))), source
 
 
 # the gaps at and beside the branch edges of the shape kernels: the series
@@ -467,7 +524,7 @@ class TestBranchEdgeBits:
         # differ in the last bit at 0.5, so a moved edge in either shows here
         for x in EDGE_GAPS[2:]:
             v = 1.0 - x
-            assert _logarithmic_shapes([x], [v])[0] == x / _half_log_ratio(x, v)
+            assert _scalar(LOGARITHMIC, True)(x, v) == x / _half_log_ratio(x, v)
             assert mean_shape(generalized_log(-1.0), x) == mean_shape(LOGARITHMIC, x)
 
     @pytest.mark.parametrize("p", LP_EDGE_EXPONENTS)
@@ -477,10 +534,12 @@ class TestBranchEdgeBits:
         # must keep the bits of the scalar log shape it stands for
         xs = list(EDGE_GAPS) + _w_edge_gaps(p)
         vs = [1.0 - x for x in xs]
-        got = _shape_fn(generalized_log(p))(xs, vs)
-        assert [shape.hex() for shape in got] == \
-            [math.exp(_glog_log_shape(p, x, v, _half_log_ratio(x, v))).hex()
-             for x, v in zip(xs, vs)]
+        kind = generalized_log(p)
+        (column,) = _kernel([("{m}", {"m": kind})], unit=True)(xs)
+        expected = [math.exp(_glog_log_shape(p, x, v, _half_log_ratio(x, v))).hex()
+                    for x, v in zip(xs, vs)]
+        assert [shape.hex() for shape in column] == expected
+        assert [_scalar(kind, True)(x, v).hex() for x, v in zip(xs, vs)] == expected
 
 
 class TestGeneralizedLogConsistency:

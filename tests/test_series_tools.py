@@ -1,5 +1,4 @@
 import math
-import types
 from fractions import Fraction
 
 import pytest
@@ -226,14 +225,9 @@ class TestHandTypedCoefficients:
         (MeanFamily.SEIFFERT_SECOND, ATAN), (MeanFamily.LOGARITHMIC, ATANH)])
     def test_kernel_series(self, family, series):
         # the kernel's small-gap branch is 1/(1 + s*(c1 + s*(c2 + s*c3))) with
-        # c_n the series of f(x)/x; its folded literals sit in the code objects
-        def floats(code):
-            for const in code.co_consts:
-                if isinstance(const, float):
-                    yield const
-                elif isinstance(const, types.CodeType):
-                    yield from floats(const)
-
-        consts = set(floats(means._SHAPES[family].__code__))
+        # c_n the series of f(x)/x; compiling its shape expression folds the
+        # literals into constants
+        shape, _ = means._SHAPES[family]
+        consts = {c for c in compile(shape, "<shape>", "eval").co_consts if isinstance(c, float)}
         for c in series[1:4]:
             assert float(c) in consts, c
