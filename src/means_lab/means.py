@@ -11,12 +11,10 @@ stays at the rounding level through the switch region.
 The diagonal a = b, excluded from the classical definitions, is defined here
 by continuity: every mean returns ``a`` exactly.
 
-Each shape is stated once, as source text in the table ``_SHAPES``.  One
-compiler, ``_kernel``, turns the shapes of some kinds and output expressions
-over their means into one function, compiled on first use and cached by its
-source: a block kernel evaluates every row of a block in one list
-comprehension, each mean once per row, and a scalar kernel one row, the
-path of ``evaluate_mean`` and ``mean_shape``.
+Each shape is stated once, as source text in ``_SHAPES``; ``_kernel``
+compiles shapes and output expressions over the means into one function,
+which does a block of rows in one list comprehension, or the one row of
+``evaluate_mean`` and ``mean_shape``.
 """
 
 from __future__ import annotations
@@ -337,19 +335,16 @@ def _compiled(source: str):
 
 
 def _kernel(outputs, *, unit: bool = False, block: bool = True):
-    """One compiled function for outputs, a list of (template, slots): each
-    template is a fixed string of the calling code, an expression over the
-    names of its slots, and each slot is a MeanKind, standing for the kind's
-    mean on the row (its shape if unit), or a float passed in, never written
-    into the source.  Each mean is computed once per row, and a block kernel does
-    every row in one list comprehension:
-    - unit block: gaps xs -> one column of outputs per template;
-    - pair block: pairs (a, b), a >= b > 0 finite -> the same, a row's means
-      equal to _mean(kind, b, a) bit for bit;
-    - scalars (block False) take one row, (x, v) if unit, else a regular row
-      (lo, hi, t, x, v) of _mean, and return the one output.
-    Kernels are compiled once per source, so one compiled kernel serves
-    every weight and L_p exponent."""
+    """One compiled function for outputs, a list of (template, slots): a
+    template is a fixed expression over its slots' names, and a slot is a
+    MeanKind, standing for its mean on the row (its shape if unit), or a
+    float passed in and never written into the source, so one compiled
+    source serves every weight and L_p exponent.  Each mean is computed once
+    per row.  A unit block maps gaps xs, a pair block pairs (a, b) with
+    a >= b > 0 finite, to one column per output, in one list comprehension;
+    its means equal _mean(kind, b, a) bit for bit.  A scalar (block False)
+    maps one row, (x, v) if unit, else a regular row (lo, hi, t, x, v) of
+    _mean, to its one output."""
     values, binds, exprs, kinds = {}, [], [], {}
     for template, slots in outputs:
         names = {}
