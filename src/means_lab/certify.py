@@ -27,7 +27,6 @@ per block, and the sharpness ladder is one more column of it.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 import random
@@ -179,36 +178,48 @@ def gap_grid(n: int) -> list[float]:
     """n gaps log-dense toward both endpoints: a geometric ladder from
     GRID_EDGE to 0.5 and its mirror 1-x, because every sharp constant lives
     in an endpoint limit and uniform grids under-sample there."""
-    return list(itertools.chain.from_iterable(_grid_blocks(n)))
+    blocks = _grid_blocks(n)  # checks n before the grid is allocated
+    grid = [0.0] * n
+    for start, block in blocks:
+        grid[start:start + len(block)] = block
+    return grid
 
 
 def _grid_blocks(n: int):
-    """gap_grid(n), ascending, as non-empty blocks of at most _SWEEP_BLOCK
-    gaps, each made from the ladder formula when it is reached."""
+    """gap_grid(n) as (start, block) pairs, block being the non-empty run of
+    at most _SWEEP_BLOCK ascending gaps at grid positions start, start + 1, ...;
+    the blocks tile range(n) once, not in order: each block of the low ladder
+    is followed by its mirror, made from the same exp calls when n is even."""
     check_int("grid size n", n, 2)
     exp, size = math.exp, _SWEEP_BLOCK
     log_edge = math.log(GRID_EDGE)
     span = math.log(0.5) - log_edge
     lo_count, hi_count = n // 2, n - n // 2
 
-    def rungs(count: int, indices: range) -> list[float]:
+    def rungs(count: int, start: int, stop: int) -> list[float]:
         if count == 1:
             return [0.5]
         d = float(count - 1)
-        return [exp(log_edge + span * i / d) for i in indices]
+        return [exp(log_edge + span * i / d) for i in range(start, min(stop, count))]
+
+    def ladders(start: int, stop: int) -> tuple[list[float], list[float]]:
+        # rungs start..stop-1 of the low and the high ladder, one list if equal
+        low = rungs(lo_count, start, stop)
+        return low, low if hi_count == lo_count else rungs(hi_count, start, stop)
 
     def blocks():
-        seam, top = (lo_count - 1) // size * size, hi_count - 1
+        seam = (lo_count - 1) // size * size
         for start in range(0, seam, size):
-            yield rungs(lo_count, range(start, start + size))
+            low, high = ladders(start, start + size)
+            yield start, low
+            # high rung i mirrors to grid position n - 1 - i
+            yield n - start - size, [1.0 - g for g in reversed(high)]
         # the top rung 0.5000000000000009 lies above the first mirror rung; only
-        # rungs this close to 0.5 interleave, all in the two blocks merged here
-        middle = sorted(rungs(lo_count, range(seam, lo_count))
-                        + [1.0 - g for g in rungs(hi_count, range(top, max(top - size, -1), -1))])
-        yield middle[:len(middle) // 2]
-        yield middle[len(middle) // 2:]
-        for stop in range(top - size, -1, -size):
-            yield [1.0 - g for g in rungs(hi_count, range(stop, max(stop - size, -1), -1))]
+        # rungs this close to 0.5 interleave, all in the blocks merged here
+        low, high = ladders(seam, hi_count)
+        middle = sorted(low + [1.0 - g for g in reversed(high)])
+        for i in range(0, len(middle), size):
+            yield seam + i, middle[i:i + size]
 
     return blocks()
 
@@ -231,32 +242,32 @@ def _margin_fn(claims: list[BoundClaim]):
 
 def _sweep(blocks, margin_columns) -> list[tuple[float, int, object, int]]:
     """Per margin column, (min_margin, index, point, near_zero) over the
-    points of blocks, which margin_columns maps to columns a block at a time.
-    |margin| < STRICTNESS_FLOOR is counted, not ranked; only a strictly
-    smaller margin replaces the minimum, so the earliest of equal minima wins,
-    and a column with nothing ranked has point None."""
+    points of blocks, (start, points) pairs whose points sit at indices
+    start, start + 1, ..., which margin_columns maps to columns a block at a
+    time.  |margin| < STRICTNESS_FLOOR is counted, not ranked; the rest rank
+    by (margin, index), so of equal minima the least index wins whatever
+    order the blocks come in, and a column with nothing ranked (NaN and +inf
+    never rank) has point None."""
     scans = []
-    start = 0
-    for block in blocks:
+    for start, block in blocks:
         columns = margin_columns(block)
         scans = scans or [(math.inf, 0, None, 0)] * len(columns)
         for k, column in enumerate(columns):
             best, at, point, near = scans[k]
             low = min(column)
             # at or above the floor nothing is near zero, and index finds the
-            # earliest minimum; a NaN first makes min NaN, so the loop runs
+            # block's earliest minimum; a NaN first makes min NaN, so the loop runs
             if low >= STRICTNESS_FLOOR:
-                if low < best:
+                if low < best or low == best and start + column.index(low) < at:
                     i = column.index(low)
                     best, at, point = low, start + i, block[i]
             else:
                 for i, margin in enumerate(column):
                     if abs(margin) < STRICTNESS_FLOOR:
                         near += 1
-                    elif margin < best:
+                    elif margin < best or margin == best and start + i < at:
                         best, at, point = margin, start + i, block[i]
             scans[k] = best, at, point, near
-        start += len(block)
     return scans
 
 
@@ -373,7 +384,7 @@ def _sampled_sweep(draw, rng: random.Random, sample_count: int, margin_columns,
     """Report over sample_count pairs (a, b) that draw(rng, count) returns a
     block at a time; margin_columns maps a block of pairs to margin columns
     (a chain pair has a >= b, a ky-fan pair either order)."""
-    blocks = (draw(rng, min(_SWEEP_BLOCK, sample_count - start))
+    blocks = ((start, draw(rng, min(_SWEEP_BLOCK, sample_count - start)))
               for start in range(0, sample_count, _SWEEP_BLOCK))
     scans = _sweep(blocks, margin_columns)
     # a tie between columns goes to the earlier draw, whatever the column order

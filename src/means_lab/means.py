@@ -19,6 +19,7 @@ which does a block of rows in one list comprehension, or the one row of
 
 from __future__ import annotations
 
+import ast
 import functools
 import math
 from dataclasses import dataclass
@@ -325,12 +326,18 @@ def _mean_steps(kind: MeanKind, k: int, unit: bool, block: bool, values: dict) -
 @functools.lru_cache(maxsize=128)
 def _compiled(source: str):
     """The factory make(*values) -> kernel of a kernel source, compiled on
-    first use."""
+    first use.  Every node gets one source location, which keeps the code
+    object's location table short: tracemalloc scans it for each allocation."""
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if "lineno" in node._attributes:
+            node.lineno = node.end_lineno = 1
+            node.col_offset = node.end_col_offset = 0
     namespace = {"sqrt": math.sqrt, "asin": math.asin, "atan": math.atan, "atanh": math.atanh,
                  "asinh": stable_asinh, "log": math.log, "log1p": math.log1p, "exp": math.exp,
                  "expm1": math.expm1, "pi": math.pi, "inf": math.inf, "SMALL_GAP": SMALL_GAP,
                  "_LARGEST_GAP": _LARGEST_GAP, "_mean": _mean, "_glog_log_shape": _glog_log_shape}
-    exec(compile(source, "<means kernel>", "exec"), namespace)
+    exec(compile(tree, "<means kernel>", "exec"), namespace)
     return namespace["make"]
 
 

@@ -136,6 +136,45 @@ class TestGapGrid:
         grid = gap_grid(n)
         assert all(grid[-1 - i] == 1.0 - grid[i] for i in range(n // 2))
 
+    def test_block_positions_tile_the_grid(self):
+        # test_order_and_blocks' sizes
+        for n in [*range(2, 1201), 4095, 4096, 4097, 8193, 12295, 99_999, 100_000, 100_001,
+                  250_000]:
+            positions = sorted(i for start, block in certify._grid_blocks(n)
+                               for i in range(start, start + len(block)))
+            assert positions == list(range(n)), n
+
+    @pytest.mark.parametrize("n,most", [(100_000, 50_512), (100_001, 100_001)])
+    def test_exp_calls(self, monkeypatch, n, most):
+        # an even grid's mirror blocks reuse their low block's rungs; an odd
+        # grid's two ladders differ, and each rung is still made once
+        log_edge = math.log(GRID_EDGE)
+        span = math.log(0.5) - log_edge
+        ladders = [[math.exp(log_edge + span * i / (count - 1)) for i in range(count)]
+                   for count in (n // 2, n - n // 2)]
+        reference = sorted(ladders[0] + [1.0 - g for g in ladders[1]])
+        calls, exp = [0], math.exp
+
+        def counted(y):
+            calls[0] += 1
+            return exp(y)
+
+        monkeypatch.setattr(math, "exp", counted)
+        blocks = list(certify._grid_blocks(n))
+        monkeypatch.undo()
+        assert calls[0] <= most
+        grid = [0.0] * n
+        for start, block in blocks:
+            grid[start:start + len(block)] = block
+        assert list(map(float.hex, grid)) == list(map(float.hex, reference))
+
+    @pytest.mark.parametrize("n", [2.5, 1, 0, -3, True, "100"])
+    def test_size_checked_before_anything_is_made(self, n):
+        with pytest.raises(DomainError):
+            gap_grid(n)
+        with pytest.raises(DomainError):
+            certify._grid_blocks(n)
+
 
 class TestVerifyBound:
     @pytest.mark.parametrize("claim_id,claim", ALL_CLAIMS)
@@ -303,8 +342,15 @@ RANKING_CASES = [
      (-math.inf, 2 * BLOCK + 5, 0)),
 ]
 
-# range(RANKED) cut into the blocks a sweep walks
-RANKED_BLOCKS = [range(start, min(start + BLOCK, RANKED)) for start in range(0, RANKED, BLOCK)]
+# range(RANKED) cut into the (start, block) pairs a sweep walks
+RANKED_BLOCKS = [(start, range(start, min(start + BLOCK, RANKED)))
+                 for start in range(0, RANKED, BLOCK)]
+RANKING_COLUMNS = [case[1] for case in RANKING_CASES]
+
+
+def _ranking_scans(blocks):
+    """_sweep's scans of every RANKING_CASES column over blocks."""
+    return certify._sweep(blocks, lambda block: [[c[i] for i in block] for c in RANKING_COLUMNS])
 
 
 class TestSweepRanking:
@@ -324,11 +370,29 @@ class TestSweepRanking:
             assert at == point
 
     def test_columns_ranked_apart(self):
-        columns = [case[1] for case in RANKING_CASES]
-        scans = certify._sweep(RANKED_BLOCKS,
-                               lambda block: [[c[i] for i in block] for c in columns])
+        scans = _ranking_scans(RANKED_BLOCKS)
         assert [(best, point, near) for best, _, point, near in scans] == \
             [case[2] for case in RANKING_CASES]
+
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    def test_block_order_does_not_matter(self, order):
+        # the grid sweep walks its blocks out of grid order; a scan ranks by
+        # (margin, index), so it reads the same in any order
+        blocks = list(RANKED_BLOCKS)
+        if order == "reversed":
+            blocks.reverse()
+        else:
+            random.Random(20).shuffle(blocks)
+            assert blocks != RANKED_BLOCKS
+        assert _ranking_scans(blocks) == _ranking_scans(RANKED_BLOCKS)
+
+    @pytest.mark.parametrize("margin", [0.25, -0.25])
+    def test_tie_in_a_later_block_goes_to_the_least_index(self, margin):
+        # equal minima at indices 10 and BLOCK + 20, the later block walked
+        # first; a minimum below the floor takes the per-point loop
+        column = _ranking_column({10: margin, BLOCK + 20: margin})
+        scans = certify._sweep(RANKED_BLOCKS[::-1], lambda block: [[column[i] for i in block]])
+        assert scans == [(margin, 10, 10, 0)]
 
 
 class TestSharpness:

@@ -250,8 +250,8 @@ def test_grid_margins_of_every_claim_at_and_beside_its_weight():
               for w in (math.nextafter(claim.weight, 0.0), claim.weight,
                         math.nextafter(claim.weight, 1.0))]
     kernel, reference = certify._margin_fn(claims), _reference_margin_fn(claims)
-    for k, block in enumerate(certify._grid_blocks(100_000)):
-        _assert_same_columns(kernel(block), reference(block), k)
+    for start, block in certify._grid_blocks(100_000):
+        _assert_same_columns(kernel(block), reference(block), start)
 
 
 def test_sharpness_ladders():
