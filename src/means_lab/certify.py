@@ -30,10 +30,9 @@ import functools
 import math
 import operator
 import random
-from dataclasses import dataclass, replace
 from enum import Enum, unique
 
-from .exceptions import DomainError, check_int, check_real, check_type
+from .exceptions import DomainError, Record, check_int, check_real, check_type, replace
 from .means import (
     ARITHMETIC,
     CHAIN_ORDER,
@@ -121,8 +120,7 @@ class Objective(Enum):
     INFIMUM = "infimum"
 
 
-@dataclass(frozen=True)
-class BoundClaim:
+class BoundClaim(Record):
     """A one-sided bound of M by weight * first + (1-weight) * second at the
     claimed sharp weight; sharp_at is the gap endpoint where it bites."""
 
@@ -140,8 +138,7 @@ class BoundClaim:
         check_type("sharp_at", self.sharp_at, SharpAt)
 
 
-@dataclass(frozen=True)
-class CertificationReport:
+class CertificationReport(Record):
     grid_size: int
     min_margin: float
     worst_pair: PositivePair
@@ -150,8 +147,7 @@ class CertificationReport:
     seed: int | None = None
 
 
-@dataclass(frozen=True)
-class SharpnessReport:
+class SharpnessReport(Record):
     perturbation: float
     witness: PositivePair | None
     violated: bool

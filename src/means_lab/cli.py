@@ -11,12 +11,10 @@ samples, verdicts, worst_case; it is strict JSON, non-finite floats as null.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import sys
-from dataclasses import replace
 
 from .certify import (
     REPORT_ONLY_CORPUS_CLAIMS,
@@ -29,7 +27,7 @@ from .certify import (
     verify_chain,
     verify_corpus,
 )
-from .exceptions import DomainError, EvaluationError
+from .exceptions import DomainError, EvaluationError, replace
 from .means import (
     CHAIN_ORDER,
     MeanKind,
@@ -96,6 +94,7 @@ def _render(doc: dict, fmt: str) -> None:
     header = list(rows[0].keys())
     table = [header] + [[_cell(row.get(k, "")) for k in header] for row in rows]
     if fmt == "csv":
+        import csv  # only here: json and table output never load it
         csv.writer(sys.stdout).writerows(table)
     else:
         widths = [max(len(r[i]) for r in table) for i in range(len(header))]

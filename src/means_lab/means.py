@@ -22,10 +22,9 @@ from __future__ import annotations
 import ast
 import functools
 import math
-from dataclasses import dataclass
 from enum import Enum, unique
 
-from .exceptions import DomainError, check_real, check_type
+from .exceptions import DomainError, Record, check_real, check_type
 
 __all__ = [
     "MeanFamily",
@@ -79,8 +78,7 @@ class MeanFamily(Enum):
     GENERALIZED_LOG = "Lp"
 
 
-@dataclass(frozen=True)
-class MeanKind:
+class MeanKind(Record):
     """A mean family, plus the exponent for the generalized log family."""
 
     family: MeanFamily
@@ -132,8 +130,7 @@ def generalized_log(p: float) -> MeanKind:
     return MeanKind(MeanFamily.GENERALIZED_LOG, p)
 
 
-@dataclass(frozen=True)
-class PositivePair:
+class PositivePair(Record):
     """An unordered pair of positive reals, the argument of every mean."""
 
     a: float

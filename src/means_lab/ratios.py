@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
 from enum import Enum, unique
-from typing import Callable, NamedTuple
 
-from .exceptions import DomainError, check_real, check_type
+from .exceptions import DomainError, Record, check_real, check_type
 from .means import stable_asinh
 from .series import CoefficientKind, _horner, solve_p0, truncated_quotient
 
@@ -54,8 +53,7 @@ SERIES_SWITCH = 0.02
 _SERIES_TERMS = 10
 
 
-@dataclass(frozen=True)
-class SharpConstants:
+class SharpConstants(Record):
     """The sharp weights of the three double inequalities, plus the shared
     endpoint constant lambda0 and the exponent p0 of the generalized-log
     sandwich."""
@@ -134,7 +132,7 @@ def _ratio_gq_closed(x: float) -> float:
     return (s1 * ah - x) / ((2.0 * x * x / (s1 + s2)) * ah)
 
 
-class _RatioRow(NamedTuple):
+class _RatioRow(Record):
     """One ratio function: its series form (used below SERIES_SWITCH and
     exact at 0), its closed form, the upper end hi of its open domain
     (0, hi), and the SharpConstants fields of its limits at 0 and at hi.
@@ -187,7 +185,8 @@ def evaluate_ratio_function(kind: RatioFunctionKind, t: float) -> float:
 
 def _ratio_column(kind: RatioFunctionKind, ts) -> list[float]:
     """evaluate_ratio_function(kind, t) for each t of ts in (0, hi), unchecked."""
-    series, closed = _RATIO_ROWS[kind][:2]
+    row = _RATIO_ROWS[kind]
+    series, closed = row.series, row.closed
     return [series(t) if t < SERIES_SWITCH else closed(t) for t in ts]
 
 

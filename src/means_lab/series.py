@@ -12,11 +12,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum, unique
 from fractions import Fraction
 
-from .exceptions import EvaluationError, check_int, check_real, check_type
+from .exceptions import EvaluationError, Record, check_int, check_real, check_type
 
 __all__ = [
     "CoefficientKind",
@@ -73,8 +72,7 @@ class Direction(Enum):
     NOT_MONOTONE = "not-monotone"
 
 
-@dataclass(frozen=True)
-class MonotonicityVerdict:
+class MonotonicityVerdict(Record):
     direction: Direction
     checked_up_to: int
     first_violation: int | None = None

@@ -3,7 +3,7 @@ import math
 import random
 import re
 import tracemalloc
-from dataclasses import replace
+from means_lab import replace
 
 import pytest
 

@@ -6,7 +6,7 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import replace
+from means_lab import replace
 
 import pytest
 

@@ -5,7 +5,7 @@ import random
 import subprocess
 import sys
 import types
-from dataclasses import replace
+from means_lab import replace
 from fractions import Fraction
 from pathlib import Path
 
