@@ -22,14 +22,28 @@ A theorem's claims share a sweep, as a ratio function's objectives share one
 scan in ``recover_constant``.
 A claim's margin is stated once, in ``_margin_fn``: the grid sweep calls it
 per block, and the sharpness ladder is one more column of it.
+
+A long sweep is split over the CPUs this process may use, one part per CPU
+but at most one per ``_MIN_SPLIT`` points.  ``_fork_map`` runs the first
+part here and each other part in a child made by ``os.fork``, which sends
+its scans back through a pipe; ``_merge`` joins the parts' scans by the rule
+``_sweep`` ranks by, so every report is the one-process report.  The grid
+splits into ranges of ladder blocks, the chain into ranges of draws (a part
+replays the draws before its range, so zero-gap redraws shift its stream as
+in one process), and the corpus deals out whole claims.  A part runs here
+instead where ``os.fork`` is missing or fails, where a second thread runs,
+or where its child exits non-zero.
 """
 
 from __future__ import annotations
 
 import functools
+import marshal
 import math
 import operator
+import os
 import random
+import sys
 from enum import Enum, unique
 
 from .exceptions import DomainError, Record, check_int, check_real, check_type, replace
@@ -95,6 +109,21 @@ _VIOLATION_THRESHOLD = 1e-13
 # points per block of every sweep: points and columns live one block at a
 # time, so memory grows with neither the grid size nor the sample count
 _SWEEP_BLOCK = 256
+
+# fewest points a forked part of a sweep is given: 8-13 ms of the grid sweep
+# (the cheapest, 0.5-0.8 us a point on a shared 2-vCPU x86_64 VM), three to
+# four times the 2-3 ms that a fork and its pipe round trip took there in a
+# 16 MB process
+_MIN_SPLIT = 1 << 14
+
+# what replaying a chain draw costs, as a share of drawing and sweeping it
+_REPLAY_SHARE = 0.14
+
+# a sweep's scans rank by (margin, index)
+_RANK = operator.itemgetter(0, 1)
+
+# in a forked child, the pid of the process that forked it
+_parent = None
 
 
 @unique
@@ -181,11 +210,13 @@ def gap_grid(n: int) -> list[float]:
     return grid
 
 
-def _grid_blocks(n: int):
+def _grid_blocks(n: int, part: int = 0, parts: int = 1):
     """gap_grid(n) as (start, block) pairs, block being the non-empty run of
     at most _SWEEP_BLOCK ascending gaps at grid positions start, start + 1, ...;
     the blocks tile range(n) once, not in order: each block of the low ladder
-    is followed by its mirror, made from the same exp calls when n is even."""
+    is followed by its mirror, made from the same exp calls when n is even.
+    Split in parts, the blocks of the part-th: a contiguous range of low-ladder
+    blocks with their mirrors, and in the last part the seam blocks too."""
     check_int("grid size n", n, 2)
     exp, size = math.exp, _SWEEP_BLOCK
     log_edge = math.log(GRID_EDGE)
@@ -203,13 +234,18 @@ def _grid_blocks(n: int):
         low = rungs(lo_count, start, stop)
         return low, low if hi_count == lo_count else rungs(hi_count, start, stop)
 
+    seam = (lo_count - 1) // size * size
+    # the part's low-ladder blocks start at first, first + size, ... below stop
+    first, stop = (seam // size * k // parts * size for k in (part, part + 1))
+
     def blocks():
-        seam = (lo_count - 1) // size * size
-        for start in range(0, seam, size):
+        for start in range(first, stop, size):
             low, high = ladders(start, start + size)
             yield start, low
             # high rung i mirrors to grid position n - 1 - i
             yield n - start - size, [1.0 - g for g in reversed(high)]
+        if part < parts - 1:
+            return
         # the top rung 0.5000000000000009 lies above the first mirror rung; only
         # rungs this close to 0.5 interleave, all in the blocks merged here
         low, high = ladders(seam, hi_count)
@@ -246,6 +282,8 @@ def _sweep(blocks, margin_columns) -> list[tuple[float, int, object, int]]:
     never rank) has point None."""
     scans = []
     for start, block in blocks:
+        if _parent is not None and os.getppid() != _parent:  # a forked part left behind
+            os._exit(1)
         columns = margin_columns(block)
         scans = scans or [(math.inf, 0, None, 0)] * len(columns)
         for k, column in enumerate(columns):
@@ -267,6 +305,89 @@ def _sweep(blocks, margin_columns) -> list[tuple[float, int, object, int]]:
     return scans
 
 
+def _merge(parts: list) -> list[tuple[float, int, object, int]]:
+    """The scans of a sweep from the _sweep scans of its parts: per column,
+    the least by (margin, index), as _sweep ranks, with the near-zero counts
+    added up; a part with no block ([]) merges as nothing."""
+    merged = []
+    for part in filter(None, parts):
+        merged = [min(a, b, key=_RANK)[:3] + (a[3] + b[3],)
+                  for a, b in zip(merged, part)] if merged else part
+    return merged
+
+
+def _workers(points: int) -> int:
+    """How many parts a sweep of points is split into: one per CPU this
+    process may use, but at most one per _MIN_SPLIT points."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, points // _MIN_SPLIT))
+
+
+def _fork_map(tasks: list) -> list:
+    """[task() for task in tasks], the first task run in this process and
+    each other in a child forked for it, which sends its result back through
+    a pipe as marshal data, so results are tuples, lists and numbers.  A task
+    runs in this process instead where os.fork is missing or fails, where a
+    second thread runs (a fork copies only the calling thread), or where its
+    child exits non-zero, so that its error is raised here as in one process.
+    No child outlives the call."""
+    threading = sys.modules.get("threading")
+    if len(tasks) < 2 or not hasattr(os, "fork") or threading and threading.active_count() != 1:
+        return [task() for task in tasks]
+    parent, children = os.getpid(), {}  # task index -> (pid, read end of its pipe)
+    try:
+        for i in range(1, len(tasks)):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # the tasks not forked run here
+                os.close(read_end)
+                os.close(write_end)
+                break
+            if pid == 0:
+                _serve(tasks[i], write_end, parent)
+            # closed before the next fork, so that only this child holds it
+            os.close(write_end)
+            children[i] = pid, open(read_end, "rb")
+        results = [tasks[0]()]
+        for i in range(1, len(tasks)):
+            if i in children:
+                pid, pipe = children[i]
+                with pipe:
+                    data = pipe.read()
+                status = os.waitpid(pid, 0)[1]
+                del children[i]
+                if status == 0:
+                    results.append(marshal.loads(data))
+                    continue
+            results.append(tasks[i]())
+        return results
+    finally:
+        if children:  # this call is raising: end the children still running
+            import signal
+
+            for pid, pipe in children.values():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pipe.close()
+
+
+def _serve(task, write_end: int, parent: int) -> None:
+    """Run task in a child that parent forked, write its result to write_end
+    as marshal data and exit: 0 if all of that went well, 1 if not."""
+    global _parent
+    _parent, code = parent, 1
+    try:
+        with open(write_end, "wb") as pipe:
+            pipe.write(marshal.dumps(task()))
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def _report(size: int, min_margin: float, point, near: int, to_pair, seed=None) -> CertificationReport:
     """The report of a sweep whose worst point is to_pair(point); it holds
     iff some margin is resolvable and every resolvable margin is positive,
@@ -284,8 +405,11 @@ def verify_bound(claim: BoundClaim | list[BoundClaim] | tuple[BoundClaim, ...],
     single = not isinstance(claim, (list, tuple))
     claims = [check_type("claim", c, BoundClaim) for c in ([claim] if single else claim)]
     check_int("grid_size", grid_size, 100)
+    margin_columns, parts = _margin_fn(claims), _workers(grid_size)
+    scans = _merge(_fork_map([functools.partial(_sweep, _grid_blocks(grid_size, part, parts),
+                                                margin_columns) for part in range(parts)]))
     reports = [_report(grid_size, best, x, near, functools.partial(pair_from_gap, scale=1.0))
-               for best, _, x, near in _sweep(_grid_blocks(grid_size), _margin_fn(claims))]
+               for best, _, x, near in scans]
     return reports[0] if single else reports
 
 
@@ -375,18 +499,44 @@ def _chain_draw(rng: random.Random, count: int) -> list[tuple[float, float]]:
             for x in [r() or next(filter(None, iter(r, None)))]]
 
 
-def _sampled_sweep(draw, rng: random.Random, sample_count: int, margin_columns,
-                   seed: int) -> CertificationReport:
-    """Report over sample_count pairs (a, b) that draw(rng, count) returns a
-    block at a time; margin_columns maps a block of pairs to margin columns
-    (a chain pair has a >= b, a ky-fan pair either order)."""
-    blocks = ((start, draw(rng, min(_SWEEP_BLOCK, sample_count - start)))
-              for start in range(0, sample_count, _SWEEP_BLOCK))
-    scans = _sweep(blocks, margin_columns)
+def _draw_scans(draw, new_rng, margin_columns, first: int, stop: int):
+    """_sweep of draws first..stop-1 of the pairs (a, b) that draw(rng, count)
+    returns a block at a time (a chain pair has a >= b, a ky-fan pair either
+    order), rng = new_rng(); the draws before first are made and dropped."""
+    rng = new_rng()
+    for start in range(0, first, _SWEEP_BLOCK):
+        draw(rng, min(_SWEEP_BLOCK, first - start))
+    return _sweep(((start, draw(rng, min(_SWEEP_BLOCK, stop - start)))
+                   for start in range(first, stop, _SWEEP_BLOCK)), margin_columns)
+
+
+def _draw_report(scans, sample_count: int, seed: int) -> CertificationReport:
     # a tie between columns goes to the earlier draw, whatever the column order
-    best, _, worst, _ = min(scans, key=operator.itemgetter(0, 1))
+    best, _, worst, _ = min(scans, key=_RANK)
     return _report(sample_count, best, worst, sum(scan[3] for scan in scans),
                    lambda pair: PositivePair(*pair), seed)
+
+
+def _sampled_sweep(draw, new_rng, sample_count: int, margin_columns,
+                   seed: int) -> CertificationReport:
+    """Report over sample_count pairs (a, b) that draw(rng, count) returns a
+    block at a time; margin_columns maps a block of pairs to margin columns.
+    Each part of the split sweeps a range of draws from its own rng =
+    new_rng(), after replaying the draws before its range."""
+    cuts = _draw_cuts(sample_count, _workers(sample_count))
+    tasks = [functools.partial(_draw_scans, draw, new_rng, margin_columns, first, stop)
+             for first, stop in zip(cuts, cuts[1:])]
+    return _draw_report(_merge(_fork_map(tasks)), sample_count, seed)
+
+
+def _draw_cuts(count: int, parts: int) -> list[int]:
+    """0, the draws where parts 1..parts-1 start, and count: part k starts
+    near count * (1 - keep**k) / (1 - keep**parts), keep = 1 - _REPLAY_SHARE,
+    so that replaying the draws before it and sweeping its own take each part
+    about as long, rounded to a whole block."""
+    keep = 1.0 - _REPLAY_SHARE
+    return [min(count, round(count * (1.0 - keep**k) / (1.0 - keep**parts) / _SWEEP_BLOCK)
+                * _SWEEP_BLOCK) for k in range(parts)] + [count]
 
 
 # one step of the chain, normalized by A
@@ -400,7 +550,8 @@ def verify_chain(sample_count: int, seed: int) -> CertificationReport:
     check_int("seed", seed, 0)
     steps = _kernel([(_CHAIN_STEP, {"above": above, "below": below, "a": ARITHMETIC})
                      for below, above in zip(CHAIN_ORDER, CHAIN_ORDER[1:])])
-    return _sampled_sweep(_chain_draw, random.Random(seed), sample_count, steps, seed)
+    return _sampled_sweep(_chain_draw, functools.partial(random.Random, seed), sample_count,
+                          steps, seed)
 
 
 # The two weighted Q/A displays cannot both be sharp as printed; they are
@@ -411,6 +562,9 @@ REPORT_ONLY_CORPUS_CLAIMS = frozenset({
     "neuman-qa-lambda-lower",
     "neuman-qa-mu-upper",
 })
+
+# the corpus claims that cost more to sweep than a Q/A claim, and how many times more
+_CORPUS_COST = {"ky-fan": 4, "lp0-lt-m": 2, "m-lt-l2": 2}
 
 _KY_FAN_KINDS = (GEOMETRIC, LOGARITHMIC, SEIFFERT_FIRST, ARITHMETIC,
                  NEUMAN_SANDOR, SEIFFERT_SECOND)
@@ -475,6 +629,26 @@ def verify_corpus(sample_count: int, seed: int) -> list[tuple[str, Certification
     """Evaluate every corpus claim on its own seeded sample stream."""
     check_int("sample_count", sample_count, 1)
     check_int("seed", seed, 0)
-    return [(claim_id, _sampled_sweep(draw, random.Random(f"{seed}:{claim_id}"), sample_count,
-                                      margin_columns, seed))
-            for claim_id, draw, margin_columns in _corpus_claims()]
+    claims = _corpus_claims()
+
+    def scans(hand: list[int]) -> list:
+        return [_draw_scans(draw, functools.partial(random.Random, f"{seed}:{claim_id}"),
+                            margin_columns, 0, sample_count)
+                for claim_id, draw, margin_columns in map(claims.__getitem__, hand)]
+
+    hands = _deal([_CORPUS_COST.get(claim_id, 1) for claim_id, _, _ in claims],
+                  min(len(claims), _workers(len(claims) * sample_count)))
+    dealt = {}
+    for hand, part in zip(hands, _fork_map([functools.partial(scans, hand) for hand in hands])):
+        dealt.update(zip(hand, part))
+    return [(claim_id, _draw_report(dealt[i], sample_count, seed))
+            for i, (claim_id, _, _) in enumerate(claims)]
+
+
+def _deal(costs: list[int], parts: int) -> list[list[int]]:
+    """The indices of costs dealt into parts hands, the heaviest first, each
+    to the hand that costs least so far."""
+    hands = [[] for _ in range(parts)]
+    for i in sorted(range(len(costs)), key=costs.__getitem__, reverse=True):
+        min(hands, key=lambda hand: sum(map(costs.__getitem__, hand))).append(i)
+    return hands

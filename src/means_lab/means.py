@@ -138,8 +138,7 @@ class PositivePair(Record):
 
     def __post_init__(self) -> None:
         for name in ("a", "b"):
-            object.__setattr__(self, name, check_real(
-                "pair entry", getattr(self, name), 0.0, math.inf, lo_open=True, hi_open=True))
+            object.__setattr__(self, name, _pair_entry(getattr(self, name)))
 
     @property
     def lo(self) -> float:
@@ -150,20 +149,37 @@ class PositivePair(Record):
         return max(self.a, self.b)
 
 
-def as_pair(value) -> PositivePair:
-    if isinstance(value, PositivePair):
-        return value
+def _pair_entry(x) -> float:
+    return check_real("pair entry", x, 0.0, math.inf, lo_open=True, hi_open=True)
+
+
+def _entries(value) -> tuple:
+    """The two entries of value, a pair of anything."""
     try:
         a, b = value
     except (TypeError, ValueError):
         raise DomainError(f"cannot interpret {value!r} as a pair") from None
-    return PositivePair(a, b)
+    return a, b
+
+
+def as_pair(value) -> PositivePair:
+    if isinstance(value, PositivePair):
+        return value
+    return PositivePair(*_entries(value))
+
+
+def _lo_hi(value) -> tuple[float, float]:
+    """(lo, hi) of as_pair(value), checked as it checks them, without
+    building the pair."""
+    if isinstance(value, PositivePair):
+        return value.lo, value.hi
+    a, b = map(_pair_entry, _entries(value))
+    return (a, b) if a <= b else (b, a)
 
 
 def normalized_gap(pair) -> float:
     """|a-b|/(a+b), in [0, 1)."""
-    p = as_pair(pair)
-    lo, hi = p.lo, p.hi
+    lo, hi = _lo_hi(pair)
     s = lo + hi
     if math.isinf(s):
         lo, hi, s = 0.25 * lo, 0.25 * hi, 0.25 * lo + 0.25 * hi
@@ -430,5 +446,4 @@ def evaluate_mean(kind: MeanKind, pair) -> float:
     homogeneous of degree 1 to rounding accuracy, and between min and max.
     """
     check_type("mean kind", kind, MeanKind)
-    p = as_pair(pair)
-    return _mean(kind, p.lo, p.hi)
+    return _mean(kind, *_lo_hi(pair))

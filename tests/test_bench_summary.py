@@ -26,14 +26,19 @@ BENCHMARK = {"end_to_end": [
 ]}
 
 
-def _lines(workload, seed, pass_s, ok_share, src_total, failed=0):
+def _lines(workload, seed, pass_s, ok_share, src_total, failed=0, pass_wall_s=None):
+    """A run's report and result lines; its median raw wall time per pass is
+    pass_wall_s, or twice pass_s."""
     conditions = {"workload": workload, "seed": seed, "seconds": 20.0, "trace": 0,
                   "python": "3.11.7", "implementation": "CPython", "cpu_count": 2,
                   "machine": "x86_64", "src_lines": {"src.src_lines": src_total}}
+    wall = 2.0 * pass_s if pass_wall_s is None else pass_wall_s
     result = {"correct": failed == 0, "attempted": 10, "failed": failed,
               "metrics": {"pass_s": {"value": pass_s, "unit": "s"},
                           "ok_share": {"value": ok_share, "unit": "share"}}}
-    return [json.dumps({"report": {"conditions": conditions, "passes": 3}}), json.dumps(result)]
+    report = {"conditions": conditions, "passes": 3,
+              "pass_wall_s": {"n": 3, "median": wall, "q1": 0.9 * wall, "q3": 1.1 * wall}}
+    return [json.dumps({"report": report}), json.dumps(result)]
 
 
 PARENT_PASS = [1.0, 1.2, 1.1, 0.9, 1.3, 1.0, 1.05, 1.15, 0.95, 1.1]
@@ -171,6 +176,31 @@ def test_drift_from_the_reference_file(runs_dir, tmp_path, monkeypatch):
     assert "reference_median" not in chain and "drift" not in chain
 
 
+def test_raw_wall_time_per_pass_beside_the_rescaled_metrics(tmp_path):
+    # pass_s ties in every pair, while the raw wall time, which pass_s does
+    # not see where work moved onto other CPUs, is lower at the change in
+    # all but the last pair
+    parent_wall = [1.0, 1.2, 1.1, 0.9, 1.3, 1.0, 1.05, 1.15, 0.95, 0.7]
+    change_wall = [0.6, 0.7, 0.65, 0.6, 0.75, 0.62, 0.64, 0.66, 0.61, 0.8]
+    parent, change = [], []
+    for k, seed in enumerate(SEEDS):
+        parent += _lines("chain", seed, 0.5, 1.0, 100, pass_wall_s=parent_wall[k])
+        change += _lines("chain", seed, 0.5, 1.0, 100, pass_wall_s=change_wall[k])
+    (tmp_path / "parent.jsonl").write_text("\n".join(parent) + "\n")
+    (tmp_path / "change.jsonl").write_text("\n".join(change) + "\n")
+    chain = tool.summarize(tmp_path, BENCHMARK, "c", "p")["workloads"]["chain"]
+    wall = chain["pass_wall_s"]
+    assert wall["unit"] == "s" and "not rescaled" in wall["note"]
+    assert wall["parent"]["runs"] == parent_wall and wall["change"]["runs"] == change_wall
+    assert wall["parent"]["median"] == pytest.approx(1.025)
+    assert (wall["parent"]["q1"], wall["parent"]["q3"]) == pytest.approx((0.9625, 1.1375))
+    assert wall["change"]["median"] == pytest.approx(0.645)
+    assert wall["change_better_pairs"] == 9
+    # the rescaled metrics are read as before
+    assert chain["metrics"]["pass_s"]["tied_pairs"] == 10
+    assert "pass_wall_s" not in chain["metrics"]
+
+
 def test_mismatched_seeds_rejected(runs_dir):
     change = (runs_dir / "change.jsonl").read_text().replace('"seed": 41', '"seed": 7')
     (runs_dir / "change.jsonl").write_text(change)
@@ -202,5 +232,6 @@ def test_run_alternates_sides(tmp_path):
     assert order == ["p w1 5", "c w1 5", "c w1 6", "p w1 6", "p w1 7", "c w1 7",
                      "p w2 5", "c w2 5", "c w2 6", "p w2 6", "p w2 7", "c w2 7"]
     runs = tool.read_runs(tmp_path / "runs" / "change.jsonl")
-    assert [(cond["workload"], cond["seed"], result["tree"]) for cond, result in runs] == \
+    assert [(report["conditions"]["workload"], report["conditions"]["seed"], result["tree"])
+            for report, result in runs] == \
         [(w, s, "c") for w in ("w1", "w2") for s in (5, 6, 7)]

@@ -238,6 +238,14 @@ SWEEP_CASES = {
 BLOCK = certify._SWEEP_BLOCK
 
 
+@pytest.fixture(params=["one process", "split"])
+def sweep_parts(request, monkeypatch):
+    """Run a memory test with the whole sweep in this traced process, and
+    again split over this machine's CPUs as it runs by default."""
+    if request.param == "one process":
+        monkeypatch.setattr(certify, "_workers", lambda points: 1)
+
+
 def traced_peak(fn):
     """Peak bytes traced by tracemalloc while fn runs."""
     tracemalloc.start()
@@ -288,7 +296,7 @@ class TestOneSweep:
         with pytest.raises(DomainError):
             verify_bound(3, 500)
 
-    def test_memory_does_not_grow_with_the_grid(self):
+    def test_memory_does_not_grow_with_the_grid(self, sweep_parts):
         # the grid is made a block at a time, so the sweep never holds it
         grid_peak = traced_peak(lambda: gap_grid(100_000))
         small_peak = traced_peak(lambda: verify_bound(SWEEP_CASES["1.1"], 10_000))
@@ -558,7 +566,7 @@ class TestChain:
     def test_deterministic(self):
         assert verify_chain(500, seed=7) == verify_chain(500, seed=7)
 
-    def test_memory_does_not_grow_with_samples(self):
+    def test_memory_does_not_grow_with_samples(self, sweep_parts):
         # the draws are held one block at a time
         assert traced_peak(lambda: verify_chain(100_000, seed=42)) \
             <= 1.25 * traced_peak(lambda: verify_chain(1_000, seed=42))
@@ -586,7 +594,7 @@ class TestCorpus:
         assert first == second
         assert all(report.seed == 9 for _, report in first)
 
-    def test_memory_does_not_grow_with_samples(self):
+    def test_memory_does_not_grow_with_samples(self, sweep_parts):
         # both counts fill whole blocks; 100 samples would not fill one
         assert traced_peak(lambda: verify_corpus(10_000, seed=42)) \
             <= 1.25 * traced_peak(lambda: verify_corpus(1_000, seed=42))

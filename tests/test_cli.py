@@ -304,6 +304,29 @@ class TestFormats:
         assert "Traceback" not in err
         assert err == "error: interrupted\n"
 
+    def test_interrupt_leaves_no_forked_worker_behind(self):
+        # the CLI leads a session of its own, and SIGINT goes to it alone, not
+        # to the workers it forked for the sweep; once it has exited 130, no
+        # process is left in its group
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "means_lab", "verify", "1.1", "--grid", "20000000",
+             "--format", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+            start_new_session=True,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+        try:
+            time.sleep(1.5)
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == 130
+        assert err == "error: interrupted\n"
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+
     def test_unexpected_error_exit_3_without_traceback(self, capsys, monkeypatch):
         def boom(args):
             raise RuntimeError("boom")

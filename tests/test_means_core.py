@@ -85,6 +85,34 @@ class TestSpecExamples:
             with pytest.raises(DomainError):
                 evaluate_mean(HARMONIC, bad)
 
+    @pytest.mark.parametrize("bad,message", [
+        ((0.0, 3.0), "pair entry must be a real number in (0.0, inf), got 0.0"),
+        ((3.0, -1), "pair entry must be a real number in (0.0, inf), got -1"),
+        ((1.0, "2"), "pair entry must be a real number in (0.0, inf), got '2'"),
+        ((1.0, 10**400), "pair entry must be a real number in the float range, "
+                         "got an int of 401 digits"),
+        ((1.0, 2.0, 3.0), "cannot interpret (1.0, 2.0, 3.0) as a pair"),
+        ((1.0,), "cannot interpret (1.0,) as a pair"),
+        (5, "cannot interpret 5 as a pair"),
+        (None, "cannot interpret None as a pair"),
+    ])
+    def test_invalid_pair_messages(self, bad, message):
+        # evaluate_mean and normalized_gap check a tuple's entries without
+        # building a PositivePair, with its messages
+        for call in (lambda: evaluate_mean(HARMONIC, bad), lambda: normalized_gap(bad),
+                     lambda: means.as_pair(bad)):
+            with pytest.raises(DomainError) as caught:
+                call()
+            assert str(caught.value) == message
+
+    @pytest.mark.parametrize("pair", [(1.0, 3.0), (3.0, 1.0), (2, 2), (1e-300, 1e300),
+                                      (5e-324, 1.0), (0.5, 1.5)])
+    def test_tuple_and_record_give_the_same_bits(self, pair):
+        record = PositivePair(*pair)
+        for kind in CHAIN_ORDER:
+            assert evaluate_mean(kind, pair).hex() == evaluate_mean(kind, record).hex()
+        assert normalized_gap(pair).hex() == normalized_gap(record).hex()
+
     def test_invalid_parameter(self):
         with pytest.raises(DomainError):
             generalized_log(float("nan"))

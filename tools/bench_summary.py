@@ -16,6 +16,9 @@ those lines back and writes, per workload and end-to-end metric of
 the change won or tied, how far its median moved in the worse direction
 (``worse_by``) and whether that exceeds the metric's bound (``regressed``);
 with ``--claim`` it also applies the gain rule to one workload's metric.
+Beside them it writes the spread of each run's median raw wall time per pass
+(``pass_wall_s`` of the report line): ``pass_s`` is rescaled by the speed
+that this process samples, which does not see work moved onto other CPUs.
 Against the parent medians of REFERENCE, the first file this tool wrote, it
 also reports each metric's cumulative ``drift``: those runs come from another
 session and are not paired, so drift flags nothing and gates nothing.
@@ -69,12 +72,11 @@ def run_pairs(trees: dict[str, Path], runs_dir: Path, workloads: list[str],
 
 
 def read_runs(path: Path) -> list[tuple[dict, dict]]:
-    """(conditions, result) per run, from alternating report and result lines."""
+    """(report, result) per run, from alternating report and result lines."""
     lines = [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
     if len(lines) % 2 or any("report" not in line for line in lines[::2]):
         raise ValueError(f"{path}: expected report and result lines in turn")
-    return [(report["report"]["conditions"], result)
-            for report, result in zip(lines[::2], lines[1::2])]
+    return [(report["report"], result) for report, result in zip(lines[::2], lines[1::2])]
 
 
 def spread(runs: list[float]) -> dict:
@@ -95,16 +97,23 @@ def summarize(runs_dir: Path, benchmark: dict, change: str, parent_commit: str,
     metrics = benchmark["end_to_end"]
     reference = json.loads(REFERENCE.read_text())["workloads"]
     workloads = {}
-    for name in dict.fromkeys(cond["workload"] for cond, _ in runs["parent"]):
-        sides = {side: [run for run in runs[side] if run[0]["workload"] == name] for side in SIDES}
-        seeds = [cond["seed"] for cond, _ in sides["parent"]]
-        if [cond["seed"] for cond, _ in sides["change"]] != seeds:
+    for name in dict.fromkeys(report["conditions"]["workload"] for report, _ in runs["parent"]):
+        sides = {side: [run for run in runs[side] if run[0]["conditions"]["workload"] == name]
+                 for side in SIDES}
+        seeds = [report["conditions"]["seed"] for report, _ in sides["parent"]]
+        if [report["conditions"]["seed"] for report, _ in sides["change"]] != seeds:
             raise ValueError(f"{name}: the two sides ran different seeds")
         entry = {"pairs": len(seeds), "seeds": seeds,
                  "parent_first": [parent_first(k) for k in range(len(seeds))],
                  **{count: {side: sum(result[count] for _, result in sides[side])
                             for side in SIDES} for count in ("attempted", "failed")},
                  "metrics": {}}
+        walls = {side: [report["pass_wall_s"]["median"] for report, _ in sides[side]]
+                 for side in SIDES}
+        entry["pass_wall_s"] = {
+            "unit": "s", "note": "each run's median raw wall time per pass, not rescaled",
+            **{side: spread(walls[side]) for side in SIDES},
+            "change_better_pairs": sum(c < p for p, c in zip(walls["parent"], walls["change"]))}
         for metric in metrics:
             values = {side: [result["metrics"][metric["name"]]["value"]
                              for _, result in sides[side]] for side in SIDES}
@@ -127,8 +136,8 @@ def summarize(runs_dir: Path, benchmark: dict, change: str, parent_commit: str,
                     drift=relative_worsening(sign, old["parent"]["median"],
                                              spreads["change"]["median"]))
         workloads[name] = entry
-    conditions = runs["parent"][0][0]
-    all_seeds = list(dict.fromkeys(cond["seed"] for cond, _ in runs["parent"]))
+    conditions = runs["parent"][0][0]["conditions"]
+    all_seeds = list(dict.fromkeys(report["conditions"]["seed"] for report, _ in runs["parent"]))
     out = {"change": change, "parent_commit": parent_commit,
            "change_commit": "the commit that adds this file"}
     if claim:
@@ -147,7 +156,7 @@ def summarize(runs_dir: Path, benchmark: dict, change: str, parent_commit: str,
         "note": ("reference_median is the parent median of this file and drift the change "
                  "median's worsening from it; those runs come from another session and are "
                  "not paired with these, so drift flags nothing and gates nothing")}
-    out["src_lines"] = {side: runs[side][0][0]["src_lines"] for side in SIDES}
+    out["src_lines"] = {side: runs[side][0][0]["conditions"]["src_lines"] for side in SIDES}
     out["workloads"] = workloads
     return out
 
