@@ -1,77 +1,12 @@
 """means-lab: bivariate special means, the sharp constants of their weighted
-double inequalities, and a numerical certification harness."""
+double inequalities, and a numerical certification harness.
+
+The public API is each module's ``__all__``; no two of them share a name."""
 
 from .exceptions import DomainError, EvaluationError, replace
-from .means import (
-    ARITHMETIC,
-    CHAIN_ORDER,
-    CONTRA_HARMONIC,
-    GEOMETRIC,
-    HARMONIC,
-    LOGARITHMIC,
-    NEUMAN_SANDOR,
-    QUADRATIC,
-    SEIFFERT_FIRST,
-    SEIFFERT_SECOND,
-    MeanFamily,
-    MeanKind,
-    PositivePair,
-    as_pair,
-    evaluate_mean,
-    generalized_log,
-    mean_shape,
-    normalized_gap,
-    pair_from_gap,
-    stable_asinh,
-)
-from .ratios import (
-    ASINH_ONE,
-    SERIES_SWITCH,
-    Endpoint,
-    RatioFunctionKind,
-    SharpConstants,
-    endpoint_value,
-    evaluate_ratio_function,
-    f_p,
-    g_p,
-    h_lambda0,
-    h_onethird,
-    limit_at,
-    locate_h_lambda0_sign_change,
-    mu_lambda0,
-    phi_hc,
-    phi_hq,
-    ratio_function_domain,
-    ratio_gq,
-    sharp_constants,
-)
-from .series import (
-    CoefficientKind,
-    Direction,
-    MonotonicityVerdict,
-    coefficient_exact,
-    ratio_difference,
-    ratio_sequence_verdict,
-    solve_p0,
-    truncated_quotient,
-)
-from .certify import (
-    BoundClaim,
-    CertificationReport,
-    GRID_EDGE,
-    Objective,
-    Relation,
-    REPORT_ONLY_CORPUS_CLAIMS,
-    SharpAt,
-    SharpnessReport,
-    STRICTNESS_FLOOR,
-    gap_grid,
-    recover_constant,
-    sharpness_probe,
-    theorem_claims,
-    verify_bound,
-    verify_chain,
-    verify_corpus,
-)
+from .means import *
+from .ratios import *
+from .series import *
+from .certify import *
 
 __version__ = "0.1.0"

@@ -13,7 +13,8 @@ no resolvable margin (``min_margin`` inf) does not hold.
 All three sweeps (the gap grid of ``verify_bound``, the seeded draws of
 ``verify_chain`` and ``verify_corpus``) go through one walker, ``_sweep``,
 which maps their blocks of points, each made only when it is reached, to
-margin columns, and ranks them; ``_report`` turns its result into a report.
+margin columns, and ranks them; ``_report`` makes a claim's report from the
+scans of its columns (one on the grid and in the corpus, one per chain step).
 Each sweep's margins are output expressions of one kernel compiled by
 ``means._kernel``, which computes every mean and margin of a block in one
 list comprehension.
@@ -388,12 +389,16 @@ def _serve(task, write_end: int, parent: int) -> None:
         os._exit(code)
 
 
-def _report(size: int, min_margin: float, point, near: int, to_pair, seed=None) -> CertificationReport:
-    """The report of a sweep whose worst point is to_pair(point); it holds
-    iff some margin is resolvable and every resolvable margin is positive,
-    and with none resolvable its worst pair is the unit gap-0.5 pair."""
+def _report(size: int, scans, to_pair, seed=None) -> CertificationReport:
+    """The report of a claim from the _sweep scans of its margin columns: its
+    worst point is the least by (margin, index), so a tie between columns goes
+    to the earlier point, and its near-zero count is theirs added up.  It holds
+    iff some margin is resolvable and every resolvable margin is positive; its
+    worst pair is to_pair(point), or with none resolvable the unit gap-0.5 pair."""
+    min_margin, _, point, _ = min(scans, key=_RANK)
     worst = pair_from_gap(0.5, 1.0) if point is None else to_pair(point)
-    return CertificationReport(size, min_margin, worst, 0.0 < min_margin < math.inf, near, seed)
+    return CertificationReport(size, min_margin, worst, 0.0 < min_margin < math.inf,
+                               sum(scan[3] for scan in scans), seed)
 
 
 def verify_bound(claim: BoundClaim | list[BoundClaim] | tuple[BoundClaim, ...],
@@ -408,8 +413,8 @@ def verify_bound(claim: BoundClaim | list[BoundClaim] | tuple[BoundClaim, ...],
     margin_columns, parts = _margin_fn(claims), _workers(grid_size)
     scans = _merge(_fork_map([functools.partial(_sweep, _grid_blocks(grid_size, part, parts),
                                                 margin_columns) for part in range(parts)]))
-    reports = [_report(grid_size, best, x, near, functools.partial(pair_from_gap, scale=1.0))
-               for best, _, x, near in scans]
+    reports = [_report(grid_size, [scan], functools.partial(pair_from_gap, scale=1.0))
+               for scan in scans]
     return reports[0] if single else reports
 
 
@@ -510,13 +515,6 @@ def _draw_scans(draw, new_rng, margin_columns, first: int, stop: int):
                    for start in range(first, stop, _SWEEP_BLOCK)), margin_columns)
 
 
-def _draw_report(scans, sample_count: int, seed: int) -> CertificationReport:
-    # a tie between columns goes to the earlier draw, whatever the column order
-    best, _, worst, _ = min(scans, key=_RANK)
-    return _report(sample_count, best, worst, sum(scan[3] for scan in scans),
-                   lambda pair: PositivePair(*pair), seed)
-
-
 def _sampled_sweep(draw, new_rng, sample_count: int, margin_columns,
                    seed: int) -> CertificationReport:
     """Report over sample_count pairs (a, b) that draw(rng, count) returns a
@@ -526,7 +524,7 @@ def _sampled_sweep(draw, new_rng, sample_count: int, margin_columns,
     cuts = _draw_cuts(sample_count, _workers(sample_count))
     tasks = [functools.partial(_draw_scans, draw, new_rng, margin_columns, first, stop)
              for first, stop in zip(cuts, cuts[1:])]
-    return _draw_report(_merge(_fork_map(tasks)), sample_count, seed)
+    return _report(sample_count, _merge(_fork_map(tasks)), lambda pair: PositivePair(*pair), seed)
 
 
 def _draw_cuts(count: int, parts: int) -> list[int]:
@@ -573,9 +571,10 @@ _KY_FAN_KINDS = (GEOMETRIC, LOGARITHMIC, SEIFFERT_FIRST, ARITHMETIC,
 def _ky_fan_pair(r) -> tuple[float, float]:
     """A random pair (a, b) of distinct reals in (0, 1/2) from the stream r."""
     while True:
-        # rng.uniform(0.0, 0.5) as CPython computes it, without the method call
+        # rng.uniform(0.0, 0.5) as CPython computes it, without the method call;
+        # it is below 0.5, so only a 0.0 or a repeat is drawn again
         a, b = 0.5 * r(), 0.5 * r()
-        if 0.0 < a < 0.5 and 0.0 < b < 0.5 and a != b:
+        if a and b and a != b:
             return a, b
 
 
@@ -641,7 +640,7 @@ def verify_corpus(sample_count: int, seed: int) -> list[tuple[str, Certification
     dealt = {}
     for hand, part in zip(hands, _fork_map([functools.partial(scans, hand) for hand in hands])):
         dealt.update(zip(hand, part))
-    return [(claim_id, _draw_report(dealt[i], sample_count, seed))
+    return [(claim_id, _report(sample_count, dealt[i], lambda pair: PositivePair(*pair), seed))
             for i, (claim_id, _, _) in enumerate(claims)]
 
 

@@ -201,6 +201,30 @@ def test_raw_wall_time_per_pass_beside_the_rescaled_metrics(tmp_path):
     assert "pass_wall_s" not in chain["metrics"]
 
 
+def test_claim_on_pass_s_also_rules_on_raw_wall_time(tmp_path):
+    # pass_s ties in every pair, so its claim fails; the raw wall time wins
+    # nine pairs by a median gap of 0.38 s, beyond the parent's 0.175 s, and
+    # its verdict is reported beside the claim's without deciding it
+    parent_wall = [1.0, 1.2, 1.1, 0.9, 1.3, 1.0, 1.05, 1.15, 0.95, 0.7]
+    change_wall = [0.6, 0.7, 0.65, 0.6, 0.75, 0.62, 0.64, 0.66, 0.61, 0.8]
+    parent, change = [], []
+    for k, seed in enumerate(SEEDS):
+        parent += _lines("chain", seed, 0.5, 1.0, 100, pass_wall_s=parent_wall[k])
+        change += _lines("chain", seed, 0.5, 1.0, 100, pass_wall_s=change_wall[k])
+    (tmp_path / "parent.jsonl").write_text("\n".join(parent) + "\n")
+    (tmp_path / "change.jsonl").write_text("\n".join(change) + "\n")
+    claim = tool.summarize(tmp_path, BENCHMARK, "c", "p", "chain:pass_s")["claim"]
+    assert (claim["metric"], claim["change_better_pairs"], claim["holds"]) == ("pass_s", 0, False)
+    raw = claim["raw_wall"]
+    assert (raw["metric"], raw["gating"], raw["rule"]) == ("pass_wall_s", False, tool.RULE)
+    assert (raw["parent_median"], raw["change_median"]) == pytest.approx((1.025, 0.645))
+    assert raw["parent_interquartile_range"] == pytest.approx(0.175)
+    assert (raw["change_better_pairs"], raw["pairs"], raw["holds"]) == (9, 10, True)
+    # only pass_s is rescaled, so a claim on another metric has no raw_wall
+    other = tool.summarize(tmp_path, BENCHMARK, "c", "p", "chain:ok_share")["claim"]
+    assert "raw_wall" not in other
+
+
 def test_mismatched_seeds_rejected(runs_dir):
     change = (runs_dir / "change.jsonl").read_text().replace('"seed": 41', '"seed": 7')
     (runs_dir / "change.jsonl").write_text(change)

@@ -247,7 +247,9 @@ def sweep_parts(request, monkeypatch):
 
 
 def traced_peak(fn):
-    """Peak bytes traced by tracemalloc while fn runs."""
+    """Peak bytes traced by tracemalloc while fn runs, after one untraced run
+    has paid the one-time costs (kernels compiled, caches filled)."""
+    fn()
     tracemalloc.start()
     try:
         fn()

@@ -49,6 +49,13 @@ def test_exports_exactly_the_module_apis():
     assert exported == api | {"DomainError", "EvaluationError", "replace"}
 
 
+@pytest.mark.parametrize("module", [means, ratios, series, certify], ids=lambda m: m.__name__)
+def test_exports_are_the_module_objects(module):
+    # a name in two modules' __all__ would leave the package one of the two
+    for name in module.__all__:
+        assert getattr(means_lab, name) is getattr(module, name), name
+
+
 @pytest.mark.parametrize("call,name,value", [
     # an enum's value is not its member: MeanKind("H") was once accepted and
     # failed later with KeyError, MeanKind("Lp", 2.0) with AttributeError

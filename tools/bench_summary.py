@@ -19,6 +19,8 @@ with ``--claim`` it also applies the gain rule to one workload's metric.
 Beside them it writes the spread of each run's median raw wall time per pass
 (``pass_wall_s`` of the report line): ``pass_s`` is rescaled by the speed
 that this process samples, which does not see work moved onto other CPUs.
+So a claim on ``pass_s`` also applies the gain rule to the raw wall time, as
+the claim's ``raw_wall``, which is reported and gates nothing.
 Against the parent medians of REFERENCE, the first file this tool wrote, it
 also reports each metric's cumulative ``drift``: those runs come from another
 session and are not paired, so drift flags nothing and gates nothing.
@@ -111,7 +113,8 @@ def summarize(runs_dir: Path, benchmark: dict, change: str, parent_commit: str,
         walls = {side: [report["pass_wall_s"]["median"] for report, _ in sides[side]]
                  for side in SIDES}
         entry["pass_wall_s"] = {
-            "unit": "s", "note": "each run's median raw wall time per pass, not rescaled",
+            "unit": "s", "better": "lower",
+            "note": "each run's median raw wall time per pass, not rescaled",
             **{side: spread(walls[side]) for side in SIDES},
             "change_better_pairs": sum(c < p for p, c in zip(walls["parent"], walls["change"]))}
         for metric in metrics:
@@ -162,8 +165,18 @@ def summarize(runs_dir: Path, benchmark: dict, change: str, parent_commit: str,
 
 
 def gain_claim(workload: str, entry: dict, metric: str) -> dict:
-    """The gain rule (RULE) on one metric of a workload's summary entry."""
-    spreads = entry["metrics"][metric]
+    """The gain rule (RULE) on one metric of a workload's summary entry; on
+    pass_s also on the raw wall time per pass, as raw_wall, which gates nothing."""
+    claim = {"workload": workload, "metric": metric, **apply_rule(entry, entry["metrics"][metric])}
+    if metric == "pass_s":
+        claim["raw_wall"] = {"metric": "pass_wall_s", "gating": False,
+                             **apply_rule(entry, entry["pass_wall_s"])}
+    return claim
+
+
+def apply_rule(entry: dict, spreads: dict) -> dict:
+    """RULE on one measure of a workload's summary entry, given its spreads:
+    each side's runs, median and quartiles, and the pairs the change won."""
     parent, change = spreads["parent"], spreads["change"]
     sign = 1.0 if spreads["better"] == "lower" else -1.0
     difference = sign * (parent["median"] - change["median"])
@@ -171,8 +184,7 @@ def gain_claim(workload: str, entry: dict, metric: str) -> dict:
     wins = spreads["change_better_pairs"]
     failed, attempted = entry["failed"], entry["attempted"]
     share = {side: failed[side] / max(attempted[side], 1) for side in SIDES}
-    return {"workload": workload, "metric": metric,
-            "parent_median": parent["median"], "change_median": change["median"],
+    return {"parent_median": parent["median"], "change_median": change["median"],
             "median_difference": difference, "parent_interquartile_range": iqr,
             "change_better_pairs": wins, "pairs": entry["pairs"], "failed_share": share,
             "rule": RULE,
