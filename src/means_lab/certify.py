@@ -107,8 +107,9 @@ GRID_EDGE = 1e-8
 # definitive (well above the ~1e-15 evaluation noise)
 _VIOLATION_THRESHOLD = 1e-13
 
-# points per block of every sweep: points and columns live one block at a
-# time, so memory grows with neither the grid size nor the sample count
+# points per block of every sweep: memory grows with neither the grid size nor
+# the sample count, and 128 and 256 were fastest, 1-9% ahead of 64 and 5-33% of
+# 1024 and 4096 (1.1 grid sweep and 100k chain draws, one CPU, best of 12 runs)
 _SWEEP_BLOCK = 256
 
 # fewest points a forked part of a sweep is given: 8-13 ms of the grid sweep

@@ -94,9 +94,10 @@ class MeanKind(Record):
 
     @property
     def token(self) -> str:
-        if self.family is MeanFamily.GENERALIZED_LOG:
-            return f"Lp:{self.p:g}"
-        return self.family.value
+        if self.family is not MeanFamily.GENERALIZED_LOG:
+            return self.family.value
+        short = f"{self.p:g}"  # unless it loses digits: an id names p exactly
+        return f"Lp:{short if float(short) == self.p else repr(self.p)}"
 
 
 HARMONIC = MeanKind(MeanFamily.HARMONIC)

@@ -1,6 +1,8 @@
 """Coefficient sequences of the two odd power series behind the ratio
 functions, exact ratio-monotonicity verdicts, truncated-series quotients,
 and the bisection solver for the (p+1)^(1/p) = 2*log(1+sqrt(2)) root.
+Each coefficient is stated once, as integers; the factorial cancels in every
+coefficient ratio, so the verdicts compare ratios by cross-multiplication.
 
 Both series pairs share the factor t^(2n+1), which cancels in the quotient;
 the quotients here are therefore polynomials in t^2 divided termwise, which
@@ -32,28 +34,38 @@ __all__ = [
 class CoefficientKind(Enum):
     """The four coefficient sequences: A_n/B_n form the harmonic-quadratic
     quotient, C_n/D_n the harmonic-contraharmonic one.  Every coefficient is
-    positive (C_n = (4^n (2n+1) - 2)/((2n+1)(2n)!)), so a denominator series
-    in s = t^2 is never below its first coefficient, the least of which is
-    A_1 = 1/3."""
+    positive, so a denominator series in s = t^2 is never below its first
+    coefficient, the least of which is A_1 = 1/3."""
 
-    A = "A"  # 2n / ((2n+1) (2n)!)
-    B = "B"  # (2^(2n-1) + 1) / (2n)!
-    C = "C"  # 2^(2n)/(2n)! - 2/(2n+1)!
-    D = "D"  # 2^(2n+1) / (2n)!
+    A = "A"
+    B = "B"
+    C = "C"
+    D = "D"
+
+
+def _parts(kind: CoefficientKind, n: int) -> tuple[int, int]:
+    """The n-th coefficient as positive integers (u, w), c_n = u / (w (2n)!), so
+    A_n/B_n = 2n/((2n+1)(2^(2n-1)+1)) and C_n/D_n = 1/2 - 1/((2n+1) 4^n) for all n."""
+    if kind is CoefficientKind.A:
+        return 2 * n, 2 * n + 1
+    if kind is CoefficientKind.B:
+        return 2 ** (2 * n - 1) + 1, 1
+    if kind is CoefficientKind.C:  # 2^(2n)/(2n)! - 2/(2n+1)!
+        return 4 ** n * (2 * n + 1) - 2, 2 * n + 1
+    return 2 ** (2 * n + 1), 1  # D
+
+
+def _ratio(num: CoefficientKind, den: CoefficientKind, n: int) -> tuple[int, int]:
+    """r_n = num_n / den_n as positive integers (p, q), r_n = p / q."""
+    (u1, w1), (u2, w2) = _parts(num, n), _parts(den, n)
+    return u1 * w2, u2 * w1
 
 
 def coefficient_exact(kind: CoefficientKind, n: int) -> Fraction:
     """Exact rational value of the n-th coefficient."""
     check_type("coefficient kind", kind, CoefficientKind)
     check_int("coefficient index n", n, 1)
-    fact = math.factorial(2 * n)
-    if kind is CoefficientKind.A:
-        return Fraction(2 * n, (2 * n + 1) * fact)
-    if kind is CoefficientKind.B:
-        return Fraction(2 ** (2 * n - 1) + 1, fact)
-    if kind is CoefficientKind.C:
-        return Fraction(2 ** (2 * n), fact) - Fraction(2, fact * (2 * n + 1))
-    return Fraction(2 ** (2 * n + 1), fact)  # D
+    return Fraction(*_parts(kind, n)) / math.factorial(2 * n)
 
 
 def ratio_difference(numerator_kind: CoefficientKind, denominator_kind: CoefficientKind,
@@ -83,17 +95,17 @@ def ratio_sequence_verdict(numerator_kind: CoefficientKind,
                            N: int) -> MonotonicityVerdict:
     """Strict monotonicity verdict for the ratio sequence over n = 1..N.
 
-    All comparisons are exact rational arithmetic: binary64 cannot even
-    represent the C/D ratio differences (~4^-n around 1/2) past n ~ 26, so
-    no floating comparison is used at any index.
+    Binary64 cannot even represent the C/D ratio differences (~4^-n around
+    1/2) past n ~ 26, so no floating comparison is used at any index: with
+    (2n)! cancelled, r_n = p_n / q_n in integers, q_n > 0, and r_(n+1) - r_n
+    has the sign of the cross product p_(n+1) q_n - p_n q_(n+1).
     """
     check_int("number of terms N", N, 2)
-    ratios = [coefficient_exact(numerator_kind, n) / coefficient_exact(denominator_kind, n)
-              for n in range(1, N + 1)]
-    signs = []
-    for n in range(N - 1):
-        d = ratios[n + 1] - ratios[n]
-        signs.append(0 if d == 0 else (1 if d > 0 else -1))
+    check_type("coefficient kind", numerator_kind, CoefficientKind)
+    check_type("coefficient kind", denominator_kind, CoefficientKind)
+    ratios = (_ratio(numerator_kind, denominator_kind, n) for n in range(1, N + 1))
+    signs = [((d := p1 * q - p * q1) > 0) - (d < 0)
+             for (p, q), (p1, q1) in itertools.pairwise(ratios)]
     # a zero first sign is a violation at 1, otherwise the first sign unlike it
     lead = signs[0]
     for i, s in enumerate(signs):
@@ -108,7 +120,8 @@ def _float_coefficients(kind: CoefficientKind, N: int) -> tuple[float, ...]:
     """The first N coefficients of a sequence, each correctly rounded from
     its exact value, cut before the first that underflows to 0.0: every
     sequence strictly decreases in n, so the rest would add exact zeros."""
-    floats = (float(coefficient_exact(kind, n)) for n in range(1, N + 1))
+    floats = (u / (w * math.factorial(2 * n))
+              for n in range(1, N + 1) for u, w in [_parts(kind, n)])
     return tuple(itertools.takewhile(bool, floats))
 
 

@@ -87,6 +87,24 @@ class TestEval:
         with pytest.raises(DomainError):
             parse_mean_token("Lp:abc")
 
+    @pytest.mark.parametrize("p", [-3.16, -1.0, 0.0, 2.0, 1e300, -1e300,
+                                   1.8435205184359802, 123456789.0, 1.0000001, 1.00000012])
+    def test_token_names_its_exponent_exactly(self, p):
+        kind = generalized_log(p)
+        assert parse_mean_token(kind.token) == kind
+
+    def test_token_keeps_the_short_text_when_it_round_trips(self):
+        assert [generalized_log(p).token for p in (-3.16, -1.0, 0.0, 2.0, 1e300, -1e300)] == [
+            "Lp:-3.16", "Lp:-1", "Lp:0", "Lp:2", "Lp:1e+300", "Lp:-1e+300"]
+        assert generalized_log(123456789.0).token == "Lp:123456789.0"
+
+    def test_close_exponents_get_distinct_ids(self, capsys):
+        code, out, _ = run_main(capsys, "eval", "--means", "Lp:1.0000001,Lp:1.00000012",
+                                "--pair", "1,2", "--format", "json")
+        assert code == 0
+        ids = [row["id"] for row in json.loads(out)["verdicts"]]
+        assert ids == ["Lp:1.0000001", "Lp:1.00000012"]
+
 
 class TestVerify:
     def test_theorem_pass(self, capsys):
