@@ -47,7 +47,7 @@ import random
 import sys
 from enum import Enum, unique
 
-from .exceptions import DomainError, Record, check_int, check_real, check_type, replace
+from .exceptions import DomainError, Record, check_int, check_real, check_type, replace, shown
 from .means import (
     ARITHMETIC,
     CHAIN_ORDER,
@@ -194,7 +194,7 @@ def theorem_claims(which: str) -> list[tuple[str, BoundClaim]]:
         "1.3": (HARMONIC, CONTRA_HARMONIC, c.alpha3, SharpAt.GAP_ONE, c.beta3, SharpAt.GAP_ZERO),
     }
     if which not in table:
-        raise DomainError(f"unknown theorem {which!r}; expected 1.1, 1.2 or 1.3")
+        raise DomainError(f"unknown theorem {shown(which)}; expected 1.1, 1.2 or 1.3")
     first, second, alpha, alpha_at, beta, beta_at = table[which]
     lower = BoundClaim(alpha, first, second, Relation.LESS_THAN_M, alpha_at)
     upper = BoundClaim(beta, first, second, Relation.GREATER_THAN_M, beta_at)
@@ -219,7 +219,7 @@ def _grid_blocks(n: int, part: int = 0, parts: int = 1):
     is followed by its mirror, made from the same exp calls when n is even.
     Split in parts, the blocks of the part-th: a contiguous range of low-ladder
     blocks with their mirrors, and in the last part the seam blocks too."""
-    check_int("grid size n", n, 2)
+    check_int("grid size n", n, 2, sys.maxsize)
     exp, size = math.exp, _SWEEP_BLOCK
     log_edge = math.log(GRID_EDGE)
     span = math.log(0.5) - log_edge
@@ -410,7 +410,7 @@ def verify_bound(claim: BoundClaim | list[BoundClaim] | tuple[BoundClaim, ...],
     claim from one sweep of the grid, through one _margin_fn."""
     single = not isinstance(claim, (list, tuple))
     claims = [check_type("claim", c, BoundClaim) for c in ([claim] if single else claim)]
-    check_int("grid_size", grid_size, 100)
+    check_int("grid_size", grid_size, 100, sys.maxsize)
     margin_columns, parts = _margin_fn(claims), _workers(grid_size)
     scans = _merge(_fork_map([functools.partial(_sweep, _grid_blocks(grid_size, part, parts),
                                                 margin_columns) for part in range(parts)]))
@@ -545,7 +545,7 @@ _CHAIN_STEP = "({above} - {below}) / {a}"
 def verify_chain(sample_count: int, seed: int) -> CertificationReport:
     """Strict ordering H < G < L < P < A < M < T < Q < C on random pairs,
     reporting the smallest resolvable normalized margin."""
-    check_int("sample_count", sample_count, 1)
+    check_int("sample_count", sample_count, 1, sys.maxsize)
     check_int("seed", seed, 0)
     steps = _kernel([(_CHAIN_STEP, {"above": above, "below": below, "a": ARITHMETIC})
                      for below, above in zip(CHAIN_ORDER, CHAIN_ORDER[1:])])
@@ -627,7 +627,7 @@ def _corpus_claims():
 
 def verify_corpus(sample_count: int, seed: int) -> list[tuple[str, CertificationReport]]:
     """Evaluate every corpus claim on its own seeded sample stream."""
-    check_int("sample_count", sample_count, 1)
+    check_int("sample_count", sample_count, 1, sys.maxsize)
     check_int("seed", seed, 0)
     claims = _corpus_claims()
 

@@ -1,7 +1,7 @@
 """Exception types shared across the package, the three argument checks
-every public function uses (check_real for real numbers, check_int for
-integers and check_type for class and enum arguments), and Record, the base
-of the package's immutable records, with replace to change one."""
+every public function uses (check_real for reals, check_int for integers,
+check_type for classes and enums), shown for a bad value in their messages,
+and Record, the base of the package's immutable records, with replace."""
 
 import math
 import operator
@@ -27,25 +27,32 @@ def check_real(name: str, x, lo: float = -math.inf, hi: float = math.inf, *,
             and (isinstance(x, float) or abs(x) <= sys.float_info.max)):
         return float(x)
     if isinstance(x, int) and abs(x) > sys.float_info.max:
-        # Decimal counts the digits; str() refuses an int past 4300 digits
-        raise DomainError(f"{name} must be a real number in the float range, "
-                          f"got an int of {Decimal(x).adjusted() + 1} digits")
+        raise DomainError(f"{name} must be a real number in the float range, got {shown(x)}")
     interval = f"{'(' if lo_open else '['}{lo!r}, {hi!r}{')' if hi_open else ']'}"
-    raise DomainError(f"{name} must be a real number in {interval}, got {x!r}")
+    raise DomainError(f"{name} must be a real number in {interval}, got {shown(x)}")
 
 
-def check_int(name: str, n, lo: int) -> int:
-    """n if it is an integer (not a bool) of at least lo."""
-    if isinstance(n, int) and not isinstance(n, bool) and n >= lo:
+def check_int(name: str, n, lo: int, hi: float = math.inf) -> int:
+    """n if it is an integer (not a bool) from lo to hi."""
+    if isinstance(n, int) and not isinstance(n, bool) and lo <= n <= hi:
         return n
-    raise DomainError(f"{name} must be an integer >= {lo}, got {n!r}")
+    bound = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+    raise DomainError(f"{name} must be an integer {bound}, got {shown(n)}")
 
 
 def check_type(name: str, value, cls: type):
     """value if it is an instance of cls."""
     if isinstance(value, cls):
         return value
-    raise DomainError(f"{name} must be of type {cls.__name__}, got {value!r}")
+    raise DomainError(f"{name} must be of type {cls.__name__}, got {shown(value)}")
+
+
+def shown(value) -> str:
+    """value's repr for a message, but for an int past the float range its digit
+    count: repr refuses an int of over 4,300 digits, and Decimal counts them."""
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        return f"an int of {Decimal(value).adjusted() + 1} digits"
+    return repr(value)
 
 
 class Record:

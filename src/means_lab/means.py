@@ -24,7 +24,8 @@ import functools
 import math
 from enum import Enum, unique
 
-from .exceptions import DomainError, Record, check_real, check_type
+from .exceptions import DomainError, Record, check_real, check_type, shown
+from .series import _maclaurin
 
 __all__ = [
     "MeanFamily",
@@ -159,7 +160,7 @@ def _entries(value) -> tuple:
     try:
         a, b = value
     except (TypeError, ValueError):
-        raise DomainError(f"cannot interpret {value!r} as a pair") from None
+        raise DomainError(f"cannot interpret {shown(value)} as a pair") from None
     return a, b
 
 
@@ -261,36 +262,35 @@ def _glog_log_shape(p: float, x: float, v: float, half_log_ratio: float) -> floa
     return (q * math.log1p(x) + _log_expm1_ratio(w) + math.log(half_log_ratio / x)) / p
 
 
+def _small_gap(f: str) -> str:
+    """The source of x/f(x) if x < SMALL_GAP, from f(x)/x's series to x^6, and then " else "."""
+    c1, c2, c3 = (repr(float(c)) for c in _maclaurin(f, 4)[1:])
+    return f"1.0 / (1.0 + s * ({c1} + s * ({c2} + s * {c3}))) if x < SMALL_GAP else "
+
+
 # --- shape expressions and the kernel compiler ---------------------------
 #
 # Per family, the source of its shape, the mean of the pair (1+x, 1-x) whose
 # arithmetic mean is 1, in the gap x, its exact complement v = 1-x and
 # s = x*x; and for H, G and A the source of their mean on a pair lo <= hi,
-# with t = lo + hi and h = t/2 (every other mean is h times its shape).  The
-# series are the Maclaurin expansions of f(x)/x in s, truncated after x^6; at
-# the SMALL_GAP switch the omitted x^8 term is below 1e-32 relative.  Past
-# 0.5, P uses asin(x) = pi/2 - 2*asin(sqrt(v/2)) and L atanh(x) =
-# 0.5*log((1+x)/v), which keep full accuracy as x -> 1.  L_p's shape is
-# _glog_log_shape's main branch, inline for cut <= w < inf; it reads
-# hl = atanh(x) and w = 2*q*hl, bound first by _LP_STEPS, and the exponent
-# p, q = p+1 and the cut-off, passed in when a kernel is built.  Names bound
-# per kind carry the kind's index k in the kernel.
+# with t = lo + hi and h = t/2 (every other mean is h times its shape).  Below
+# SMALL_GAP, L, P, M and T are x/f(x) by _small_gap's series, whose omitted x^8
+# term is below 1e-32 relative at the switch.  Past 0.5, P uses asin(x) =
+# pi/2 - 2*asin(sqrt(v/2)) and L atanh(x) = 0.5*log((1+x)/v), which keep full
+# accuracy as x -> 1.  L_p's shape is _glog_log_shape's main branch, inline
+# for cut <= w < inf; it reads hl = atanh(x) and w = 2*q*hl, bound first by
+# _LP_STEPS, and the exponent p, q = p+1 and the cut-off, passed in when a
+# kernel is built.  Names bound per kind carry the kind's index k in the kernel.
 _SHAPES = {
     MeanFamily.HARMONIC: ("(1.0 + x) * v", "2.0 * lo * (hi / t)"),
     MeanFamily.GEOMETRIC: ("sqrt((1.0 + x) * v)", "sqrt(lo) * sqrt(hi)"),
-    MeanFamily.LOGARITHMIC: (
-        "1.0 / (1.0 + s * (1.0 / 3.0 + s * (1.0 / 5.0 + s * (1.0 / 7.0)))) if x < SMALL_GAP"
-        " else x / atanh(x) if x <= 0.5 else x / (0.5 * log((1.0 + x) / v))", None),
-    MeanFamily.SEIFFERT_FIRST: (
-        "1.0 / (1.0 + s * (1.0 / 6.0 + s * (3.0 / 40.0 + s * (15.0 / 336.0)))) if x < SMALL_GAP"
-        " else x / asin(x) if x <= 0.5 else x / (0.5 * pi - 2.0 * asin(sqrt(0.5 * v)))", None),
+    MeanFamily.LOGARITHMIC: (_small_gap("atanh") + "x / atanh(x) if x <= 0.5"
+                             " else x / (0.5 * log((1.0 + x) / v))", None),
+    MeanFamily.SEIFFERT_FIRST: (_small_gap("asin") + "x / asin(x) if x <= 0.5"
+                                " else x / (0.5 * pi - 2.0 * asin(sqrt(0.5 * v)))", None),
     MeanFamily.ARITHMETIC: ("1.0", "h"),
-    MeanFamily.NEUMAN_SANDOR: (
-        "1.0 / (1.0 + s * (-1.0 / 6.0 + s * (3.0 / 40.0 + s * (-15.0 / 336.0)))) if x < SMALL_GAP"
-        " else x / asinh(x)", None),
-    MeanFamily.SEIFFERT_SECOND: (
-        "1.0 / (1.0 + s * (-1.0 / 3.0 + s * (1.0 / 5.0 + s * (-1.0 / 7.0)))) if x < SMALL_GAP"
-        " else x / atan(x)", None),
+    MeanFamily.NEUMAN_SANDOR: (_small_gap("asinh") + "x / asinh(x)", None),
+    MeanFamily.SEIFFERT_SECOND: (_small_gap("atan") + "x / atan(x)", None),
     MeanFamily.QUADRATIC: ("sqrt(1.0 + s)", None),
     MeanFamily.CONTRA_HARMONIC: ("1.0 + s", None),
     MeanFamily.GENERALIZED_LOG: (

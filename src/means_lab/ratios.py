@@ -16,9 +16,9 @@ import math
 from collections.abc import Callable
 from enum import Enum, unique
 
-from .exceptions import DomainError, Record, check_real, check_type
+from .exceptions import DomainError, Record, check_real, check_type, shown
 from .means import stable_asinh
-from .series import CoefficientKind, _horner, solve_p0, truncated_quotient
+from .series import CoefficientKind, _horner, _maclaurin, _product, solve_p0, truncated_quotient
 
 __all__ = [
     "SharpConstants",
@@ -112,16 +112,11 @@ def _phi_hc_closed(t: float) -> float:
     return (t * ch * ch - sh) / (2.0 * t * sh * sh)
 
 
-# Series of (sqrt(1+x^2)*asinh(x) - x)/x^3 and of
-# ((sqrt(1+x^2)-sqrt(1-x^2))*asinh(x))/x^3, exact rational coefficients.
-_GQ_NUM_COEFFS = (
-    1.0 / 3.0, -2.0 / 15.0, 8.0 / 105.0, -16.0 / 315.0, 128.0 / 3465.0,
-    -256.0 / 9009.0, 1024.0 / 45045.0, -2048.0 / 109395.0,
-)
-_GQ_DEN_COEFFS = (
-    1.0, -1.0 / 6.0, 1.0 / 5.0, -11.0 / 168.0, 17.0 / 180.0,
-    -137.0 / 3696.0, 269.0 / 4680.0, -173.0 / 7040.0,
-)
+# With A = asinh(x)/x and S1, S2 = sqrt(1 +- s): the series (S1*A - 1)/s of (sqrt(1+x^2)*asinh(x) - x)/x^3
+# and ((S1 - S2)/s)*A of (sqrt(1+x^2) - sqrt(1-x^2))*asinh(x)/x^3, rounded from the exact coefficients.
+_ASINH, _S1, _S2 = _maclaurin("asinh", 12), _maclaurin("sqrt+", 9), _maclaurin("sqrt-", 9)
+_GQ_NUM_COEFFS = tuple(map(float, _product(_S1, _ASINH)[1:]))
+_GQ_DEN_COEFFS = tuple(map(float, _product([p - m for p, m in zip(_S1[1:], _S2[1:])], _ASINH)))
 
 
 def _ratio_gq_closed(x: float) -> float:
@@ -180,7 +175,7 @@ def evaluate_ratio_function(kind: RatioFunctionKind, t: float) -> float:
         if 0.0 < u < row.hi:
             return row.series(u) if u < SERIES_SWITCH else row.closed(u)
     row = _row(kind)
-    raise DomainError(f"{kind.value} needs 0 < {'|t|' if row.even else 't'} < {row.hi!r}, got {t!r}")
+    raise DomainError(f"{kind.value} needs 0 < {'|t|' if row.even else 't'} < {row.hi!r}, got {shown(t)}")
 
 
 def _ratio_column(kind: RatioFunctionKind, ts) -> list[float]:
@@ -230,11 +225,8 @@ def endpoint_value(kind: RatioFunctionKind, end: Endpoint) -> float:
 
 # --- auxiliary sign functions -------------------------------------------
 
-_ASINH_DEFICIT_COEFFS = (
-    1.0 / 6.0, -3.0 / 40.0, 5.0 / 112.0, -35.0 / 1152.0, 63.0 / 2816.0,
-    -231.0 / 13312.0, 143.0 / 10240.0, -6435.0 / 557056.0, 12155.0 / 1245184.0,
-    -46189.0 / 5505024.0, 88179.0 / 12058624.0,
-)
+# x - asinh(x) = x^3 * (-(A - 1)/s)
+_ASINH_DEFICIT_COEFFS = tuple(-float(c) for c in _ASINH[1:])
 
 
 def _asinh_deficit(x: float) -> float:

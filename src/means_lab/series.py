@@ -1,6 +1,8 @@
 """Coefficient sequences of the two odd power series behind the ratio
-functions, exact ratio-monotonicity verdicts, truncated-series quotients,
-and the bisection solver for the (p+1)^(1/p) = 2*log(1+sqrt(2)) root.
+functions, the exact Maclaurin series that the float series of ratios and of
+the mean kernels are rounded from, exact ratio-monotonicity verdicts,
+truncated-series quotients, and the bisection solver for the
+(p+1)^(1/p) = 2*log(1+sqrt(2)) root.
 Each coefficient is stated once, as integers; the factorial cancels in every
 coefficient ratio, so the verdicts compare ratios by cross-multiplication.
 
@@ -53,6 +55,21 @@ def _parts(kind: CoefficientKind, n: int) -> tuple[int, int]:
     if kind is CoefficientKind.C:  # 2^(2n)/(2n)! - 2/(2n+1)!
         return 4 ** n * (2 * n + 1) - 2, 2 * n + 1
     return 2 ** (2 * n + 1), 1  # D
+
+
+def _maclaurin(f: str, terms: int) -> list[Fraction]:
+    """The first terms exact coefficients of the series in s = x^2 of f(x)/x for f = asinh,
+    asin, atanh or atan, or of sqrt(1 + s) for f = sqrt+ and sqrt(1 - s) for sqrt-: the k-th
+    is r^k (C(2k, k)/4^k if central, else 1) / (1 + 2ak), with (r, central, a) as given."""
+    r, central, a = {"asinh": (-1, True, 1), "asin": (1, True, 1), "atanh": (1, False, 1),
+                     "atan": (-1, False, 1), "sqrt+": (-1, True, -1), "sqrt-": (1, True, -1)}[f]
+    return [Fraction(r**k * (math.comb(2 * k, k) if central else 4**k), 4**k * (1 + 2 * a * k))
+            for k in range(terms)]
+
+
+def _product(f: list, g: list) -> list:
+    """The Cauchy product of two coefficient lists, as long as the shorter."""
+    return [sum(f[i] * g[k - i] for i in range(k + 1)) for k in range(min(len(f), len(g)))]
 
 
 def _ratio(num: CoefficientKind, den: CoefficientKind, n: int) -> tuple[int, int]:
