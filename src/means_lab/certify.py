@@ -28,12 +28,13 @@ A long sweep is split over the CPUs this process may use, one part per CPU
 but at most one per ``_MIN_SPLIT`` points.  ``_fork_map`` runs the first
 part here and each other part in a child made by ``os.fork``, which sends
 its scans back through a pipe; ``_merge`` joins the parts' scans by the rule
-``_sweep`` ranks by, so every report is the one-process report.  The grid
-splits into ranges of ladder blocks, the chain into ranges of draws (a part
-replays the draws before its range, so zero-gap redraws shift its stream as
-in one process), and the corpus deals out whole claims.  A part runs here
-instead where ``os.fork`` is missing or fails, where a second thread runs,
-or where its child exits non-zero.
+``_sweep`` ranks by, so every report is the one-process report.  Every
+sweep splits by one rule: part k of parts sweeps blocks k, k + parts,
+k + 2 * parts, ... (of the grid's low ladder, with their mirrors, and of
+each sampled claim).  A block of draws has its own seeded stream, so any
+part can draw any block, and a zero-gap redraw stays inside its block.  A
+part runs here instead where ``os.fork`` is missing or fails, where a second
+thread runs, or where its child exits non-zero.
 """
 
 from __future__ import annotations
@@ -117,9 +118,6 @@ _SWEEP_BLOCK = 256
 # four times the 2-3 ms that a fork and its pipe round trip took there in a
 # 16 MB process
 _MIN_SPLIT = 1 << 14
-
-# what replaying a chain draw costs, as a share of drawing and sweeping it
-_REPLAY_SHARE = 0.14
 
 # a sweep's scans rank by (margin, index)
 _RANK = operator.itemgetter(0, 1)
@@ -217,8 +215,9 @@ def _grid_blocks(n: int, part: int = 0, parts: int = 1):
     at most _SWEEP_BLOCK ascending gaps at grid positions start, start + 1, ...;
     the blocks tile range(n) once, not in order: each block of the low ladder
     is followed by its mirror, made from the same exp calls when n is even.
-    Split in parts, the blocks of the part-th: a contiguous range of low-ladder
-    blocks with their mirrors, and in the last part the seam blocks too."""
+    Split in parts, the blocks of the part-th: low-ladder blocks part,
+    part + parts, part + 2 * parts, ... with their mirrors, and in the last
+    part the seam blocks too."""
     check_int("grid size n", n, 2, sys.maxsize)
     exp, size = math.exp, _SWEEP_BLOCK
     log_edge = math.log(GRID_EDGE)
@@ -237,11 +236,9 @@ def _grid_blocks(n: int, part: int = 0, parts: int = 1):
         return low, low if hi_count == lo_count else rungs(hi_count, start, stop)
 
     seam = (lo_count - 1) // size * size
-    # the part's low-ladder blocks start at first, first + size, ... below stop
-    first, stop = (seam // size * k // parts * size for k in (part, part + 1))
 
     def blocks():
-        for start in range(first, stop, size):
+        for start in range(part * size, seam, parts * size):
             low, high = ladders(start, start + size)
             yield start, low
             # high rung i mirrors to grid position n - 1 - i
@@ -505,37 +502,26 @@ def _chain_draw(rng: random.Random, count: int) -> list[tuple[float, float]]:
             for x in [r() or next(filter(None, iter(r, None)))]]
 
 
-def _draw_scans(draw, new_rng, margin_columns, first: int, stop: int):
-    """_sweep of draws first..stop-1 of the pairs (a, b) that draw(rng, count)
-    returns a block at a time (a chain pair has a >= b, a ky-fan pair either
-    order), rng = new_rng(); the draws before first are made and dropped."""
-    rng = new_rng()
-    for start in range(0, first, _SWEEP_BLOCK):
-        draw(rng, min(_SWEEP_BLOCK, first - start))
-    return _sweep(((start, draw(rng, min(_SWEEP_BLOCK, stop - start)))
-                   for start in range(first, stop, _SWEEP_BLOCK)), margin_columns)
+def _sampled_sweeps(claims, count: int, seed: int) -> list[CertificationReport]:
+    """One report per claim (claim_id, draw, margin_columns) over count pairs
+    (a, b) that draw(rng, size) returns a block at a time (a chain pair has
+    a >= b, a ky-fan pair either order); margin_columns maps a block of pairs
+    to margin columns.  Block j of a claim is drawn from its own stream,
+    random.Random(f"{seed:x}:{claim_id}:{j}") (hex, since str() refuses an
+    int of over 4,300 digits), so any part can draw any block: part k of
+    parts sweeps blocks k, k + parts, k + 2 * parts, ... of every claim."""
+    key, parts = f"{seed:x}", _workers(len(claims) * count)
 
+    def scans(part: int) -> list:
+        return [_sweep(((start, draw(random.Random(f"{key}:{claim_id}:{start // _SWEEP_BLOCK}"),
+                                     min(_SWEEP_BLOCK, count - start)))
+                        for start in range(part * _SWEEP_BLOCK, count, parts * _SWEEP_BLOCK)),
+                       margin_columns)
+                for claim_id, draw, margin_columns in claims]
 
-def _sampled_sweep(draw, new_rng, sample_count: int, margin_columns,
-                   seed: int) -> CertificationReport:
-    """Report over sample_count pairs (a, b) that draw(rng, count) returns a
-    block at a time; margin_columns maps a block of pairs to margin columns.
-    Each part of the split sweeps a range of draws from its own rng =
-    new_rng(), after replaying the draws before its range."""
-    cuts = _draw_cuts(sample_count, _workers(sample_count))
-    tasks = [functools.partial(_draw_scans, draw, new_rng, margin_columns, first, stop)
-             for first, stop in zip(cuts, cuts[1:])]
-    return _report(sample_count, _merge(_fork_map(tasks)), lambda pair: PositivePair(*pair), seed)
-
-
-def _draw_cuts(count: int, parts: int) -> list[int]:
-    """0, the draws where parts 1..parts-1 start, and count: part k starts
-    near count * (1 - keep**k) / (1 - keep**parts), keep = 1 - _REPLAY_SHARE,
-    so that replaying the draws before it and sweeping its own take each part
-    about as long, rounded to a whole block."""
-    keep = 1.0 - _REPLAY_SHARE
-    return [min(count, round(count * (1.0 - keep**k) / (1.0 - keep**parts) / _SWEEP_BLOCK)
-                * _SWEEP_BLOCK) for k in range(parts)] + [count]
+    by_part = _fork_map([functools.partial(scans, part) for part in range(parts)])
+    return [_report(count, _merge(claim_scans), lambda pair: PositivePair(*pair), seed)
+            for claim_scans in zip(*by_part)]
 
 
 # one step of the chain, normalized by A
@@ -549,8 +535,8 @@ def verify_chain(sample_count: int, seed: int) -> CertificationReport:
     check_int("seed", seed, 0)
     steps = _kernel([(_CHAIN_STEP, {"above": above, "below": below, "a": ARITHMETIC})
                      for below, above in zip(CHAIN_ORDER, CHAIN_ORDER[1:])])
-    return _sampled_sweep(_chain_draw, functools.partial(random.Random, seed), sample_count,
-                          steps, seed)
+    (report,) = _sampled_sweeps([("chain", _chain_draw, steps)], sample_count, seed)
+    return report
 
 
 # The two weighted Q/A displays cannot both be sharp as printed; they are
@@ -561,9 +547,6 @@ REPORT_ONLY_CORPUS_CLAIMS = frozenset({
     "neuman-qa-lambda-lower",
     "neuman-qa-mu-upper",
 })
-
-# the corpus claims that cost more to sweep than a Q/A claim, and how many times more
-_CORPUS_COST = {"ky-fan": 4, "lp0-lt-m": 2, "m-lt-l2": 2}
 
 _KY_FAN_KINDS = (GEOMETRIC, LOGARITHMIC, SEIFFERT_FIRST, ARITHMETIC,
                  NEUMAN_SANDOR, SEIFFERT_SECOND)
@@ -626,29 +609,9 @@ def _corpus_claims():
 
 
 def verify_corpus(sample_count: int, seed: int) -> list[tuple[str, CertificationReport]]:
-    """Evaluate every corpus claim on its own seeded sample stream."""
+    """Evaluate every corpus claim on its own seeded block streams."""
     check_int("sample_count", sample_count, 1, sys.maxsize)
     check_int("seed", seed, 0)
     claims = _corpus_claims()
-
-    def scans(hand: list[int]) -> list:
-        return [_draw_scans(draw, functools.partial(random.Random, f"{seed}:{claim_id}"),
-                            margin_columns, 0, sample_count)
-                for claim_id, draw, margin_columns in map(claims.__getitem__, hand)]
-
-    hands = _deal([_CORPUS_COST.get(claim_id, 1) for claim_id, _, _ in claims],
-                  min(len(claims), _workers(len(claims) * sample_count)))
-    dealt = {}
-    for hand, part in zip(hands, _fork_map([functools.partial(scans, hand) for hand in hands])):
-        dealt.update(zip(hand, part))
-    return [(claim_id, _report(sample_count, dealt[i], lambda pair: PositivePair(*pair), seed))
-            for i, (claim_id, _, _) in enumerate(claims)]
-
-
-def _deal(costs: list[int], parts: int) -> list[list[int]]:
-    """The indices of costs dealt into parts hands, the heaviest first, each
-    to the hand that costs least so far."""
-    hands = [[] for _ in range(parts)]
-    for i in sorted(range(len(costs)), key=costs.__getitem__, reverse=True):
-        min(hands, key=lambda hand: sum(map(costs.__getitem__, hand))).append(i)
-    return hands
+    reports = _sampled_sweeps(claims, sample_count, seed)
+    return [(claim_id, report) for (claim_id, _, _), report in zip(claims, reports)]

@@ -115,7 +115,7 @@ class Record:
             return self._hash
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        fields = ", ".join(f"{name}={shown(getattr(self, name))}" for name in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __reduce__(self):

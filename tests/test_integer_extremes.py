@@ -18,7 +18,9 @@ from means_lab import (
     limit_at,
     phi_hc,
     phi_hq,
+    ratio_difference,
     ratio_gq,
+    ratio_sequence_verdict,
     theorem_claims,
     verify_bound,
     verify_chain,
@@ -41,16 +43,19 @@ NEGATIVE = ("minus-5001-digits",)
 CLAIM = theorem_claims("1.1")[0][1]
 
 # entry point -> (call of the bad value, the words that name the parameter,
-# the bad values): a count is bounded by sys.maxsize and a seed only below;
-# a coefficient index n is checked here only below, since a huge n passes
-# the check and overflows math.factorial
+# the bad values): a count is bounded by sys.maxsize, a coefficient index and
+# a term count by series._MAX_INDEX, and a seed only below
 ENTRY_POINTS = {
     "verify_chain-sample_count": (lambda v: verify_chain(v, 1), "sample_count", ALL),
     "verify_chain-seed": (lambda v: verify_chain(10, v), "seed", NEGATIVE),
     "verify_corpus-sample_count": (lambda v: verify_corpus(v, 1), "sample_count", ALL),
     "verify_corpus-seed": (lambda v: verify_corpus(10, v), "seed", NEGATIVE),
     "coefficient_exact-n": (lambda v: coefficient_exact(CoefficientKind.A, v),
-                            "coefficient index n", NEGATIVE),
+                            "coefficient index n", ALL),
+    "ratio_difference-n": (lambda v: ratio_difference(CoefficientKind.A, CoefficientKind.B, v),
+                           "coefficient index n", ALL),
+    "ratio_sequence_verdict-N": (lambda v: ratio_sequence_verdict(CoefficientKind.C, CoefficientKind.D, v),
+                                 "number of terms N", ALL),
     "gap_grid-n": (gap_grid, "grid size n", ALL),
     "verify_bound-claim": (lambda v: verify_bound(v, 100), "claim", ALL),
     "verify_bound-grid_size": (lambda v: verify_bound(CLAIM, v), "grid_size", ALL),
@@ -97,6 +102,17 @@ def test_a_huge_seed_is_accepted():
     assert report.holds
 
 
+def test_a_huge_seed_is_accepted_by_the_corpus():
+    # each claim's streams are keyed by the seed in hex, which str() would refuse
+    reports = verify_corpus(5, HUGE)
+    assert len(reports) == 10
+    assert all(report.seed == HUGE for _, report in reports)
+
+
+def test_a_record_shows_a_huge_int_by_its_digit_count():
+    assert repr(verify_chain(10, HUGE)).endswith(", seed=an int of 5001 digits)")
+
+
 def test_shown_is_repr_inside_the_float_range():
     for value in (5, -7, 2**1000, "1.1", None, (1.0, 2.0)):
         assert shown(value) == repr(value)
@@ -116,6 +132,7 @@ CLI_CASES = {
     "grid-huge-negative": (["verify", "1.1", "--grid", "-" + HUGE_TEXT], "--grid"),
     "chain-samples-huge": (["verify", "chain", "--samples", HUGE_TEXT], "--samples"),
     "corpus-seed-huge-negative": (["verify", "corpus", "--seed", "-" + HUGE_TEXT], "--seed"),
+    "series-terms-past-float": (["series", "HQ", "--terms", str(PAST_FLOAT)], "number of terms N"),
 }
 
 

@@ -266,8 +266,12 @@ def test_sharpness_ladders():
 def test_chain_blocks(monkeypatch, seed):
     # verify_chain's own kernel, taken from the sweep it starts
     kernels = []
-    monkeypatch.setattr(certify, "_sampled_sweep",
-                        lambda draw, rng, count, columns, seed: kernels.append(columns))
+
+    def capture(claims, count, seed):
+        kernels.extend(columns for _, _, columns in claims)
+        return [None] * len(claims)
+
+    monkeypatch.setattr(certify, "_sampled_sweeps", capture)
     certify.verify_chain(1, 0)
     (kernel,), reference = kernels, _reference_chain()
     for k, block in enumerate(_blocks(certify._chain_draw, random.Random(seed), 100_000)):

@@ -179,7 +179,7 @@ def _inverse_series(terms, alternating, central):
     """sum (+-1)^n c_n s^n with c_n = C(2n,n)/(4^n (2n+1)) if central
     (asin, asinh), else 1/(2n+1) (atanh, atan)."""
     return [(-1) ** (n * alternating)
-            * (Fraction(math.comb(2 * n, n), 4**n) if central else 1) / (2 * n + 1)
+            * (Fraction(math.comb(2 * n, n), 4**n) if central else 1) * Fraction(1, 2 * n + 1)
             for n in range(terms)]
 
 

@@ -6,6 +6,7 @@ import os
 import random
 import threading
 import time
+import types
 
 import pytest
 
@@ -85,85 +86,133 @@ def test_corpus(monkeypatch, forks, n, seed, parts):
     assert len(forks) == parts - 1
 
 
-def test_corpus_deals_the_heaviest_claims_apart():
+def _streams(monkeypatch, random_class) -> None:
+    """Make the samplers draw every block from random_class(key)."""
+    monkeypatch.setattr(certify, "random", types.SimpleNamespace(Random=random_class))
+
+
+def test_parts_take_blocks_by_stride(monkeypatch):
+    # part k of parts sweeps blocks k, k + parts, ...: the grid's low-ladder
+    # blocks (with their mirrors, and the seam blocks in the last part) and
+    # each sampled claim's blocks; together the parts take every block once
+    size = certify._SWEEP_BLOCK
+    n = 100_001
+    ladder = range(0, (n // 2 - 1) // size * size, size)
+    for parts in SPLITS:
+        for part in range(parts):
+            starts = [start for start, _ in certify._grid_blocks(n, part, parts)]
+            assert [start for start in starts if start in ladder] == list(ladder[part::parts])
+    keys = []  # per part, the key of every stream it drew a block from
+
+    class Recorded(random.Random):
+        def __init__(self, key):
+            keys[-1].append(key)
+            super().__init__(key)
+
+    def in_turn(tasks):
+        return [keys.append([]) or task() for task in tasks]
+
+    _streams(monkeypatch, Recorded)
+    monkeypatch.setattr(certify, "_fork_map", in_turn)
     ids = [claim_id for claim_id, _, _ in certify._corpus_claims()]
-    costs = [certify._CORPUS_COST.get(claim_id, 1) for claim_id in ids]
-    assert certify._deal(costs, 1) == [sorted(range(10), key=lambda i: -costs[i])]
-    ky_fan, lp0, l2 = (ids.index(c) for c in ("ky-fan", "lp0-lt-m", "m-lt-l2"))
-    first, second = certify._deal(costs, 2)
-    assert first[0] == ky_fan and second[:2] == [lp0, l2]
-    assert abs(sum(costs[i] for i in first) - sum(costs[i] for i in second)) <= 1
-    for parts in (3, 7, 10):
-        hands = certify._deal(costs, parts)
-        assert sorted(i for hand in hands for i in hand) == list(range(10))
-        assert all(hands)
+    blocks = 11  # the last of them one draw
+    for parts in SPLITS:
+        _split_in(monkeypatch, parts)
+        keys.clear()
+        verify_chain(10 * size + 1, 42)
+        assert keys == [[f"2a:chain:{j}" for j in range(part, blocks, parts)]
+                        for part in range(parts)]
+        keys.clear()
+        verify_corpus(10 * size + 1, 42)
+        assert keys == [[f"2a:{c}:{j}" for c in ids for j in range(part, blocks, parts)]
+                        for part in range(parts)]
+
+
+@pytest.mark.parametrize("seed", [7, 10**5000], ids=["7", "5001-digits"])
+def test_a_block_is_drawn_from_its_own_stream(monkeypatch, seed):
+    # block j of a claim holds the draws of the stream seeded with
+    # f"{seed:x}:{claim_id}:{j}", whatever the part count and whatever the
+    # sample count, as far as it covers the block
+    size = certify._SWEEP_BLOCK
+    drawn = []
+
+    class Keyed(random.Random):
+        def __init__(self, key):
+            self.key = key
+            super().__init__(key)
+
+    def recorded(draw):
+        def recorded_draw(rng, count):
+            pairs = draw(rng, count)
+            drawn.append((rng.key, pairs))
+            return pairs
+        return recorded_draw
+
+    _streams(monkeypatch, Keyed)
+    draws = {"chain": certify._chain_draw, "ky-fan": certify._ky_fan_draw}
+    claims = [(claim_id, recorded(draw), lambda pairs: [[1.0] * len(pairs)])
+              for claim_id, draw in draws.items()]
+    for parts in [1, 2, 3, 7]:
+        for count in [size, 3 * size + 5, 7 * size]:
+            drawn.clear()
+            with pytest.MonkeyPatch.context() as patch:
+                _split_in(patch, parts)
+                patch.delattr(os, "fork")
+                certify._sampled_sweeps(claims, count, seed)
+            expected = {f"{seed:x}:{claim_id}:{j}": min(size, count - j * size)
+                        for claim_id in draws for j in range(-(-count // size))}
+            assert {key: len(pairs) for key, pairs in drawn} == expected
+            for key, pairs in drawn:
+                claim_id = key.split(":")[1]
+                assert pairs == draws[claim_id](random.Random(key), size)[:len(pairs)], key
 
 
 class ZeroGaps(random.Random):
-    """random() as Random's, but 0.0 at the 1-based call numbers in zeros."""
+    """random() as Random's, but 0.0 at calls 512-514 of each stream: the
+    gap of a full block's last draw, three times over.  Every call still
+    advances the stream."""
 
-    zeros = frozenset()
-
-    def __init__(self, seed):
+    def __init__(self, key):
         self.calls = 0
-        super().__init__(seed)
+        super().__init__(key)
 
     def random(self):
         self.calls += 1
-        return 0.0 if self.calls in self.zeros else super().random()
-
-
-@pytest.mark.parametrize("parts", [1, 2, 3, 7])
-def test_chain_parts_finish_together(parts):
-    # part k replays cuts[k] draws at _REPLAY_SHARE of a swept draw's cost,
-    # then sweeps its own; all parts cost alike, to within a block
-    n = 100_000
-    cuts = certify._draw_cuts(n, parts)
-    assert cuts[0] == 0 and cuts[-1] == n and cuts == sorted(cuts)
-    assert all(cut % certify._SWEEP_BLOCK == 0 for cut in cuts[:-1])
-    costs = [certify._REPLAY_SHARE * first + stop - first for first, stop in zip(cuts, cuts[1:])]
-    assert max(costs) - min(costs) <= 2 * certify._SWEEP_BLOCK
+        value = super().random()
+        return 0.0 if 512 <= self.calls <= 514 else value
 
 
 @pytest.mark.parametrize("parts", SPLITS)
-def test_zero_gaps_straddling_a_split(monkeypatch, forks, parts):
-    # around each start of a part, the draw before it gets 0.0 for its scale
-    # and three times over for its gap, so the stream of the part after it
-    # starts three calls later than two calls a draw would put it; every
-    # part must sweep the draws of the one-process sweep
-    n = 20_000 - 99
-    cuts = [cut for cut in certify._draw_cuts(n, parts) if 0 < cut < n]
-    assert cuts
-    zeros = set()
-    for cut in cuts:
-        # draw cut - 1 starts at call 2 * cut - 1 when no earlier call is 0.0;
-        # each earlier run of zeros moves it on by three
-        shift = 3 * len([c for c in cuts if c < cut])
-        zeros.update(range(2 * cut - 1 + shift, 2 * cut + 3 + shift))
-    monkeypatch.setattr(ZeroGaps, "zeros", frozenset(zeros))
+def test_a_zero_gap_is_drawn_again_inside_its_block(monkeypatch, forks, parts):
+    # the last draw of each full block takes its gap from call 515 of the
+    # block's stream; the next block starts on its own stream all the same
+    size, n = certify._SWEEP_BLOCK, 3 * certify._SWEEP_BLOCK + 100
+    _streams(monkeypatch, ZeroGaps)
     seen = []
 
     def margin_columns(pairs):
-        seen.extend(pairs)
+        seen.append(pairs)
         return [[a - b for a, b in pairs]]
 
     def sweep():
-        return certify._sampled_sweep(certify._chain_draw, lambda: ZeroGaps(3), n,
-                                      margin_columns, 3)
+        return certify._sampled_sweeps([("chain", certify._chain_draw, margin_columns)], n, 3)
 
     expected = _one_process(sweep)
-    rows = list(seen)
-    assert len(rows) == n
-    # the redraws hold: each draw at a cut has the scale 10**-3 of a 0.0
-    assert all((rows[cut - 1][0] + rows[cut - 1][1]) / 2.0 == pytest.approx(1e-3)
-               for cut in cuts)
-    # parts run here in turn (fork gone) sweep the same draws in the same order
+    assert [len(block) for block in seen] == [size, size, size, 100]
+    for j, block in enumerate(seen):
+        stream = random.Random(f"3:chain:{j}")
+        calls = [stream.random() for _ in range(515)]
+        gaps = calls[1:2 * size - 1:2] + [calls[514]]
+        scales = [10.0 ** (-3.0 + 6.0 * r) for r in calls[0:2 * size:2]]
+        assert block == [(s * (1.0 + x), s * (1.0 - x)) for s, x in zip(scales, gaps)][:len(block)]
+    rows = sorted(seen)
+    # parts run here in turn (fork gone) sweep the same blocks
     seen.clear()
     with pytest.MonkeyPatch.context() as patch:
         _split_in(patch, parts)
         patch.delattr(os, "fork")
         assert sweep() == expected
-    assert seen == rows
+    assert sorted(seen) == rows
     # and forked, they report the same
     _split_in(monkeypatch, parts)
     assert sweep() == expected
