@@ -13,8 +13,8 @@ by continuity: every mean returns ``a`` exactly.
 
 Each shape is stated once, as source text in ``_SHAPES``; ``_kernel``
 compiles shapes and output expressions over the means into one function,
-which does a block of rows in one list comprehension, or the one row of
-``evaluate_mean`` and ``mean_shape``.
+which does a block of rows in one list comprehension.  ``evaluate_mean`` and
+``mean_shape`` call such a kernel on a block of one row.
 """
 
 from __future__ import annotations
@@ -300,24 +300,29 @@ _SHAPES = {
 _LP_STEPS = (("hl{k}", "atanh(x) if x <= 0.5 else 0.5 * log((1.0 + x) / v)"),
              ("w{k}", "2.0 * q{k} * hl{k}"))
 
-# Per kernel form (unit, block): its parameters, its row loop (None for a
-# scalar, which takes one row as its parameters) and the names bound per row
-# before the means.  A unit kernel reads gaps; a pair block reads pairs
-# (a, b) with a >= b > 0, both finite, and its rows with v outside
-# [1e-300, 1) (the diagonal, a sum past max_float, the log forms) take their
-# means from _mean, and x = 0, at which every binding is defined.
+# Per kernel form (unit or pair): its parameters, its row loop and the names
+# bound per row before the means.  A unit kernel reads gaps; a pair kernel
+# reads pairs (a, b) with a >= b > 0, both finite.  A pair row is not ok
+# where _mean answers it itself for a kind of the kernel: the diagonal, a sum
+# past max_float and, if a kind is a _log_kind, a gap complement v below
+# 1e-300, so {ok} is "t < inf", else "1e-300 <= v" (v is 0 when t is inf).
+# Those rows take their means from _mean, and x = 0, at which every binding
+# is defined; _mean hands a one-kind kernel only rows it computes.
 _FORMS = {
-    (True, True): ("xs", "x in xs", (("v", "1.0 - x"), ("s", "x * x"))),
-    (False, True): ("rows", "hi, lo in rows", (
-        ("t", "lo + hi"), ("v", "2.0 * lo / t"), ("ok", "1e-300 <= v < 1.0"), ("x", "(hi - lo) / t"),
+    True: ("xs", "x in xs", (("v", "1.0 - x"), ("s", "x * x"))),
+    False: ("rows", "hi, lo in rows", (
+        ("t", "lo + hi"), ("v", "2.0 * lo / t"), ("ok", "lo < hi and {ok}"), ("x", "(hi - lo) / t"),
         ("x", "(_LARGEST_GAP if _LARGEST_GAP < x else x) if ok else 0.0"), ("s", "x * x"),
         ("h", "0.5 * t"))),
-    (True, False): ("x, v", None, (("s", "x * x"),)),
-    (False, False): ("lo, hi, t, x, v", None, (("s", "x * x"), ("h", "0.5 * t"))),
 }
 
 
-def _mean_steps(kind: MeanKind, k: int, unit: bool, block: bool, values: dict) -> list[tuple[str, str]]:
+def _log_kind(kind: MeanKind) -> bool:
+    """Whether _mean reads kind's mean from log(hi/lo) once v < 1e-300: L and every L_p."""
+    return kind.p is not None or kind.family is MeanFamily.LOGARITHMIC
+
+
+def _mean_steps(kind: MeanKind, k: int, unit: bool, values: dict) -> list[tuple[str, str]]:
     """The (name, source) bindings that compute kind's mean, or its shape if
     unit, as m{k}; the values they read are added to values."""
     shape, pair_form = _SHAPES[kind.family]
@@ -329,10 +334,9 @@ def _mean_steps(kind: MeanKind, k: int, unit: bool, block: bool, values: dict) -
         values.update({f"p{k}": p, f"q{k}": p + 1.0,
                        f"cut{k}": 1e-3 if abs(p) >= _GLOG_CUMULANT_LIMIT else math.inf})
     mean = shape if unit else pair_form or "h * (" + shape + ")"
-    if not unit and p is not None:
-        mean = "min(max(" + mean + ", lo), hi)"
-    if block and not unit:
+    if not unit:
         values[f"K{k}"] = kind
+        mean = mean if p is None else "min(max(" + mean + ", lo), hi)"
         mean = "(" + mean + ") if ok else _mean(K{k}, lo, hi)"
     return [(name.format(k=k), source.format(k=k)) for name, source in steps + [("m{k}", mean)]]
 
@@ -355,17 +359,15 @@ def _compiled(source: str):
     return namespace["make"]
 
 
-def _kernel(outputs, *, unit: bool = False, block: bool = True):
+def _kernel(outputs, *, unit: bool = False):
     """One compiled function for outputs, a list of (template, slots): a
     template is a fixed expression over its slots' names, and a slot is a
     MeanKind, standing for its mean on the row (its shape if unit), or a
     float passed in and never written into the source, so one compiled
     source serves every weight and L_p exponent.  Each mean is computed once
-    per row.  A unit block maps gaps xs, a pair block pairs (a, b) with
+    per row.  A unit kernel maps gaps xs, a pair kernel pairs (a, b) with
     a >= b > 0 finite, to one column per output, in one list comprehension;
-    its means equal _mean(kind, b, a) bit for bit.  A scalar (block False)
-    maps one row, (x, v) if unit, else a regular row (lo, hi, t, x, v) of
-    _mean, to its one output."""
+    its means equal _mean(kind, b, a) bit for bit."""
     values, binds, exprs, kinds = {}, [], [], {}
     for template, slots in outputs:
         names = {}
@@ -373,36 +375,28 @@ def _kernel(outputs, *, unit: bool = False, block: bool = True):
             if isinstance(item, MeanKind):
                 if item not in kinds:
                     kinds[item] = len(kinds)
-                    binds += _mean_steps(item, kinds[item], unit, block, values)
+                    binds += _mean_steps(item, kinds[item], unit, values)
                 names[slot] = f"m{kinds[item]}"
             else:
                 names[slot] = f"c{len(exprs)}{slot}"
                 values[names[slot]] = item
         exprs.append(template.format(**names))
-    head, loop, prelude = _FORMS[unit, block]
-    binds = list(prelude) + binds
+    head, loop, prelude = _FORMS[unit]
+    ok = "1e-300 <= v" if any(map(_log_kind, kinds)) else "t < inf"
+    binds = [(name, source.format(ok=ok)) for name, source in prelude] + binds
     out = exprs[0] if len(exprs) == 1 else "(" + "".join(expr + ", " for expr in exprs) + ")"
-    if loop is None:
-        body = "".join(f"  {name} = {source}\n" for name, source in binds)
-        source = f"def make({', '.join(values)}):\n def row({head}):\n{body}  return {out}\n return row\n"
-    else:
-        rows = f"[{out} for {loop}" + "".join(f" for {name} in [{source}]" for name, source in binds) + "]"
-        body = f"[{rows}]" if len(exprs) == 1 else f"list(zip(*{rows}))"
-        source = f"def make({', '.join(values)}):\n return lambda {head}: {body}\n"
-    return _compiled(source)(**values)
+    rows = f"[{out} for {loop}" + "".join(f" for {name} in [{source}]" for name, source in binds) + "]"
+    body = f"[{rows}]" if len(exprs) == 1 else f"list(zip(*{rows}))"
+    return _compiled(f"def make({', '.join(values)}):\n return lambda {head}: {body}\n")(**values)
 
 
 @functools.lru_cache(maxsize=256)
-def _scalar(kind: MeanKind, unit: bool):
-    """kind's compiled scalar: (x, v) -> its shape if unit, else
-    (lo, hi, t, x, v) -> its mean on a regular row of _mean."""
-    return _kernel([("{m}", {"m": kind})], unit=unit, block=False)
-
-
-def _columns_fn(kinds):
-    """pairs (a, b), a >= b > 0 finite -> per kind the column
-    (_mean(kind, b, a) for a, b in pairs), bit for bit, from one kernel."""
-    return _kernel([("{m}", {"m": kind}) for kind in kinds])
+def _columns_fn(kinds: tuple, unit: bool = False):
+    """The kernel of kinds' columns, built once per (kinds, unit): pairs
+    (a, b), a >= b > 0 finite -> per kind the column (_mean(kind, b, a) for
+    a, b in pairs), bit for bit, or if unit gaps xs -> per kind its column of
+    shapes.  A single call runs it on a block of one row."""
+    return _kernel([("{m}", {"m": kind}) for kind in kinds], unit=unit)
 
 
 def mean_shape(kind: MeanKind, x: float) -> float:
@@ -411,8 +405,7 @@ def mean_shape(kind: MeanKind, x: float) -> float:
     0 <= x < 1."""
     check_type("mean kind", kind, MeanKind)
     x = check_real("gap", x, 0.0, 1.0, hi_open=True)
-    v = 1.0 - x
-    return min(max(_scalar(kind, True)(x, v), v), 1.0 + x)
+    return min(max(_columns_fn((kind,), True)([x])[0][0], 1.0 - x), 1.0 + x)
 
 
 def _mean(kind: MeanKind, lo: float, hi: float) -> float:
@@ -423,12 +416,11 @@ def _mean(kind: MeanKind, lo: float, hi: float) -> float:
     if math.isinf(t):
         # exact power-of-two rescale keeps homogeneity bit-clean
         return 4.0 * _mean(kind, 0.25 * lo, 0.25 * hi)
-    x = min((hi - lo) / t, _LARGEST_GAP)
     # 2*lo/t keeps the gap complement accurate where 1-x has already rounded
     # away; once it is below 1e-300 the log forms read log(hi/lo) directly
     v = 2.0 * lo / t
-    p = kind.p
-    if v < 1e-300 and (p is not None or kind.family is MeanFamily.LOGARITHMIC):
+    if v < 1e-300 and _log_kind(kind):
+        p, x = kind.p, min((hi - lo) / t, _LARGEST_GAP)
         log_ratio = math.log(hi) - math.log(lo)
         if p is None or abs(p + 1.0) < _GLOG_SPECIAL_EPS:  # L, and L_p near p = -1
             return (hi - lo) / log_ratio
@@ -438,7 +430,8 @@ def _mean(kind: MeanKind, lo: float, hi: float) -> float:
         # reassemble the mean in log space
         mean = 0.5 * t * unit if unit > 1e-300 else math.exp(log_shape + math.log(0.5 * t))
         return min(max(mean, lo), hi)
-    return _scalar(kind, False)(lo, hi, t, x, v)
+    return _columns_fn((kind,))([(hi, lo)])[0][0]
+
 
 def evaluate_mean(kind: MeanKind, pair) -> float:
     """Evaluate one mean on a pair of positive reals.

@@ -237,6 +237,12 @@ def _asinh_deficit(x: float) -> float:
     return x - stable_asinh(x)
 
 
+def _lemma_arg(x, hi: float) -> tuple[float, float, float]:
+    """x checked to lie in [0, hi], with sqrt(1+x^2) and sqrt(1-x^2)."""
+    x = check_real("x", x, 0.0, hi)
+    return x, math.sqrt(1.0 + x * x), math.sqrt(1.0 - x * x)
+
+
 def f_p(p: float, x: float) -> float:
     """asinh(x) - x/(sqrt(1+x^2) - p(sqrt(1+x^2) - sqrt(1-x^2))): negative
     on (0,1) for p = 1/3, positive for p = lambda0.
@@ -245,11 +251,9 @@ def f_p(p: float, x: float) -> float:
     full relative accuracy; the naive form loses the sign for x below ~1e-3.
     """
     p = check_real("weight p", p, 0.0, 1.0, lo_open=True, hi_open=True)
-    x = check_real("x", x, 0.0, 1.0)
+    x, s1, s2 = _lemma_arg(x, 1.0)
     if x == 0.0:
         return 0.0
-    s1 = math.sqrt(1.0 + x * x)
-    s2 = math.sqrt(1.0 - x * x)
     den = s1 - p * (s1 - s2)  # (1-p)*s1 + p*s2 >= 1-p > 0
     # den - 1 = (1-p)(s1-1) - p(1-s2), each factor cancellation-free
     den_minus_1 = x * x * ((1.0 - p) / (1.0 + s1) - p / (1.0 + s2))
@@ -259,28 +263,22 @@ def f_p(p: float, x: float) -> float:
 def g_p(p: float, x: float) -> float:
     """Numerator of f_p's derivative: sign analysis auxiliary."""
     p = check_real("weight p", p, 0.0, 1.0, lo_open=True, hi_open=True)
-    x = check_real("x", x, 0.0, 1.0)
-    s1 = math.sqrt(1.0 + x * x)
-    s2 = math.sqrt(1.0 - x * x)
+    x, s1, s2 = _lemma_arg(x, 1.0)
     w = s1 + p * (s2 - s1)
     return s2 * w * w - s2 - p * (s1 - s2)
 
 
 def h_onethird(x: float) -> float:
     """Scaled derivative factor of g at weight 1/3; strictly negative on (0,1]."""
-    x = check_real("x", x, 0.0, 1.0)
-    s1 = math.sqrt(1.0 + x * x)
-    s2 = math.sqrt(1.0 - x * x)
+    x, s1, s2 = _lemma_arg(x, 1.0)
     return 14.0 / (9.0 * (s1 + s2)) - (s1 + s2) - s2 / 3.0
 
 
 def h_lambda0(x: float) -> float:
     """Scaled derivative factor of g at weight lambda0; positive then
     negative on (0, 1) with a single sign change."""
-    x = check_real("x", x, 0.0, 1.0)
+    x, s1, s2 = _lemma_arg(x, 1.0)
     lam = sharp_constants().lambda0
-    s1 = math.sqrt(1.0 + x * x)
-    s2 = math.sqrt(1.0 - x * x)
     sq = x * x
     first = (2.0 - 3.0 * lam - 2.0 * lam * lam) - (3.0 - 6.0 * lam) * sq
     second = (3.0 * lam - 2.0 * lam * lam) + (6.0 * lam - 6.0 * lam * lam) * sq
@@ -289,10 +287,8 @@ def h_lambda0(x: float) -> float:
 
 def mu_lambda0(x: float) -> float:
     """Scaled derivative factor of h_lambda0; strictly negative on (0, 0.9]."""
-    x = check_real("x", x, 0.0, 0.9)
+    x, s1, s2 = _lemma_arg(x, 0.9)
     lam = sharp_constants().lambda0
-    s1 = math.sqrt(1.0 + x * x)
-    s2 = math.sqrt(1.0 - x * x)
     sq = x * x
     first = (18.0 * lam - 18.0 * lam * lam) * sq - (9.0 * lam - 10.0 * lam * lam)
     second = (9.0 - 18.0 * lam) * sq + (4.0 - 9.0 * lam + 2.0 * lam * lam)

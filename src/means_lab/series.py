@@ -51,10 +51,10 @@ class CoefficientKind(Enum):
 _MAX_INDEX = 10_000
 
 
-def _check_index(name: str, n, lo: int) -> int:
-    """n if it is an integer from lo to _MAX_INDEX, checked against lo
-    first, so that a value below lo is reported as not >= lo."""
-    return check_int(name, check_int(name, n, lo), lo, _MAX_INDEX)
+def _check_index(name: str, n, lo: int, hi: int) -> int:
+    """n if it is an integer from lo to hi, checked against lo first, so
+    that a value below lo is reported as not >= lo."""
+    return check_int(name, check_int(name, n, lo), lo, hi)
 
 
 def _parts(kind: CoefficientKind, n: int) -> tuple[int, int]:
@@ -93,7 +93,7 @@ def _ratio(num: CoefficientKind, den: CoefficientKind, n: int) -> tuple[int, int
 def coefficient_exact(kind: CoefficientKind, n: int) -> Fraction:
     """Exact rational value of the n-th coefficient."""
     check_type("coefficient kind", kind, CoefficientKind)
-    _check_index("coefficient index n", n, 1)
+    _check_index("coefficient index n", n, 1, _MAX_INDEX)
     return Fraction(*_parts(kind, n)) / math.factorial(2 * n)
 
 
@@ -101,6 +101,7 @@ def ratio_difference(numerator_kind: CoefficientKind, denominator_kind: Coeffici
                      n: int) -> Fraction:
     """Exact consecutive-ratio difference r_(n+1) - r_n of the coefficient
     ratio sequence r_n = num_n / den_n."""
+    _check_index("coefficient index n", n, 1, _MAX_INDEX - 1)  # r_(n+1) reads index n + 1
     r_n = coefficient_exact(numerator_kind, n) / coefficient_exact(denominator_kind, n)
     r_next = coefficient_exact(numerator_kind, n + 1) / coefficient_exact(denominator_kind, n + 1)
     return r_next - r_n
@@ -129,7 +130,7 @@ def ratio_sequence_verdict(numerator_kind: CoefficientKind,
     (2n)! cancelled, r_n = p_n / q_n in integers, q_n > 0, and r_(n+1) - r_n
     has the sign of the cross product p_(n+1) q_n - p_n q_(n+1).
     """
-    _check_index("number of terms N", N, 2)
+    _check_index("number of terms N", N, 2, _MAX_INDEX)
     check_type("coefficient kind", numerator_kind, CoefficientKind)
     check_type("coefficient kind", denominator_kind, CoefficientKind)
     ratios = (_ratio(numerator_kind, denominator_kind, n) for n in range(1, N + 1))

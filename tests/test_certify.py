@@ -220,10 +220,9 @@ class TestVerifyBound:
 def _point_margin(claim, weight, x):
     """The claim's normalized margin at gap x with its combination weighted
     by weight, one point at a time: the reference for the column sweeps."""
-    v = 1.0 - x
-    m_x = means._scalar(NEUMAN_SANDOR, True)(x, v)
-    first = means._scalar(claim.first, True)(x, v)
-    second = means._scalar(claim.second, True)(x, v)
+    m_x = means._columns_fn((NEUMAN_SANDOR,), True)([x])[0][0]
+    first = means._columns_fn((claim.first,), True)([x])[0][0]
+    second = means._columns_fn((claim.second,), True)([x])[0][0]
     combo = weight * first + (1.0 - weight) * second
     return m_x - combo if claim.relation is Relation.LESS_THAN_M else combo - m_x
 

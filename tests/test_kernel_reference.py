@@ -296,7 +296,7 @@ def test_columns_and_means_of_the_kernel_pairs():
     ordered = [(max(pair), min(pair)) for pair in pairs]
     his, los = [hi for hi, _ in ordered], [lo for _, lo in ordered]
     for kinds in KERNEL_KIND_LISTS:
-        _assert_same_columns(_columns_fn(kinds)(ordered),
+        _assert_same_columns(_columns_fn(tuple(kinds))(ordered),
                              _reference_columns_fn(kinds)(los, his), kinds)
         for kind in kinds:
             assert [_mean(kind, lo, hi) for hi, lo in ordered] == \

@@ -37,7 +37,7 @@ from means_lab import (
 from means_lab import certify, means
 from means_lab.certify import theorem_claims
 from means_lab.cli import main
-from means_lab.means import SMALL_GAP, _columns_fn, _glog_log_shape, _kernel, _mean, _scalar
+from means_lab.means import SMALL_GAP, _columns_fn, _glog_log_shape, _kernel, _mean
 from oracles import mean_oracle, rel_err
 
 MAX_FLOAT = sys.float_info.max
@@ -330,9 +330,11 @@ KERNEL_KIND_LISTS = [
 
 
 def _kernel_pairs():
-    """Ordinary pairs, with the rows the column kernel hands back to _mean
-    among them: the diagonal, a sum past max_float, and lo subnormal under
-    hi >= 1 (gap complement below 1e-300)."""
+    """Ordinary pairs, with the rows _mean answers itself among them: the
+    diagonal, a sum past max_float, and lo subnormal under hi >= 1 (gap
+    complement below 1e-300, read from log(hi/lo) by L and L_p); then
+    adjacent floats whose sum rounds to 2*lo (gap complement 1.0 off the
+    diagonal)."""
     rng = random.Random(97)
     pairs = []
     for _ in range(300):
@@ -340,13 +342,13 @@ def _kernel_pairs():
         pairs += [(a, a), (a, 10 ** rng.uniform(-300, 300)), (a, a * (1.0 + 1e-3 * rng.random())),
                   (MAX_FLOAT * rng.uniform(0.5, 1.0), MAX_FLOAT * rng.uniform(0.5, 1.0)),
                   (5e-324 * rng.randint(1, 2**40), 10 ** rng.uniform(0, 308))]
-    return pairs
+    return pairs + [(lo, math.nextafter(lo, math.inf)) for lo in (1.0, 3.0, 1e300)]
 
 
 def _assert_columns_equal_mean(pairs):
     ordered = [(max(pair), min(pair)) for pair in pairs]
     for kinds in KERNEL_KIND_LISTS:
-        columns = _columns_fn(kinds)(ordered)
+        columns = _columns_fn(tuple(kinds))(ordered)
         assert len(columns) == len(kinds)
         for kind, column in zip(kinds, columns):
             assert list(column) == [_mean(kind, lo, hi) for hi, lo in ordered], (kinds, kind)
@@ -380,7 +382,7 @@ class TestKernelCompiler:
     def test_import_compiles_nothing(self):
         code = ("import means_lab.cli\n"
                 "from means_lab import means\n"
-                "print(means._compiled.cache_info().currsize, means._scalar.cache_info().currsize)")
+                "print(means._compiled.cache_info().currsize, means._columns_fn.cache_info().currsize)")
         env = dict(os.environ, PYTHONPATH=str(Path(means.__file__).parents[1]))
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                              check=True, timeout=60).stdout
@@ -407,7 +409,7 @@ class TestKernelCompiler:
             return compiled(source)
 
         monkeypatch.setattr(means, "_compiled", recording)
-        means._scalar.cache_clear()
+        means._columns_fn.cache_clear()
         assert main(["eval", "--means", "Lp:1e-320", "--pair", "1,2", "--format", "json"]) == 0
         assert main(["verify", "1.2", "--grid", "100", "--weight-lower", "0.34",
                      "--format", "json"]) in (0, 1)
@@ -552,7 +554,7 @@ class TestBranchEdgeBits:
         # differ in the last bit at 0.5, so a moved edge in either shows here
         for x in EDGE_GAPS[2:]:
             v = 1.0 - x
-            assert _scalar(LOGARITHMIC, True)(x, v) == x / _half_log_ratio(x, v)
+            assert _columns_fn((LOGARITHMIC,), True)([x])[0][0] == x / _half_log_ratio(x, v)
             assert mean_shape(generalized_log(-1.0), x) == mean_shape(LOGARITHMIC, x)
 
     @pytest.mark.parametrize("p", LP_EDGE_EXPONENTS)
@@ -567,7 +569,7 @@ class TestBranchEdgeBits:
         expected = [math.exp(_glog_log_shape(p, x, v, _half_log_ratio(x, v))).hex()
                     for x, v in zip(xs, vs)]
         assert [shape.hex() for shape in column] == expected
-        assert [_scalar(kind, True)(x, v).hex() for x, v in zip(xs, vs)] == expected
+        assert [_columns_fn((kind,), True)([x])[0][0].hex() for x in xs] == expected
 
 
 class TestGeneralizedLogConsistency:

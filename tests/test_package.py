@@ -210,9 +210,9 @@ def test_replace_runs_the_checks_again():
 def test_equal_mean_kinds_share_one_scalar_kernel():
     a, b = generalized_log(1.2345678), generalized_log(1.2345678)
     assert a is not b and a == b and hash(a) == hash(b)
-    before = means._scalar.cache_info()
+    before = means._columns_fn.cache_info()
     assert means.mean_shape(a, 0.3) == means.mean_shape(b, 0.3)
-    after = means._scalar.cache_info()
+    after = means._columns_fn.cache_info()
     assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
 
 

@@ -112,3 +112,12 @@ def test_bad_kind_names_coefficient_kind(call, value):
 def test_bad_index_is_reported_before_a_bad_denominator():
     with pytest.raises(DomainError, match=r"^coefficient index n must be an integer >= 1, got 0$"):
         ratio_difference(A, "B", 0)
+
+
+def test_an_index_at_the_bound_is_reported_as_passed():
+    # r_(n+1) reads coefficient n + 1, so n stops one below the index bound,
+    # and the message names the n that was passed
+    with pytest.raises(DomainError,
+                       match=r"^coefficient index n must be an integer in \[1, 9999\], got 10000$"):
+        ratio_difference(A, B, 10_000)
+    assert ratio_difference(A, B, 9_999) == _reference_ratio(A, B, 10_000) - _reference_ratio(A, B, 9_999)
