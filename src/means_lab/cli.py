@@ -6,11 +6,16 @@ failed, 2 = usage or domain error, 3 = internal error, 130 = interrupted; a
 closed stdout drops the rest of the output and keeps the verdict's code.
 Every JSON document carries the same top-level keys: command, seed, grid_size,
 samples, verdicts, worst_case; it is strict JSON, non-finite floats as null.
+
+A process builds one parser, on its first main call, and every later call
+in that process parses with it; each call looks its handler up by command
+name. A one-shot run builds the parser once either way.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -255,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated means, e.g. H,G,Q or Lp:2")
     p_eval.add_argument("--pair", required=True, help="the pair as 'a,b'")
     add_format(p_eval)
-    p_eval.set_defaults(handler=cmd_eval)
 
     p_verify = sub.add_parser("verify", help="verify bounds, the chain, or the corpus")
     p_verify.add_argument("target", choices=("1.1", "1.2", "1.3", "chain", "corpus"))
@@ -269,34 +273,35 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--weight-upper", type=float, default=None,
                           help="override the upper-bound weight")
     add_format(p_verify)
-    p_verify.set_defaults(handler=cmd_verify)
 
     p_sharp = sub.add_parser("sharpness", help="witness that a perturbed weight breaks a bound")
     p_sharp.add_argument("theorem", choices=("1.1", "1.2", "1.3"))
     p_sharp.add_argument("--side", choices=("lower", "upper"), required=True)
     p_sharp.add_argument("--epsilon", type=float, required=True)
     add_format(p_sharp)
-    p_sharp.set_defaults(handler=cmd_sharpness)
 
     p_const = sub.add_parser("constants", help="sharp constants with recovery cross-check")
     add_format(p_const)
-    p_const.set_defaults(handler=cmd_constants)
 
     p_series = sub.add_parser("series", help="coefficient-ratio monotonicity verdicts")
     p_series.add_argument("pairing", choices=("HQ", "HC"))
     p_series.add_argument("--terms", type=int, default=50)
     add_format(p_series)
-    p_series.set_defaults(handler=cmd_series)
     return parser
 
 
+# one parser per process, built by the first main call; a fresh one from
+# build_parser() never reaches it
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command == "verify" and args.samples is None:
         args.samples = 100_000 if args.target == "chain" else 10_000
     try:
-        doc, ok = args.handler(args)
+        # looked up per call, so a rebound cmd_<command> is the one that runs
+        doc, ok = globals()[f"cmd_{args.command}"](args)
         _render(doc, args.format or ("table" if sys.stdout.isatty() else "json"))
         sys.stdout.flush()
     except BrokenPipeError:  # the reader is gone; exit flushes stdout again

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -389,3 +390,77 @@ class TestFormats:
             assert SCHEMA_KEYS <= set(doc.keys()), argv
             # the table and csv renderers read their header from the first row
             assert doc["verdicts"], argv
+
+
+def run_exit(capsys, *args):
+    """main's exit code, stdout and stderr, where argparse exits by SystemExit."""
+    try:
+        code = main(list(args))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+class TestOneParser:
+    ONE_CALL_EACH = [
+        ["eval", "--means", "H", "--pair", "1,2"],
+        ["verify", "1.1", "--grid", "200"],
+        ["sharpness", "1.2", "--side", "lower", "--epsilon", "1e-3"],
+        ["constants"],
+        ["series", "HQ", "--terms", "5"],
+    ]
+
+    def test_main_builds_no_parser_after_its_first_call(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built.append(type(self))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+        cli._parser.cache_clear()
+        counts = []
+        for argv in self.ONE_CALL_EACH:
+            assert run_main(capsys, *argv, "--format", "json")[0] == 0, argv
+            counts.append(len(built))
+        # the first call builds the top parser and one per subcommand
+        assert counts == [6] * len(self.ONE_CALL_EACH)
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        first, second = cli.build_parser(), cli.build_parser()
+        assert first is not second
+        assert cli._parser() not in (first, second)
+
+    def test_a_changed_built_parser_leaves_main_unchanged(self, capsys):
+        argv = ["--extra", "1", "constants"]
+        before = run_exit(capsys, *argv)
+        assert before[0] == 2 and before[1] == ""
+        parser = cli.build_parser()
+        parser.add_argument("--extra")
+        assert parser.parse_args(argv).extra == "1"
+        assert run_exit(capsys, *argv) == before
+
+
+class TestNoStateAcrossCalls:
+    # a usage error, a help request and a domain error before every command
+    ERRORS = (["verify", "1.4"], ["--help"], ["verify", "1.1", "--grid", "50"])
+
+    def test_goldens_after_errors_in_reverse_order(self, capsys):
+        golden = json.loads((GOLDEN / "reports_small.json").read_text())
+        # the sweeps of 10,000 points or more are left to test_report_identity
+        small = [key for key in golden
+                 if not any(count in key.split() for count in ("10000", "100000"))]
+        assert len(small) == 36
+        first = {}
+        for key in reversed(small):
+            for argv in self.ERRORS:
+                result = run_exit(capsys, *argv)
+                assert result == first.setdefault(" ".join(argv), result), argv
+            code, out, err = run_main(capsys, *key.split(), "--format", "json")
+            assert (code, err) == (0, ""), key
+            assert json.loads(out) == golden[key], key
+        codes = {argv: result[0] for argv, result in first.items()}
+        assert codes == {"verify 1.4": 2, "--help": 0, "verify 1.1 --grid 50": 2}
+        assert first["--help"][1].startswith("usage: means-lab")
