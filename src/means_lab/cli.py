@@ -7,9 +7,9 @@ closed stdout drops the rest of the output and keeps the verdict's code.
 Every JSON document carries the same top-level keys: command, seed, grid_size,
 samples, verdicts, worst_case; it is strict JSON, non-finite floats as null.
 
-A process builds one parser, on its first main call, and every later call
-in that process parses with it; each call looks its handler up by command
-name. A one-shot run builds the parser once either way.
+main builds one parser per process, on its first call, and parses every later
+call with it (build_parser() still returns a fresh one); each call looks up
+cmd_<command> by name, so a rebound handler runs. A one-shot run is unchanged.
 """
 
 from __future__ import annotations
@@ -290,8 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# one parser per process, built by the first main call; a fresh one from
-# build_parser() never reaches it
 _parser = functools.cache(build_parser)
 
 
@@ -300,7 +298,6 @@ def main(argv=None) -> int:
     if args.command == "verify" and args.samples is None:
         args.samples = 100_000 if args.target == "chain" else 10_000
     try:
-        # looked up per call, so a rebound cmd_<command> is the one that runs
         doc, ok = globals()[f"cmd_{args.command}"](args)
         _render(doc, args.format or ("table" if sys.stdout.isatty() else "json"))
         sys.stdout.flush()

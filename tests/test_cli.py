@@ -36,6 +36,16 @@ def run_main(capsys, *args):
     return code, out.out, out.err
 
 
+def run_exit(capsys, *args):
+    """main's exit code, stdout and stderr, where argparse exits by SystemExit."""
+    try:
+        code = main(list(args))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
 class TestEval:
     def test_values_bit_exact(self, capsys):
         code, out, _ = run_main(capsys, "eval", "--means", "H,G,Q,M,Lp:2", "--pair", "1,2",
@@ -392,16 +402,6 @@ class TestFormats:
             assert doc["verdicts"], argv
 
 
-def run_exit(capsys, *args):
-    """main's exit code, stdout and stderr, where argparse exits by SystemExit."""
-    try:
-        code = main(list(args))
-    except SystemExit as exc:
-        code = exc.code
-    out = capsys.readouterr()
-    return code, out.out, out.err
-
-
 class TestOneParser:
     ONE_CALL_EACH = [
         ["eval", "--means", "H", "--pair", "1,2"],
@@ -416,7 +416,7 @@ class TestOneParser:
         init = argparse.ArgumentParser.__init__
 
         def counted_init(self, *args, **kwargs):
-            built.append(type(self))
+            built.append(self)
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
