@@ -40,6 +40,7 @@ thread runs, or where its child exits non-zero.
 from __future__ import annotations
 
 import functools
+import itertools
 import marshal
 import math
 import operator
@@ -470,12 +471,13 @@ def recover_constant(fn: RatioFunctionKind,
     lo, hi = ratio_function_domain(fn)
     span = hi - lo
     value = functools.partial(evaluate_ratio_function, fn)
-    scan_points = [lo + span * (i + 0.5) / 2001 for i in range(2001)]
+    # the half-offsets i + 0.5 counted in floats, exact, so no int is converted per point
+    scan_points = [lo + span * h / 2001.0 for h in itertools.islice(itertools.count(0.5, 1.0), 2001)]
     scan_points += [lo + span * 10.0**-j for j in range(2, 13)]
     scan_points += [hi - span * 10.0**-j for j in range(2, 13)]
     # all values are finite, so max/min and index pick the first equal extremum
     values = _ratio_column(fn, scan_points)
-    step = span / 2001
+    step = span / 2001.0
     ends = [endpoint_value(fn, Endpoint.LOWER), endpoint_value(fn, Endpoint.UPPER)]
     results = []
     for o in objectives:

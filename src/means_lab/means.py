@@ -351,10 +351,11 @@ def _compiled(source: str):
         if "lineno" in node._attributes:
             node.lineno = node.end_lineno = 1
             node.col_offset = node.end_col_offset = 0
-    namespace = {"sqrt": math.sqrt, "asin": math.asin, "atan": math.atan, "atanh": math.atanh,
-                 "asinh": stable_asinh, "log": math.log, "log1p": math.log1p, "exp": math.exp,
-                 "expm1": math.expm1, "pi": math.pi, "inf": math.inf, "SMALL_GAP": SMALL_GAP,
-                 "_LARGEST_GAP": _LARGEST_GAP, "_mean": _mean, "_glog_log_shape": _glog_log_shape}
+    namespace = {"sqrt": math.sqrt, "cosh": math.cosh, "sinh": math.sinh, "asin": math.asin,
+                 "atan": math.atan, "atanh": math.atanh, "asinh": stable_asinh, "log": math.log,
+                 "log1p": math.log1p, "exp": math.exp, "expm1": math.expm1, "pi": math.pi,
+                 "inf": math.inf, "SMALL_GAP": SMALL_GAP, "_LARGEST_GAP": _LARGEST_GAP,
+                 "_mean": _mean, "_glog_log_shape": _glog_log_shape}
     exec(compile(tree, "<means kernel>", "exec"), namespace)
     return namespace["make"]
 

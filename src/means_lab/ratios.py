@@ -7,18 +7,24 @@ phi_hc(t) is (C-M)/(C-H); ratio_gq(x) is (Q-M)/(Q-G).  Each is a quotient of
 two odd power series, so near the removable 0/0 point at the origin the
 closed forms lose roughly 2*log10(1/t) digits to cancellation; below
 ``SERIES_SWITCH`` they are evaluated from truncated series instead.
+Each is stated once, as source text in ``_RATIO_ROWS`` (an unrolled Horner
+quotient below the switch, the closed form above), which ``means._compiled``
+compiles on first use into one column kernel: the recovery scan runs it on
+its points, ``evaluate_ratio_function`` and ``endpoint_value`` on one row.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable
 from enum import Enum, unique
 
 from .exceptions import DomainError, Record, check_real, check_type, shown
-from .means import stable_asinh
-from .series import CoefficientKind, _horner, _maclaurin, _product, solve_p0, truncated_quotient
+# the columns read neither stable_asinh, which only _asinh_deficit calls, nor
+# truncated_quotient: perfbench/tracer.py rebinds both
+from .means import _compiled, stable_asinh
+from .series import (CoefficientKind, _float_coefficients, _horner, _maclaurin, _product, solve_p0,
+                     truncated_quotient)
 
 __all__ = [
     "SharpConstants",
@@ -96,22 +102,6 @@ class Endpoint(Enum):
     UPPER = "upper"
 
 
-def _phi_hq_closed(t: float) -> float:
-    ch = math.cosh(t)
-    sh = math.sinh(t)
-    sh_half = math.sinh(0.5 * t)
-    # cosh(2t)/2 + cosh(t) - 3/2 == sinh(t)^2 + 2*sinh(t/2)^2, cancellation-free
-    return (t * ch - sh) / (t * (sh * sh + 2.0 * sh_half * sh_half))
-
-
-def _phi_hc_closed(t: float) -> float:
-    ch = math.cosh(t)
-    sh = math.sinh(t)
-    # numerator t*(cosh(2t)+1) - 2*sinh(t) == 2*(t*cosh(t)^2 - sinh(t)),
-    # denominator 2t*(cosh(2t)-1) == 4t*sinh(t)^2
-    return (t * ch * ch - sh) / (2.0 * t * sh * sh)
-
-
 # With A = asinh(x)/x and S1, S2 = sqrt(1 +- s): the series (S1*A - 1)/s of (sqrt(1+x^2)*asinh(x) - x)/x^3
 # and ((S1 - S2)/s)*A of (sqrt(1+x^2) - sqrt(1-x^2))*asinh(x)/x^3, rounded from the exact coefficients.
 _ASINH, _S1, _S2 = _maclaurin("asinh", 12), _maclaurin("sqrt+", 9), _maclaurin("sqrt-", 9)
@@ -119,40 +109,58 @@ _GQ_NUM_COEFFS = tuple(map(float, _product(_S1, _ASINH)[1:]))
 _GQ_DEN_COEFFS = tuple(map(float, _product([p - m for p, m in zip(_S1[1:], _S2[1:])], _ASINH)))
 
 
-def _ratio_gq_closed(x: float) -> float:
-    s1 = math.sqrt(1.0 + x * x)
-    s2 = math.sqrt(1.0 - x * x)
-    ah = stable_asinh(x)
-    # s1 - s2 == 2x^2/(s1+s2), cancellation-free
-    return (s1 * ah - x) / ((2.0 * x * x / (s1 + s2)) * ah)
+def _quotient_source(num: tuple[float, ...], den: tuple[float, ...]) -> str:
+    """The source of _horner(num, s) / _horner(den, s), each unrolled: the
+    loop's first step, 0.0 * s + c, is c."""
+    sources = []
+    for coeffs in (num, den):
+        source = repr(coeffs[-1])
+        for c in reversed(coeffs[:-1]):
+            source = f"({source} * s + {c!r})"
+        sources.append(source)
+    return " / ".join(sources)
+
+
+def _column_source(series: str, closed: str, *steps: tuple[str, str]) -> str:
+    """The source of make() -> kernel ts -> [f(t) for t in ts]: series, in s = t*t,
+    below SERIES_SWITCH, else closed, over the (name, source) bindings steps."""
+    binds = "".join(f" for {name} in [{source}]" for name, source in (("s", "t * t"),) + steps)
+    return (f"def make():\n return lambda ts: [{series} if t < {SERIES_SWITCH!r} else {closed}"
+            f" for t in ts{binds}]\n")
 
 
 class _RatioRow(Record):
-    """One ratio function: its series form (used below SERIES_SWITCH and
-    exact at 0), its closed form, the upper end hi of its open domain
-    (0, hi), and the SharpConstants fields of its limits at 0 and at hi.
-    An even function also accepts -hi < t < 0."""
+    """One ratio function: the source of its column kernel, from its series
+    below SERIES_SWITCH (exact at 0) and its closed form above, the upper
+    end hi of its open domain (0, hi), and the SharpConstants fields of its
+    limits at 0 and at hi.  An even function also accepts -hi < t < 0."""
 
-    series: Callable[[float], float]
-    closed: Callable[[float], float]
+    source: str
     hi: float
     lower: str
     upper: str
     even: bool = False
 
 
-# The series lambdas read truncated_quotient at call time, so a rebinding of
-# the module global is seen.
+_A, _B, _C, _D = (_float_coefficients(kind, _SERIES_TERMS) for kind in CoefficientKind)
+
+# The closed forms are cancellation-free: phi_hq's cosh(2t)/2 + cosh(t) - 3/2 is
+# sinh(t)^2 + 2*sinh(t/2)^2, phi_hc's t*(cosh(2t)+1) - 2*sinh(t) is 2*(t*cosh(t)^2 - sinh(t))
+# and 2t*(cosh(2t)-1) is 4t*sinh(t)^2, and ratio_gq's s1 - s2 is 2x^2/(s1+s2), with x = t.
 _RATIO_ROWS = {
-    RatioFunctionKind.PHI_HQ: _RatioRow(
-        lambda t: truncated_quotient(CoefficientKind.A, CoefficientKind.B, t, _SERIES_TERMS),
-        _phi_hq_closed, ASINH_ONE, "alpha1", "lambda0"),
-    RatioFunctionKind.PHI_HC: _RatioRow(
-        lambda t: truncated_quotient(CoefficientKind.C, CoefficientKind.D, t, _SERIES_TERMS),
-        _phi_hc_closed, ASINH_ONE, "beta3", "alpha3", even=True),
-    RatioFunctionKind.RATIO_GQ: _RatioRow(
-        lambda x: _horner(_GQ_NUM_COEFFS, x * x) / _horner(_GQ_DEN_COEFFS, x * x),
-        _ratio_gq_closed, 1.0, "alpha2", "lambda0"),
+    RatioFunctionKind.PHI_HQ: _RatioRow(_column_source(
+        _quotient_source(_A, _B), "(t * ch - sh) / (t * (sh * sh + 2.0 * sh_half * sh_half))",
+        ("ch", "cosh(t)"), ("sh", "sinh(t)"), ("sh_half", "sinh(0.5 * t)")),
+        ASINH_ONE, "alpha1", "lambda0"),
+    RatioFunctionKind.PHI_HC: _RatioRow(_column_source(
+        _quotient_source(_C, _D), "(t * ch * ch - sh) / (2.0 * t * sh * sh)",
+        ("ch", "cosh(t)"), ("sh", "sinh(t)")),
+        ASINH_ONE, "beta3", "alpha3", even=True),
+    RatioFunctionKind.RATIO_GQ: _RatioRow(_column_source(
+        _quotient_source(_GQ_NUM_COEFFS, _GQ_DEN_COEFFS),
+        "(s1 * ah - t) / ((2.0 * t * t / (s1 + s2)) * ah)",
+        ("s1", "sqrt(1.0 + s)"), ("s2", "sqrt(1.0 - s)"), ("ah", "asinh(t)")),
+        1.0, "alpha2", "lambda0"),
 }
 
 
@@ -173,16 +181,15 @@ def evaluate_ratio_function(kind: RatioFunctionKind, t: float) -> float:
         row = _RATIO_ROWS[kind]
         u = -t if row.even and t < 0.0 else t
         if 0.0 < u < row.hi:
-            return row.series(u) if u < SERIES_SWITCH else row.closed(u)
+            return _compiled(row.source)()([u])[0]
     row = _row(kind)
     raise DomainError(f"{kind.value} needs 0 < {'|t|' if row.even else 't'} < {row.hi!r}, got {shown(t)}")
 
 
 def _ratio_column(kind: RatioFunctionKind, ts) -> list[float]:
-    """evaluate_ratio_function(kind, t) for each t of ts in (0, hi), unchecked."""
-    row = _RATIO_ROWS[kind]
-    series, closed = row.series, row.closed
-    return [series(t) if t < SERIES_SWITCH else closed(t) for t in ts]
+    """evaluate_ratio_function(kind, t) for each t of ts in [0, hi], unchecked,
+    by kind's column kernel, compiled on first use."""
+    return _compiled(_RATIO_ROWS[kind].source)()(ts)
 
 
 def phi_hq(t: float) -> float:
@@ -220,7 +227,7 @@ def endpoint_value(kind: RatioFunctionKind, end: Endpoint) -> float:
     from the defining expressions (the recovery-side counterpart of the
     closed-form limit_at): the series at 0, the closed form at hi."""
     row = _row(kind)
-    return row.series(0.0) if _is_lower(end) else row.closed(row.hi)
+    return _ratio_column(kind, [0.0 if _is_lower(end) else row.hi])[0]
 
 
 # --- auxiliary sign functions -------------------------------------------

@@ -1,6 +1,7 @@
 """The compiled kernels against the column kernels they replaced, kept here
-as the reference: every margin column of every sweep, and every mean of the
-pair and gap entry points, must equal the reference bit for bit."""
+as the reference: every margin column of every sweep, every mean of the
+pair and gap entry points, and every value of the three ratio functions
+must equal the reference bit for bit."""
 
 import itertools
 import math
@@ -10,8 +11,8 @@ from means_lab import replace
 
 import pytest
 
-from means_lab import certify
-from means_lab.certify import Relation, theorem_claims
+from means_lab import certify, ratios
+from means_lab.certify import Objective, Relation, recover_constant, theorem_claims
 from means_lab.means import (
     ARITHMETIC,
     CHAIN_ORDER,
@@ -27,7 +28,17 @@ from means_lab.means import (
     generalized_log,
     mean_shape,
 )
-from means_lab.ratios import ASINH_ONE, sharp_constants
+from means_lab.ratios import (
+    ASINH_ONE,
+    SERIES_SWITCH,
+    Endpoint,
+    RatioFunctionKind,
+    endpoint_value,
+    evaluate_ratio_function,
+    ratio_function_domain,
+    sharp_constants,
+)
+from means_lab.series import CoefficientKind, _horner, truncated_quotient
 from test_means_core import EDGE_GAPS, KERNEL_KIND_LISTS, LP_EDGE_EXPONENTS, _kernel_pairs
 
 _GLOG_SPECIAL_EPS = 1e-8
@@ -229,6 +240,45 @@ def _reference_corpus():
     }
 
 
+# --- the ratio functions as they were: series routes and closed forms ---
+
+def _phi_hq_closed(t):
+    ch = math.cosh(t)
+    sh = math.sinh(t)
+    sh_half = math.sinh(0.5 * t)
+    return (t * ch - sh) / (t * (sh * sh + 2.0 * sh_half * sh_half))
+
+
+def _phi_hc_closed(t):
+    ch = math.cosh(t)
+    sh = math.sinh(t)
+    return (t * ch * ch - sh) / (2.0 * t * sh * sh)
+
+
+def _ratio_gq_closed(x):
+    s1 = math.sqrt(1.0 + x * x)
+    s2 = math.sqrt(1.0 - x * x)
+    ah = math.asinh(x)
+    return (s1 * ah - x) / ((2.0 * x * x / (s1 + s2)) * ah)
+
+
+_K = CoefficientKind
+_RATIO_REFERENCE = {
+    RatioFunctionKind.PHI_HQ: (lambda t: truncated_quotient(_K.A, _K.B, t, 10), _phi_hq_closed),
+    RatioFunctionKind.PHI_HC: (lambda t: truncated_quotient(_K.C, _K.D, t, 10), _phi_hc_closed),
+    RatioFunctionKind.RATIO_GQ: (
+        lambda x: _horner(ratios._GQ_NUM_COEFFS, x * x) / _horner(ratios._GQ_DEN_COEFFS, x * x),
+        _ratio_gq_closed),
+}
+
+
+def _reference_ratio(kind, t):
+    """The ratio function kind at t >= 0, from its series below SERIES_SWITCH
+    and its closed form above."""
+    series, closed = _RATIO_REFERENCE[kind]
+    return series(t) if t < SERIES_SWITCH else closed(t)
+
+
 # --- the checks -----------------------------------------------------------
 
 def _assert_same_columns(got, expected, context):
@@ -309,3 +359,33 @@ def test_mean_shape(kind):
     xs = list(EDGE_GAPS) + [i / 997.0 for i in range(997)] + [1.0 - 2.0**-k for k in range(1, 53)]
     assert [mean_shape(kind, x) for x in xs] == [_reference_mean_shape(kind, x) for x in xs]
 
+
+def _scan_points(monkeypatch, kind):
+    """The points recover_constant scans kind at."""
+    scans = []
+    monkeypatch.setattr(certify, "_ratio_column", lambda k, ts: scans.append(list(ts)) or
+                        ratios._ratio_column(k, ts))
+    recover_constant(kind, list(Objective))
+    (points,) = scans
+    return points
+
+
+@pytest.mark.parametrize("kind", list(RatioFunctionKind))
+def test_ratio_functions(monkeypatch, kind):
+    hi = ratio_function_domain(kind)[1]
+    rng = random.Random(f"ratio:{kind.value}")
+    # the scan, the switch and its neighbours, and 10,000 seeded points, half of
+    # them below the switch
+    points = _scan_points(monkeypatch, kind)
+    assert len(points) == 2023
+    points += [math.nextafter(SERIES_SWITCH, 0.0), SERIES_SWITCH, math.nextafter(SERIES_SWITCH, 1.0)]
+    points += [hi * rng.random() for _ in range(5_000)]
+    points += [SERIES_SWITCH * rng.random() for _ in range(5_000)]
+    expected = [_reference_ratio(kind, t).hex() for t in points]
+    assert [v.hex() for v in ratios._ratio_column(kind, points)] == expected
+    assert [evaluate_ratio_function(kind, t).hex() for t in points] == expected
+    if kind is RatioFunctionKind.PHI_HC:
+        assert [evaluate_ratio_function(kind, -t).hex() for t in points] == expected
+    series, closed = _RATIO_REFERENCE[kind]
+    assert endpoint_value(kind, Endpoint.LOWER).hex() == series(0.0).hex()
+    assert endpoint_value(kind, Endpoint.UPPER).hex() == closed(hi).hex()
