@@ -468,12 +468,12 @@ def recover_constant(fn: RatioFunctionKind,
     single = not isinstance(objective, (list, tuple))
     objectives = [check_type("objective", o, Objective) for o in ([objective] if single else objective)]
     check_real("tolerance", tol, 1e-12)
-    lo, hi = ratio_function_domain(fn)
-    span = hi - lo
+    # every domain is (0, hi), so its span is hi and a point needs no offset from 0
+    span = hi = ratio_function_domain(fn)[1]
     value = functools.partial(evaluate_ratio_function, fn)
     # the half-offsets i + 0.5 counted in floats, exact, so no int is converted per point
-    scan_points = [lo + span * h / 2001.0 for h in itertools.islice(itertools.count(0.5, 1.0), 2001)]
-    scan_points += [lo + span * 10.0**-j for j in range(2, 13)]
+    scan_points = [span * h / 2001.0 for h in itertools.islice(itertools.count(0.5, 1.0), 2001)]
+    scan_points += [span * 10.0**-j for j in range(2, 13)]
     scan_points += [hi - span * 10.0**-j for j in range(2, 13)]
     # all values are finite, so max/min and index pick the first equal extremum
     values = _ratio_column(fn, scan_points)
@@ -484,7 +484,7 @@ def recover_constant(fn: RatioFunctionKind,
         maximize = o is Objective.SUPREMUM
         best_v = max(values) if maximize else min(values)
         best_x = scan_points[values.index(best_v)]
-        bracket_lo = max(lo + span * 1e-13, best_x - step)
+        bracket_lo = max(span * 1e-13, best_x - step)
         bracket_hi = min(hi - span * 1e-13, best_x + step)
         refined = _golden_refine(value, bracket_lo, bracket_hi, maximize, tol)
         candidates = [best_v, refined] + ends

@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from fractions import Fraction
 
 from .certify import (
     REPORT_ONLY_CORPUS_CLAIMS,
@@ -42,7 +43,8 @@ from .means import (
     normalized_gap,
 )
 from .ratios import ASINH_ONE, RatioFunctionKind, sharp_constants
-from .series import CoefficientKind, ratio_sequence_verdict, coefficient_exact
+from .series import (CoefficientKind, _ratio, ratio_sequence_verdict,
+                     coefficient_exact)  # unused here but rebound by perfbench/tracer.py
 
 __all__ = ["main", "build_parser", "parse_mean_token"]
 
@@ -91,9 +93,11 @@ def _cell(value) -> str:
 
 def _render(doc: dict, fmt: str) -> None:
     if fmt == "json":
-        # dumped leniently and parsed back, Infinity and NaN become null
-        strict = json.loads(json.dumps(doc), parse_constant=lambda _: None)
-        print(json.dumps(strict, indent=2, allow_nan=False))
+        try:
+            print(json.dumps(doc, indent=2, allow_nan=False))
+        except ValueError:  # a non-finite float: dumped leniently and parsed back, it is null
+            strict = json.loads(json.dumps(doc), parse_constant=lambda _: None)
+            print(json.dumps(strict, indent=2, allow_nan=False))
         return
     rows = doc["verdicts"]
     header = list(rows[0].keys())
@@ -233,7 +237,7 @@ def cmd_series(args) -> tuple[dict, bool]:
     verdict = ratio_sequence_verdict(pairing[0], pairing[1], args.terms)
     rows = []
     for n in range(1, min(10, args.terms) + 1):
-        ratio = coefficient_exact(pairing[0], n) / coefficient_exact(pairing[1], n)
+        ratio = Fraction(*_ratio(pairing[0], pairing[1], n))  # the verdict's (2n)!-free pair
         rows.append({
             "id": f"{args.pairing}-ratio-{n}",
             "direction": verdict.direction.value,

@@ -94,7 +94,8 @@ def coefficient_exact(kind: CoefficientKind, n: int) -> Fraction:
     """Exact rational value of the n-th coefficient."""
     check_type("coefficient kind", kind, CoefficientKind)
     _check_index("coefficient index n", n, 1, _MAX_INDEX)
-    return Fraction(*_parts(kind, n)) / math.factorial(2 * n)
+    u, w = _parts(kind, n)
+    return Fraction(u, w * math.factorial(2 * n))
 
 
 def ratio_difference(numerator_kind: CoefficientKind, denominator_kind: CoefficientKind,

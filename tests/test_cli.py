@@ -14,7 +14,7 @@ from means_lab import evaluate_mean, generalized_log, NEUMAN_SANDOR, sharp_const
 from means_lab import certify, cli
 from means_lab.cli import main, parse_mean_token
 from means_lab import HARMONIC, GEOMETRIC, QUADRATIC, CertificationReport, DomainError, PositivePair
-from means_lab import RatioFunctionKind
+from means_lab import CoefficientKind, RatioFunctionKind, coefficient_exact
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -256,6 +256,24 @@ class TestSeries:
         assert code == 2
         assert "terms" in err
 
+    @pytest.mark.parametrize("terms", [2, 3, 9, 10, 11, 50])
+    @pytest.mark.parametrize("pairing,num,den", [
+        ("HQ", CoefficientKind.A, CoefficientKind.B),
+        ("HC", CoefficientKind.C, CoefficientKind.D),
+    ])
+    def test_rows_equal_coefficient_quotients(self, capsys, pairing, num, den, terms):
+        # the rows are built from the verdict's factorial-free integer ratios;
+        # the quotient of the exact coefficients is their reference
+        code, out, _ = run_main(capsys, "series", pairing, "--terms", str(terms), "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["verdicts"]
+        assert len(rows) == min(10, terms)
+        for n, row in enumerate(rows, 1):
+            ratio = coefficient_exact(num, n) / coefficient_exact(den, n)
+            assert row["id"] == f"{pairing}-ratio-{n}"
+            assert row["ratio"] == f"{ratio.numerator}/{ratio.denominator}"
+            assert row["ratio_float"].hex() == float(ratio).hex()
+
     def test_golden_document(self, capsys):
         code, out, _ = run_main(capsys, "series", "HQ", "--terms", "5", "--format", "json")
         assert code == 0
@@ -383,6 +401,31 @@ class TestFormats:
         doc = json.loads(out, parse_constant=reject)
         assert doc["verdicts"][0]["min_margin"] is None
         assert doc["worst_case"] is None
+
+    @staticmethod
+    def _round_trip_json(doc: dict) -> str:
+        """The reference rendering: dumped leniently, parsed back with every
+        non-finite constant as None, then dumped as strict indented JSON."""
+        strict = json.loads(json.dumps(doc), parse_constant=lambda _: None)
+        return json.dumps(strict, indent=2, allow_nan=False) + "\n"
+
+    @pytest.mark.parametrize("margin,pair_b", [
+        (-2.5e-16, 0.5),          # all finite: the one strict dump
+        (math.inf, 0.5),          # the rest: the round trip, non-finite as null
+        (-math.inf, 0.5),
+        (math.nan, 0.5),
+        (-2.5e-16, math.inf),
+        (-2.5e-16, math.nan),
+    ])
+    def test_json_render_equals_round_trip(self, capsys, margin, pair_b):
+        row = {"id": "1.1-lower", "holds": margin < 0.0, "min_margin": margin, "near_zero": 3,
+               "worst_gap": 1e-300, "worst_a": 1.0 + 1e-300, "worst_b": 2**70, "note": "\u00e9"}
+        worst = {"claim": "1.1-lower", "min_margin": None, "pair": [1.5, pair_b], "gap": 0.5}
+        doc = cli._document("verify", [row, dict(row, id="chain")], seed=7, samples=50,
+                            worst_case=worst)
+        doc["first_violation"] = None
+        cli._render(doc, "json")
+        assert capsys.readouterr().out == self._round_trip_json(doc)
 
     def test_json_schema_keys_everywhere(self, capsys):
         invocations = [
