@@ -94,10 +94,11 @@ def _cell(value) -> str:
 def _render(doc: dict, fmt: str) -> None:
     if fmt == "json":
         try:
-            print(json.dumps(doc, indent=2, allow_nan=False))
+            text = json.dumps(doc, indent=2, allow_nan=False)
         except ValueError:  # a non-finite float: dumped leniently and parsed back, it is null
             strict = json.loads(json.dumps(doc), parse_constant=lambda _: None)
-            print(json.dumps(strict, indent=2, allow_nan=False))
+            text = json.dumps(strict, indent=2, allow_nan=False)
+        print(text)
         return
     rows = doc["verdicts"]
     header = list(rows[0].keys())
