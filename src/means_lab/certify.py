@@ -53,9 +53,7 @@ from .exceptions import DomainError, Record, check_int, check_real, check_type, 
 from .means import (
     ARITHMETIC,
     CHAIN_ORDER,
-    CONTRA_HARMONIC,
     GEOMETRIC,
-    HARMONIC,
     LOGARITHMIC,
     NEUMAN_SANDOR,
     QUADRATIC,
@@ -74,7 +72,9 @@ from .ratios import (
     ASINH_ONE,
     Endpoint,
     RatioFunctionKind,
+    _THEOREMS,
     _ratio_column,
+    _sharp_limits,
     endpoint_value,
     evaluate_ratio_function,
     ratio_function_domain,
@@ -186,18 +186,12 @@ class SharpnessReport(Record):
 
 def theorem_claims(which: str) -> list[tuple[str, BoundClaim]]:
     """The six sharp claims, two per double inequality, keyed by claim id."""
-    c = sharp_constants()
-    table = {
-        "1.1": (HARMONIC, QUADRATIC, c.alpha1, SharpAt.GAP_ZERO, c.beta1, SharpAt.GAP_ONE),
-        "1.2": (GEOMETRIC, QUADRATIC, c.alpha2, SharpAt.GAP_ZERO, c.beta2, SharpAt.GAP_ONE),
-        "1.3": (HARMONIC, CONTRA_HARMONIC, c.alpha3, SharpAt.GAP_ONE, c.beta3, SharpAt.GAP_ZERO),
-    }
-    if which not in table:
+    if not isinstance(which, str) or which not in _THEOREMS:
         raise DomainError(f"unknown theorem {shown(which)}; expected 1.1, 1.2 or 1.3")
-    first, second, alpha, alpha_at, beta, beta_at = table[which]
-    lower = BoundClaim(alpha, first, second, Relation.LESS_THAN_M, alpha_at)
-    upper = BoundClaim(beta, first, second, Relation.GREATER_THAN_M, beta_at)
-    return [(f"{which}-lower", lower), (f"{which}-upper", upper)]
+    first, second, kind = _THEOREMS[which]
+    sharp_at = {Endpoint.LOWER: SharpAt.GAP_ZERO, Endpoint.UPPER: SharpAt.GAP_ONE}
+    return [(f"{which}-{side}", BoundClaim(weight, first, second, relation, sharp_at[end]))
+            for side, relation, (end, _, weight) in zip(("lower", "upper"), Relation, _sharp_limits(kind))]
 
 
 def gap_grid(n: int) -> list[float]:

@@ -42,7 +42,7 @@ from .means import (
     generalized_log,
     normalized_gap,
 )
-from .ratios import ASINH_ONE, RatioFunctionKind, sharp_constants
+from .ratios import ASINH_ONE, _THEOREMS, _sharp_limits, sharp_constants
 from .series import (CoefficientKind, _ratio, ratio_sequence_verdict,
                      coefficient_exact)  # unused here but rebound by perfbench/tracer.py
 
@@ -208,27 +208,22 @@ def _recover_p0() -> float:
 
 
 def cmd_constants(args) -> tuple[dict, bool]:
-    c = sharp_constants()
-    lam_form = "1 - 1/(sqrt(2)*log(1+sqrt(2)))"
-    # one scan per ratio function for both objectives: (supremum, infimum)
-    hq, hc, gq = (recover_constant(fn, list(Objective), 1e-9) for fn in RatioFunctionKind)
-    recoveries = {
-        "alpha1": (c.alpha1, "2/9", hq[0]),
-        "beta1": (c.beta1, lam_form, hq[1]),
-        "alpha2": (c.alpha2, "1/3", gq[0]),
-        "beta2": (c.beta2, lam_form, gq[1]),
-        "alpha3": (c.alpha3, "1 - 1/(2*log(1+sqrt(2)))", hc[0]),
-        "beta3": (c.beta3, "5/12", hc[1]),
-        "lambda0": (c.lambda0, lam_form, gq[1]),
-        "p0": (c.p0, "root of (p+1)^(1/p) = 2*log(1+sqrt(2))", _recover_p0()),
-    }
+    constants = []
+    for i, (_, _, fn) in enumerate(_THEOREMS.values(), 1):
+        # one scan per ratio function for both objectives: (supremum, infimum)
+        extremes = recover_constant(fn, list(Objective), 1e-9)
+        for name, (_, form, value), found in zip(("alpha", "beta"), _sharp_limits(fn), extremes):
+            constants.append((f"{name}{i}", form, value, found))
+    # lambda0 is beta2, theorem 1.2's infimum
+    constants += [("lambda0", *constants[3][1:]),
+                  ("p0", "root of (p+1)^(1/p) = 2*log(1+sqrt(2))", sharp_constants().p0, _recover_p0())]
     rows = [{
         "id": name,
         "closed_form": form,
         "value": f"{value:.15f}",
         "recovered": recovered,
         "abs_diff": abs(value - recovered),
-    } for name, (value, form, recovered) in recoveries.items()]
+    } for name, form, value, recovered in constants]
     return _document("constants", rows), all(row["abs_diff"] < 1e-9 for row in rows)
 
 

@@ -11,6 +11,10 @@ Each is stated once, as source text in ``_RATIO_ROWS`` (an unrolled Horner
 quotient below the switch, the closed form above), which ``means._compiled``
 compiles on first use into one column kernel: the recovery scan runs it on
 its points, ``evaluate_ratio_function`` and ``endpoint_value`` on one row.
+Each row also holds its limits at 0 and at hi as (closed form, value), and
+``_THEOREMS`` gives each theorem's two means and ratio function: its lower
+claim weighs at that function's supremum and its upper claim at its infimum,
+each sharp at the end whose limit that is.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from enum import Enum, unique
 from .exceptions import DomainError, Record, check_real, check_type, shown
 # the columns read neither stable_asinh, which only _asinh_deficit calls, nor
 # truncated_quotient: perfbench/tracer.py rebinds both
-from .means import _compiled, stable_asinh
+from .means import CONTRA_HARMONIC, GEOMETRIC, HARMONIC, QUADRATIC, _compiled, stable_asinh
 from .series import (CoefficientKind, _float_coefficients, _horner, _maclaurin, _product, solve_p0,
                      truncated_quotient)
 
@@ -74,21 +78,6 @@ class SharpConstants(Record):
     p0: float
 
 
-@functools.cache
-def sharp_constants() -> SharpConstants:
-    lambda0 = 1.0 - 1.0 / (math.sqrt(2.0) * ASINH_ONE)
-    return SharpConstants(
-        alpha1=2.0 / 9.0,
-        beta1=lambda0,
-        alpha2=1.0 / 3.0,
-        beta2=lambda0,
-        alpha3=1.0 - 1.0 / (2.0 * ASINH_ONE),
-        beta3=5.0 / 12.0,
-        lambda0=lambda0,
-        p0=solve_p0(1e-12),
-    )
-
-
 @unique
 class RatioFunctionKind(Enum):
     PHI_HQ = "phi-hq"
@@ -132,17 +121,18 @@ def _column_source(series: str, closed: str, *steps: tuple[str, str]) -> str:
 class _RatioRow(Record):
     """One ratio function: the source of its column kernel, from its series
     below SERIES_SWITCH (exact at 0) and its closed form above, the upper
-    end hi of its open domain (0, hi), and the SharpConstants fields of its
-    limits at 0 and at hi.  An even function also accepts -hi < t < 0."""
+    end hi of its open domain (0, hi), and its limits at 0 and at hi, each
+    as (closed form, value).  An even function also accepts -hi < t < 0."""
 
     source: str
     hi: float
-    lower: str
-    upper: str
+    lower: tuple[str, float]
+    upper: tuple[str, float]
     even: bool = False
 
 
 _A, _B, _C, _D = (_float_coefficients(kind, _SERIES_TERMS) for kind in CoefficientKind)
+_LAMBDA0 = ("1 - 1/(sqrt(2)*log(1+sqrt(2)))", 1.0 - 1.0 / (math.sqrt(2.0) * ASINH_ONE))
 
 # The closed forms are cancellation-free: phi_hq's cosh(2t)/2 + cosh(t) - 3/2 is
 # sinh(t)^2 + 2*sinh(t/2)^2, phi_hc's t*(cosh(2t)+1) - 2*sinh(t) is 2*(t*cosh(t)^2 - sinh(t))
@@ -151,16 +141,23 @@ _RATIO_ROWS = {
     RatioFunctionKind.PHI_HQ: _RatioRow(_column_source(
         _quotient_source(_A, _B), "(t * ch - sh) / (t * (sh * sh + 2.0 * sh_half * sh_half))",
         ("ch", "cosh(t)"), ("sh", "sinh(t)"), ("sh_half", "sinh(0.5 * t)")),
-        ASINH_ONE, "alpha1", "lambda0"),
+        ASINH_ONE, ("2/9", 2.0 / 9.0), _LAMBDA0),
     RatioFunctionKind.PHI_HC: _RatioRow(_column_source(
         _quotient_source(_C, _D), "(t * ch * ch - sh) / (2.0 * t * sh * sh)",
         ("ch", "cosh(t)"), ("sh", "sinh(t)")),
-        ASINH_ONE, "beta3", "alpha3", even=True),
+        ASINH_ONE, ("5/12", 5.0 / 12.0), ("1 - 1/(2*log(1+sqrt(2)))", 1.0 - 1.0 / (2.0 * ASINH_ONE)),
+        even=True),
     RatioFunctionKind.RATIO_GQ: _RatioRow(_column_source(
         _quotient_source(_GQ_NUM_COEFFS, _GQ_DEN_COEFFS),
         "(s1 * ah - t) / ((2.0 * t * t / (s1 + s2)) * ah)",
         ("s1", "sqrt(1.0 + s)"), ("s2", "sqrt(1.0 - s)"), ("ah", "asinh(t)")),
-        1.0, "alpha2", "lambda0"),
+        1.0, ("1/3", 1.0 / 3.0), _LAMBDA0),
+}
+
+_THEOREMS = {
+    "1.1": (HARMONIC, QUADRATIC, RatioFunctionKind.PHI_HQ),
+    "1.2": (GEOMETRIC, QUADRATIC, RatioFunctionKind.RATIO_GQ),
+    "1.3": (HARMONIC, CONTRA_HARMONIC, RatioFunctionKind.PHI_HC),
 }
 
 
@@ -219,7 +216,20 @@ def limit_at(kind: RatioFunctionKind, end: Endpoint) -> float:
     """Closed-form endpoint limits: these are the sharp constants, exposed
     directly rather than extrapolated."""
     row = _row(kind)
-    return getattr(sharp_constants(), row.lower if _is_lower(end) else row.upper)
+    return (row.lower if _is_lower(end) else row.upper)[1]
+
+
+def _sharp_limits(kind: RatioFunctionKind) -> list[tuple[Endpoint, str, float]]:
+    """kind's two limits as (end, closed form, value), the supremum first:
+    each ratio function is monotone, so its range lies between them."""
+    row = _RATIO_ROWS[kind]
+    return sorted([(Endpoint.LOWER, *row.lower), (Endpoint.UPPER, *row.upper)], key=lambda lim: -lim[2])
+
+
+@functools.cache
+def sharp_constants() -> SharpConstants:
+    weights = [value for _, _, kind in _THEOREMS.values() for _, _, value in _sharp_limits(kind)]
+    return SharpConstants(*weights, lambda0=_LAMBDA0[1], p0=solve_p0(1e-12))
 
 
 def endpoint_value(kind: RatioFunctionKind, end: Endpoint) -> float:

@@ -103,8 +103,9 @@ def ratio_difference(numerator_kind: CoefficientKind, denominator_kind: Coeffici
     """Exact consecutive-ratio difference r_(n+1) - r_n of the coefficient
     ratio sequence r_n = num_n / den_n."""
     _check_index("coefficient index n", n, 1, _MAX_INDEX - 1)  # r_(n+1) reads index n + 1
-    r_n = coefficient_exact(numerator_kind, n) / coefficient_exact(denominator_kind, n)
-    r_next = coefficient_exact(numerator_kind, n + 1) / coefficient_exact(denominator_kind, n + 1)
+    check_type("coefficient kind", numerator_kind, CoefficientKind)
+    check_type("coefficient kind", denominator_kind, CoefficientKind)
+    r_n, r_next = (Fraction(*_ratio(numerator_kind, denominator_kind, k)) for k in (n, n + 1))
     return r_next - r_n
 
 

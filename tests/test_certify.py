@@ -66,9 +66,10 @@ class TestClaimConstruction:
         assert claims["1.2-upper"].sharp_at is SharpAt.GAP_ONE
         assert claims["1.3-lower"].sharp_at is SharpAt.GAP_ONE
 
-    def test_unknown_theorem(self):
-        with pytest.raises(DomainError):
-            theorem_claims("2.1")
+    @pytest.mark.parametrize("which", ["2.1", ["1.1"], {}], ids=["str", "list", "dict"])
+    def test_unknown_theorem(self, which):
+        with pytest.raises(DomainError, match="^unknown theorem"):
+            theorem_claims(which)
 
     def test_combination_validation(self):
         for weight in (1.2, -0.1, True):
