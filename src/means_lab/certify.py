@@ -451,24 +451,30 @@ def _golden_refine(fn, lo: float, hi: float, maximize: bool, width: float) -> fl
     return sign * best
 
 
+@functools.cache
+def _scan_points(hi: float) -> tuple[float, ...]:
+    """recover_constant's 2,023 points on (0, hi): 2,001 at half-offsets, then 11 toward each end."""
+    # the half-offsets i + 0.5 counted in floats, exact, so no int is converted per point
+    points = [hi * h / 2001.0 for h in itertools.islice(itertools.count(0.5, 1.0), 2001)]
+    return (*points, *(hi * 10.0**-j for j in range(2, 13)), *(hi - hi * 10.0**-j for j in range(2, 13)))
+
+
 def recover_constant(fn: RatioFunctionKind,
                      objective: Objective | list[Objective] | tuple[Objective, ...],
                      tol: float = 1e-9) -> float | list[float]:
     """Numerically extremize a ratio function over its open domain: uniform
-    scan, geometric endpoint approach, golden-section refinement of the best
-    interior bracket down to width tol, plus the continuous endpoint
-    extensions.  Given a list or tuple of objectives, return one value per
-    objective from one scan of the ratio function, refined per objective."""
+    scan, geometric endpoint approach (one table per domain end, _scan_points,
+    which phi_hq and phi_hc share), golden-section refinement of the best
+    interior bracket down to width tol, plus the continuous endpoint extensions.
+    Given a list or tuple of objectives, return one value per objective from
+    one scan of the ratio function, refined per objective."""
     single = not isinstance(objective, (list, tuple))
     objectives = [check_type("objective", o, Objective) for o in ([objective] if single else objective)]
     check_real("tolerance", tol, 1e-12)
     # every domain is (0, hi), so its span is hi and a point needs no offset from 0
     span = hi = ratio_function_domain(fn)[1]
     value = functools.partial(evaluate_ratio_function, fn)
-    # the half-offsets i + 0.5 counted in floats, exact, so no int is converted per point
-    scan_points = [span * h / 2001.0 for h in itertools.islice(itertools.count(0.5, 1.0), 2001)]
-    scan_points += [span * 10.0**-j for j in range(2, 13)]
-    scan_points += [hi - span * 10.0**-j for j in range(2, 13)]
+    scan_points = _scan_points(hi)
     # all values are finite, so max/min and index pick the first equal extremum
     values = _ratio_column(fn, scan_points)
     step = span / 2001.0

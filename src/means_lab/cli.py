@@ -161,7 +161,7 @@ def _theorem_reports(args) -> list[dict]:
 
 
 def cmd_verify(args) -> tuple[dict, bool]:
-    if args.target in ("1.1", "1.2", "1.3"):
+    if args.target in _THEOREMS:
         rows = _theorem_reports(args)
         doc = _document("verify", rows, grid_size=args.grid, worst_case=_worst_case(rows))
         return doc, all(r["holds"] for r in rows)
@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p_eval)
 
     p_verify = sub.add_parser("verify", help="verify bounds, the chain, or the corpus")
-    p_verify.add_argument("target", choices=("1.1", "1.2", "1.3", "chain", "corpus"))
+    p_verify.add_argument("target", choices=(*_THEOREMS, "chain", "corpus"))
     p_verify.add_argument("--grid", type=int, default=100_000,
                           help="gap-grid size for theorem targets")
     p_verify.add_argument("--samples", type=int, default=None,
@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p_verify)
 
     p_sharp = sub.add_parser("sharpness", help="witness that a perturbed weight breaks a bound")
-    p_sharp.add_argument("theorem", choices=("1.1", "1.2", "1.3"))
+    p_sharp.add_argument("theorem", choices=tuple(_THEOREMS))
     p_sharp.add_argument("--side", choices=("lower", "upper"), required=True)
     p_sharp.add_argument("--epsilon", type=float, required=True)
     add_format(p_sharp)

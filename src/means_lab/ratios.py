@@ -178,15 +178,21 @@ def evaluate_ratio_function(kind: RatioFunctionKind, t: float) -> float:
         row = _RATIO_ROWS[kind]
         u = -t if row.even and t < 0.0 else t
         if 0.0 < u < row.hi:
-            return _compiled(row.source)()([u])[0]
+            return _column(kind)([u])[0]
     row = _row(kind)
     raise DomainError(f"{kind.value} needs 0 < {'|t|' if row.even else 't'} < {row.hi!r}, got {shown(t)}")
 
 
+@functools.cache
+def _column(kind: RatioFunctionKind):
+    """kind's column kernel, ts -> [f(t) for t in ts], built once per process."""
+    return _compiled(_RATIO_ROWS[kind].source)()
+
+
 def _ratio_column(kind: RatioFunctionKind, ts) -> list[float]:
     """evaluate_ratio_function(kind, t) for each t of ts in [0, hi], unchecked,
-    by kind's column kernel, compiled on first use."""
-    return _compiled(_RATIO_ROWS[kind].source)()(ts)
+    by kind's column kernel."""
+    return _column(kind)(ts)
 
 
 def phi_hq(t: float) -> float:
@@ -237,7 +243,7 @@ def endpoint_value(kind: RatioFunctionKind, end: Endpoint) -> float:
     from the defining expressions (the recovery-side counterpart of the
     closed-form limit_at): the series at 0, the closed form at hi."""
     row = _row(kind)
-    return _ratio_column(kind, [0.0 if _is_lower(end) else row.hi])[0]
+    return _column(kind)([0.0 if _is_lower(end) else row.hi])[0]
 
 
 # --- auxiliary sign functions -------------------------------------------

@@ -546,6 +546,51 @@ class TestRecoverConstant:
                 assert lower - 1e-12 <= v <= upper + 1e-12
 
 
+class TestRecoveryCaches:
+    """One scan table per domain end and one built column kernel per ratio
+    function, each made once per process."""
+
+    def test_phi_hq_and_phi_hc_scan_one_table(self, monkeypatch):
+        scans = {}
+
+        def recording(k, ts):
+            scans[k] = ts
+            return ratios._ratio_column(k, ts)
+
+        monkeypatch.setattr(certify, "_ratio_column", recording)
+        for kind in RatioFunctionKind:
+            recover_constant(kind, list(Objective))
+        assert scans[RatioFunctionKind.PHI_HQ] is scans[RatioFunctionKind.PHI_HC]
+        assert scans[RatioFunctionKind.PHI_HQ] is certify._scan_points(ratios.ASINH_ONE)
+        assert scans[RatioFunctionKind.RATIO_GQ] is certify._scan_points(1.0)
+
+    @pytest.mark.parametrize("hi", [ratios.ASINH_ONE, 1.0])
+    def test_table_is_the_scan_formula(self, hi):
+        expected = ([hi * (i + 0.5) / 2001.0 for i in range(2001)]
+                    + [hi * 10.0**-j for j in range(2, 13)]
+                    + [hi - hi * 10.0**-j for j in range(2, 13)])
+        table = certify._scan_points(hi)
+        assert isinstance(table, tuple) and len(table) == 2023
+        assert [t.hex() for t in table] == [t.hex() for t in expected]
+
+    def test_second_constants_call_builds_nothing(self, capsys):
+        from means_lab.cli import main
+
+        infos = []
+        outputs = []
+        for _ in range(2):
+            assert main(["constants", "--format", "json"]) == 0
+            outputs.append(capsys.readouterr())
+            infos.append((certify._scan_points.cache_info(), ratios._column.cache_info(),
+                          means._compiled.cache_info()))
+        (tables, columns, compiled), (tables_after, columns_after, compiled_after) = infos
+        assert tables_after.misses == tables.misses and tables_after.currsize == tables.currsize
+        assert tables_after.hits == tables.hits + 3
+        assert columns_after.misses == columns.misses and columns_after.hits > columns.hits
+        assert compiled_after.misses == compiled.misses
+        assert outputs[0].out == outputs[1].out and outputs[0].err == outputs[1].err == ""
+
+
 class TestChain:
     def test_chain_holds_seeded(self):
         report = verify_chain(2000, seed=42)
