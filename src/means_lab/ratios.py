@@ -3,10 +3,10 @@ of the weighted-mean bounds, the auxiliary sign functions used to pin the
 geometric-quadratic pair, and the sharp constants themselves.
 
 phi_hq(t) is (Q-M)/(Q-H) after the substitutions x = (a-b)/(a+b), x = sinh(t);
-phi_hc(t) is (C-M)/(C-H); ratio_gq(x) is (Q-M)/(Q-G).  Each is a quotient of
-two odd power series, so near the removable 0/0 point at the origin the
-closed forms lose roughly 2*log10(1/t) digits to cancellation; below
-``SERIES_SWITCH`` they are evaluated from truncated series instead.
+phi_hc(t) is (C-M)/(C-H); ratio_gq(x) is (Q-M)/(Q-G).  Near the removable 0/0
+point at the origin the closed forms lose roughly 2*log10(1/t) digits to
+cancellation; below ``SERIES_SWITCH`` they are evaluated from truncated series
+instead, ratio_gq's as phi_hq's at asinh(x) times an algebraic factor.
 Each is stated once, as source text in ``_RATIO_ROWS`` (an unrolled Horner
 quotient below the switch, the closed form above), which ``means._compiled``
 compiles on first use into one column kernel: the recovery scan runs it on
@@ -27,7 +27,7 @@ from .exceptions import DomainError, Record, check_real, check_type, shown
 # the columns read neither stable_asinh, which only _asinh_deficit calls, nor
 # truncated_quotient: perfbench/tracer.py rebinds both
 from .means import CONTRA_HARMONIC, GEOMETRIC, HARMONIC, QUADRATIC, _compiled, stable_asinh
-from .series import (CoefficientKind, _float_coefficients, _horner, _maclaurin, _product, solve_p0,
+from .series import (CoefficientKind, _float_coefficients, _horner, _maclaurin, solve_p0,
                      truncated_quotient)
 
 __all__ = [
@@ -91,28 +91,21 @@ class Endpoint(Enum):
     UPPER = "upper"
 
 
-# With A = asinh(x)/x and S1, S2 = sqrt(1 +- s): the series (S1*A - 1)/s of (sqrt(1+x^2)*asinh(x) - x)/x^3
-# and ((S1 - S2)/s)*A of (sqrt(1+x^2) - sqrt(1-x^2))*asinh(x)/x^3, rounded from the exact coefficients.
-_ASINH, _S1, _S2 = _maclaurin("asinh", 12), _maclaurin("sqrt+", 9), _maclaurin("sqrt-", 9)
-_GQ_NUM_COEFFS = tuple(map(float, _product(_S1, _ASINH)[1:]))
-_GQ_DEN_COEFFS = tuple(map(float, _product([p - m for p, m in zip(_S1[1:], _S2[1:])], _ASINH)))
-
-
-def _quotient_source(num: tuple[float, ...], den: tuple[float, ...]) -> str:
-    """The source of _horner(num, s) / _horner(den, s), each unrolled: the
-    loop's first step, 0.0 * s + c, is c."""
+def _quotient_source(num: tuple[float, ...], den: tuple[float, ...], s: str = "s") -> str:
+    """The source of _horner(num, s) / _horner(den, s), each unrolled, with s
+    the series variable's source: the loop's first step, 0.0 * s + c, is c."""
     sources = []
     for coeffs in (num, den):
         source = repr(coeffs[-1])
         for c in reversed(coeffs[:-1]):
-            source = f"({source} * s + {c!r})"
+            source = f"({source} * {s} + {c!r})"
         sources.append(source)
     return " / ".join(sources)
 
 
 def _column_source(series: str, closed: str, *steps: tuple[str, str]) -> str:
-    """The source of make() -> kernel ts -> [f(t) for t in ts]: series, in s = t*t,
-    below SERIES_SWITCH, else closed, over the (name, source) bindings steps."""
+    """The source of make() -> kernel ts -> [f(t) for t in ts]: series below
+    SERIES_SWITCH, else closed, over s = t*t and the (name, source) bindings steps."""
     binds = "".join(f" for {name} in [{source}]" for name, source in (("s", "t * t"),) + steps)
     return (f"def make():\n return lambda ts: [{series} if t < {SERIES_SWITCH!r} else {closed}"
             f" for t in ts{binds}]\n")
@@ -136,7 +129,8 @@ _LAMBDA0 = ("1 - 1/(sqrt(2)*log(1+sqrt(2)))", 1.0 - 1.0 / (math.sqrt(2.0) * ASIN
 
 # The closed forms are cancellation-free: phi_hq's cosh(2t)/2 + cosh(t) - 3/2 is
 # sinh(t)^2 + 2*sinh(t/2)^2, phi_hc's t*(cosh(2t)+1) - 2*sinh(t) is 2*(t*cosh(t)^2 - sinh(t))
-# and 2t*(cosh(2t)-1) is 4t*sinh(t)^2, and ratio_gq's s1 - s2 is 2x^2/(s1+s2), with x = t.
+# and 2t*(cosh(2t)-1) is 4t*sinh(t)^2, and ratio_gq's s1 - s2 is 2x^2/(s1+s2), with x = t and
+# s2 = sqrt((1-x)(1+x)).  ratio_gq is phi_hq(ah) times (Q-H)/(Q-G) = (s1+s2)(s1+2)/(2(s1+1)), as H = G^2.
 _RATIO_ROWS = {
     RatioFunctionKind.PHI_HQ: _RatioRow(_column_source(
         _quotient_source(_A, _B), "(t * ch - sh) / (t * (sh * sh + 2.0 * sh_half * sh_half))",
@@ -148,9 +142,9 @@ _RATIO_ROWS = {
         ASINH_ONE, ("5/12", 5.0 / 12.0), ("1 - 1/(2*log(1+sqrt(2)))", 1.0 - 1.0 / (2.0 * ASINH_ONE)),
         even=True),
     RatioFunctionKind.RATIO_GQ: _RatioRow(_column_source(
-        _quotient_source(_GQ_NUM_COEFFS, _GQ_DEN_COEFFS),
-        "(s1 * ah - t) / ((2.0 * t * t / (s1 + s2)) * ah)",
-        ("s1", "sqrt(1.0 + s)"), ("s2", "sqrt(1.0 - s)"), ("ah", "asinh(t)")),
+        f"{_quotient_source(_A, _B, '(ah * ah)')} * ((s1 + s2) * (s1 + 2.0) / (2.0 * (s1 + 1.0)))",
+        "(s1 * ah - t) / ((2.0 * s / (s1 + s2)) * ah)",
+        ("s1", "sqrt(1.0 + s)"), ("s2", "sqrt((1.0 - t) * (1.0 + t))"), ("ah", "asinh(t)")),
         1.0, ("1/3", 1.0 / 3.0), _LAMBDA0),
 }
 
@@ -248,8 +242,8 @@ def endpoint_value(kind: RatioFunctionKind, end: Endpoint) -> float:
 
 # --- auxiliary sign functions -------------------------------------------
 
-# x - asinh(x) = x^3 * (-(A - 1)/s)
-_ASINH_DEFICIT_COEFFS = tuple(-float(c) for c in _ASINH[1:])
+# x - asinh(x) = x^3 * (-(A - 1)/s), with A = asinh(x)/x
+_ASINH_DEFICIT_COEFFS = tuple(-float(c) for c in _maclaurin("asinh", 12)[1:])
 
 
 def _asinh_deficit(x: float) -> float:

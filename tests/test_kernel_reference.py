@@ -255,9 +255,20 @@ def _phi_hc_closed(t):
     return (t * ch * ch - sh) / (2.0 * t * sh * sh)
 
 
+def _gq_roots(x):
+    """sqrt(1 + x^2) and sqrt(1 - x^2), the latter without cancellation near 1."""
+    return math.sqrt(1.0 + x * x), math.sqrt((1.0 - x) * (1.0 + x))
+
+
+def _ratio_gq_series(x):
+    # phi_hq's series at asinh(x) times (Q-H)/(Q-G) = (s1+s2)(s1+2)/(2(s1+1))
+    s1, s2 = _gq_roots(x)
+    return (truncated_quotient(_K.A, _K.B, math.asinh(x), 10)
+            * ((s1 + s2) * (s1 + 2.0) / (2.0 * (s1 + 1.0))))
+
+
 def _ratio_gq_closed(x):
-    s1 = math.sqrt(1.0 + x * x)
-    s2 = math.sqrt(1.0 - x * x)
+    s1, s2 = _gq_roots(x)
     ah = math.asinh(x)
     return (s1 * ah - x) / ((2.0 * x * x / (s1 + s2)) * ah)
 
@@ -266,9 +277,7 @@ _K = CoefficientKind
 _RATIO_REFERENCE = {
     RatioFunctionKind.PHI_HQ: (lambda t: truncated_quotient(_K.A, _K.B, t, 10), _phi_hq_closed),
     RatioFunctionKind.PHI_HC: (lambda t: truncated_quotient(_K.C, _K.D, t, 10), _phi_hc_closed),
-    RatioFunctionKind.RATIO_GQ: (
-        lambda x: _horner(ratios._GQ_NUM_COEFFS, x * x) / _horner(ratios._GQ_DEN_COEFFS, x * x),
-        _ratio_gq_closed),
+    RatioFunctionKind.RATIO_GQ: (_ratio_gq_series, _ratio_gq_closed),
 }
 
 
@@ -389,3 +398,18 @@ def test_ratio_functions(monkeypatch, kind):
     series, closed = _RATIO_REFERENCE[kind]
     assert endpoint_value(kind, Endpoint.LOWER).hex() == series(0.0).hex()
     assert endpoint_value(kind, Endpoint.UPPER).hex() == closed(hi).hex()
+
+
+@pytest.mark.parametrize("variable,bind", [("s", lambda v: {"s": v * v}),
+                                           ("(ah * ah)", lambda v: {"ah": v})], ids=["s", "ah"])
+def test_quotient_source_in_its_series_variable(variable, bind):
+    # the unrolled A/B quotient, in s as phi_hq's series branch reads it and in
+    # (ah * ah) as ratio_gq's does, is _horner's quotient at the square bit for bit
+    source = ratios._quotient_source(ratios._A, ratios._B, variable)
+    if variable == "s":
+        assert source == ratios._quotient_source(ratios._A, ratios._B)
+    code = compile(source, "<quotient>", "eval")
+    rng = random.Random(f"quotient:{variable}")
+    for v in [0.0, SERIES_SWITCH] + [SERIES_SWITCH * rng.random() for _ in range(1_000)]:
+        want = _horner(ratios._A, v * v) / _horner(ratios._B, v * v)
+        assert eval(code, bind(v)).hex() == want.hex(), v

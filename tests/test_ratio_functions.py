@@ -1,6 +1,7 @@
 import math
 import random
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -144,6 +145,42 @@ class TestRatioGq:
     def test_against_oracle(self):
         for x in (1e-8, 1e-4, 0.019, 0.021, 0.3, 0.9, 0.999999):
             assert rel_err(ratio_gq(x), ratio_gq_oracle(x)) < 2e-12
+
+    @staticmethod
+    def _worst_ulps(xs):
+        """The largest error of ratio_gq over xs, in ulps of the exact value,
+        which the oracle gives at enough digits to outlast its cancellation
+        of about 2*log10(1/x) digits."""
+        worst = 0.0
+        for x in xs:
+            with mp.workdps(40 + 2 * max(0, -math.floor(math.log10(x)))):
+                exact = ratio_gq_oracle(x)
+                worst = max(worst, float(abs(mp.mpf(ratio_gq(x)) - exact)) / math.ulp(float(exact)))
+        return worst
+
+    def test_series_branch_within_4_ulps(self):
+        # phi_hq's series at asinh(x) times (Q-H)/(Q-G), below the switch
+        rng = random.Random("ratio-gq:series")
+        xs = [10.0 ** rng.uniform(-12.0, math.log10(SERIES_SWITCH)) for _ in range(1_500)]
+        assert self._worst_ulps(xs + [1e-20, 1e-300]) <= 4.0
+
+    @pytest.mark.parametrize("x", [1e-6, 1e-3, 0.019, 0.3, 0.9, 0.999999])
+    def test_equals_phi_hq_at_asinh_times_psi(self, x):
+        # the identity behind the series branch: with H = G^2 on the unit
+        # pair, (Q-M)/(Q-G) = phi_hq(asinh x) * (Q-H)/(Q-G), and
+        # (Q-H)/(Q-G) = (s1+s2)(s1+2)/(2(s1+1)) for s1, s2 = sqrt(1 +- x^2)
+        with mp.workdps(60):
+            s1, s2 = mp.sqrt(1 + mp.mpf(x) ** 2), mp.sqrt(1 - mp.mpf(x) ** 2)
+            psi = (s1 + s2) * (s1 + 2) / (2 * (s1 + 1))
+            product = phi_hq_oracle(mp.asinh(x)) * psi
+            assert abs(product / ratio_gq_oracle(x) - 1) < mp.mpf(10) ** -40
+
+    def test_near_one_within_16_ulps(self):
+        # G = sqrt((1-x)(1+x)) keeps its relative accuracy as x -> 1, where
+        # sqrt(1 - x^2) cancelled to over a thousand ulps
+        rng = random.Random("ratio-gq:near-one")
+        xs = [1.0 - 10.0 ** rng.uniform(-16.0, math.log10(0.5)) for _ in range(1_500)]
+        assert self._worst_ulps(xs) <= 16.0
 
 
 class TestEndpoints:
