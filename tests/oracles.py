@@ -1,7 +1,8 @@
 """High-precision reference implementations used as test oracles.
 
 Everything here evaluates the textbook definitions directly in 40-digit
-arithmetic (mpmath), independent of the library's stable-branch choices, so
+arithmetic (mpmath; the ratio functions' 0/0 closed forms with more digits
+as their argument shrinks), independent of the library's stable-branch choices, so
 agreement is a genuine cross-check rather than a tautology.
 """
 
@@ -47,19 +48,31 @@ def mean_oracle(kind: MeanKind, a, b) -> mp.mpf:
     raise ValueError(f"no oracle for {kind!r}")
 
 
+def _cancelling(closed_form):
+    """closed_form, a 0/0 form whose terms cancel to about t**2 of their
+    size, evaluated with two more digits per decade of |t| below 1, so that
+    the current working precision survives the cancellation at any t."""
+    def oracle(t) -> mp.mpf:
+        t = mp.mpf(t)
+        decades = max(0, -int(mp.floor(mp.log10(abs(t))))) if t else 0
+        with mp.workdps(mp.mp.dps + 2 * decades):
+            return closed_form(t)
+    return oracle
+
+
+@_cancelling
 def phi_hq_oracle(t) -> mp.mpf:
-    t = mp.mpf(t)
     return (t * mp.cosh(t) - mp.sinh(t)) / (
         t * (mp.cosh(2 * t) / 2 + mp.cosh(t) - mp.mpf(3) / 2))
 
 
+@_cancelling
 def phi_hc_oracle(t) -> mp.mpf:
-    t = mp.mpf(t)
     return (t * (mp.cosh(2 * t) + 1) - 2 * mp.sinh(t)) / (2 * t * (mp.cosh(2 * t) - 1))
 
 
+@_cancelling
 def ratio_gq_oracle(x) -> mp.mpf:
-    x = mp.mpf(x)
     return (mp.sqrt(1 + x * x) * mp.asinh(x) - x) / (
         (mp.sqrt(1 + x * x) - mp.sqrt(1 - x * x)) * mp.asinh(x))
 
