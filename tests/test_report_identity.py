@@ -5,11 +5,15 @@ goldens exactly, so a refactor of the kernels, sweeps or ratio functions
 cannot move a single number unnoticed.
 
 Regenerate (only for an intended numerical change) with
-``PYTHONPATH=src python tests/test_report_identity.py``.
+``PYTHONPATH=src python tests/test_report_identity.py``; given command
+prefixes, as in ``PYTHONPATH=src python tests/test_report_identity.py verify
+corpus`` (several separated by ","), it rewrites only the entries of the
+commands that begin with one of them.
 """
 
 import io
 import json
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -52,6 +56,35 @@ def test_report_matches_golden(argv):
     assert _document(argv) == golden[" ".join(argv)]
 
 
+def regenerate(words: list[str], golden: Path = GOLDEN) -> None:
+    """Write the goldens of COMMANDS to golden: all of them, or given words,
+    those of the commands that begin with one of the prefixes the words
+    spell (several separated by ","); every other entry keeps its bytes."""
+    prefixes = [prefix.split() for prefix in " ".join(words).split(",")] if words else []
+    for prefix in prefixes:
+        if not any(argv[:len(prefix)] == prefix for argv in COMMANDS):
+            raise SystemExit(f"no command begins with {' '.join(prefix)!r}")
+    old = json.loads(golden.read_text()) if prefixes else {}
+    docs = {}
+    for argv in COMMANDS:
+        key = " ".join(argv)
+        rewrite = key not in old or any(argv[:len(prefix)] == prefix for prefix in prefixes)
+        docs[key] = _document(argv) if rewrite else old[key]
+    golden.write_text(json.dumps(docs, indent=2) + "\n")
+
+
+def test_regenerate_rewrites_only_the_prefixed_entries(tmp_path):
+    # a stale corpus entry is rewritten; a stale entry of any other command,
+    # and every byte of the rest, stay as they were
+    docs, corpus = json.loads(GOLDEN.read_text()), "verify corpus --samples 500 --seed 7"
+    stale = {**docs, corpus: {"stale": 1}, "constants": {"stale": 2}}
+    golden = tmp_path / "reports_small.json"
+    golden.write_text(json.dumps(stale, indent=2) + "\n")
+    regenerate(["verify", "corpus", "--samples", "500"], golden)
+    assert golden.read_text() == json.dumps({**stale, corpus: docs[corpus]}, indent=2) + "\n"
+    with pytest.raises(SystemExit, match="no command begins with 'verify 2.1'"):
+        regenerate(["verify", "2.1,", "constants"], golden)
+
+
 if __name__ == "__main__":
-    docs = {" ".join(argv): _document(argv) for argv in COMMANDS}
-    GOLDEN.write_text(json.dumps(docs, indent=2) + "\n")
+    regenerate(sys.argv[1:])
