@@ -504,26 +504,35 @@ def _chain_draw(rng: random.Random, count: int) -> list[tuple[float, float]]:
             for x in [r() or next(filter(None, iter(r, None)))]]
 
 
-def _sampled_sweeps(claims, count: int, seed: int) -> list[CertificationReport]:
-    """One report per claim (claim_id, draw, margin_columns) over count pairs
-    (a, b) that draw(rng, size) returns a block at a time (a chain pair has
-    a >= b, a ky-fan pair either order); margin_columns maps a block of pairs
-    to margin columns.  Block j of a claim is drawn from its own stream,
-    random.Random(f"{seed:x}:{claim_id}:{j}") (hex, since str() refuses an
-    int of over 4,300 digits), so any part can draw any block: part k of
-    parts sweeps blocks k, k + parts, k + 2 * parts, ... of every claim."""
-    key, parts = f"{seed:x}", _workers(len(claims) * count)
+def _sampled_sweeps(sweeps, count: int, seed: int) -> list[tuple[str, CertificationReport]]:
+    """(claim_id, report) per claim over count pairs (a, b) per sweep
+    (stream, draw, margin_columns, claim_ids): draw(rng, size) returns a
+    block of pairs (a chain pair has a >= b, a ky-fan pair either order),
+    margin_columns maps a block to margin columns, and claim_ids take those
+    columns in equal runs, in order (the chain one claim of eight, the
+    corpus pairs nine claims of one).  Block j of a stream is drawn once,
+    from random.Random(f"{seed:x}:{stream}:{j}") (hex, since str() refuses
+    an int of over 4,300 digits), so any part can draw any block: part k of
+    parts sweeps blocks k, k + parts, k + 2 * parts, ... of every stream.
+    The split counts count points per claim."""
+    key, parts = f"{seed:x}", _workers(count * sum(len(ids) for *_, ids in sweeps))
 
     def scans(part: int) -> list:
-        return [_sweep(((start, draw(random.Random(f"{key}:{claim_id}:{start // _SWEEP_BLOCK}"),
+        return [_sweep(((start, draw(random.Random(f"{key}:{stream}:{start // _SWEEP_BLOCK}"),
                                      min(_SWEEP_BLOCK, count - start)))
                         for start in range(part * _SWEEP_BLOCK, count, parts * _SWEEP_BLOCK)),
                        margin_columns)
-                for claim_id, draw, margin_columns in claims]
+                for stream, draw, margin_columns, _ in sweeps]
 
     by_part = _fork_map([functools.partial(scans, part) for part in range(parts)])
-    return [_report(count, _merge(claim_scans), lambda pair: PositivePair(*pair), seed)
-            for claim_scans in zip(*by_part)]
+    reports = []
+    for (*_, claim_ids), stream_scans in zip(sweeps, zip(*by_part)):
+        merged = _merge(stream_scans)
+        width = len(merged) // len(claim_ids)
+        reports += [(claim_id, _report(count, merged[k * width:(k + 1) * width],
+                                       lambda pair: PositivePair(*pair), seed))
+                    for k, claim_id in enumerate(claim_ids)]
+    return reports
 
 
 # one step of the chain, normalized by A
@@ -537,7 +546,7 @@ def verify_chain(sample_count: int, seed: int) -> CertificationReport:
     check_int("seed", seed, 0)
     steps = _kernel([(_CHAIN_STEP, {"above": above, "below": below, "a": ARITHMETIC})
                      for below, above in zip(CHAIN_ORDER, CHAIN_ORDER[1:])])
-    (report,) = _sampled_sweeps([("chain", _chain_draw, steps)], sample_count, seed)
+    ((_, report),) = _sampled_sweeps([("chain", _chain_draw, steps, ["chain"])], sample_count, seed)
     return report
 
 
@@ -570,10 +579,12 @@ def _ky_fan_draw(rng: random.Random, count: int) -> list[tuple[float, float]]:
 
 
 def _corpus_claims():
-    """(claim_id, draw, margin_columns) triples; draw samples a block of
-    pairs (a, b) from an rng, margin_columns maps a block to a one-column
-    list: each pair's smallest normalized margin over the claim's strict
-    inequalities."""
+    """verify_corpus's sweeps, (stream, draw, margin_columns, claim_ids) as
+    _sampled_sweeps takes them: ky-fan on its own stream, its one column each
+    pair's smallest normalized margin over its strict inequalities, and the
+    nine pair claims on the stream "pairs", whose one kernel computes A, M
+    and the claims' other means once per pair and returns their nine margin
+    columns."""
     neuman_alpha = (1.0 - ASINH_ONE) / ((math.sqrt(2.0) - 1.0) * ASINH_ONE)
     neuman_lambda = (1.0 - ASINH_ONE) / ASINH_ONE
     ky_fan_means = _columns_fn(_KY_FAN_KINDS)
@@ -605,15 +616,16 @@ def _corpus_claims():
         ("neuman-qa-lambda-lower", *qa(neuman_lambda, Relation.LESS_THAN_M)),
         ("neuman-qa-mu-upper", *qa(1.0 / 6.0, Relation.GREATER_THAN_M)),
     ]
-    return [("ky-fan", _ky_fan_draw, ky_fan)] + [
-        (claim_id, _chain_draw, _kernel([(margin, {"a": ARITHMETIC, "m": NEUMAN_SANDOR, **slots})]))
-        for claim_id, margin, slots in pair_claims]
+    return [("ky-fan", _ky_fan_draw, ky_fan, ["ky-fan"]),
+            ("pairs", _chain_draw,
+             _kernel([(margin, {"a": ARITHMETIC, "m": NEUMAN_SANDOR, **slots})
+                      for _, margin, slots in pair_claims]),
+             [claim_id for claim_id, _, _ in pair_claims])]
 
 
 def verify_corpus(sample_count: int, seed: int) -> list[tuple[str, CertificationReport]]:
-    """Evaluate every corpus claim on its own seeded block streams."""
+    """Evaluate every corpus claim: ky-fan on its own seeded block streams,
+    the nine pair claims in one sweep of theirs."""
     check_int("sample_count", sample_count, 1, sys.maxsize)
     check_int("seed", seed, 0)
-    claims = _corpus_claims()
-    reports = _sampled_sweeps(claims, sample_count, seed)
-    return [(claim_id, report) for (claim_id, _, _), report in zip(claims, reports)]
+    return _sampled_sweeps(_corpus_claims(), sample_count, seed)

@@ -326,9 +326,9 @@ def test_chain_blocks(monkeypatch, seed):
     # verify_chain's own kernel, taken from the sweep it starts
     kernels = []
 
-    def capture(claims, count, seed):
-        kernels.extend(columns for _, _, columns in claims)
-        return [None] * len(claims)
+    def capture(sweeps, count, seed):
+        kernels.extend(columns for _, _, columns, _ in sweeps)
+        return [(claim_id, None) for *_, ids in sweeps for claim_id in ids]
 
     monkeypatch.setattr(certify, "_sampled_sweeps", capture)
     certify.verify_chain(1, 0)
@@ -339,13 +339,17 @@ def test_chain_blocks(monkeypatch, seed):
 
 @pytest.mark.parametrize("seed", [7, 42, 101])
 def test_corpus_blocks(seed):
+    # ky-fan's column, and each of the nine fused columns of the pair claims
+    # against its claim's own reference margin
     references = _reference_corpus()
-    claims = certify._corpus_claims()
-    assert [claim_id for claim_id, _, _ in claims] == list(references)
-    for claim_id, draw, margin_columns in claims:
-        rng = random.Random(f"{seed}:{claim_id}")
+    sweeps = certify._corpus_claims()
+    assert [(stream, ids) for stream, _, _, ids in sweeps] == \
+        [("ky-fan", ["ky-fan"]), ("pairs", list(references)[1:])]
+    for stream, draw, margin_columns, ids in sweeps:
+        rng = random.Random(f"{seed}:{stream}")
         for k, block in enumerate(_blocks(draw, rng, 10_000)):
-            _assert_same_columns(margin_columns(block), references[claim_id](block), (claim_id, k))
+            expected = [column for claim_id in ids for column in references[claim_id](block)]
+            _assert_same_columns(margin_columns(block), expected, (stream, k))
 
 
 def test_columns_and_means_of_the_kernel_pairs():

@@ -400,6 +400,13 @@ class TestKernelCompiler:
         assert after.hits == before.hits + 1 and after.misses == before.misses
         assert list(at_claim) != list(at_other)
 
+    def test_corpus_compiles_two_kernels(self):
+        # ky-fan's six means, and one kernel for the nine pair claims
+        means._compiled.cache_clear()
+        means._columns_fn.cache_clear()
+        certify.verify_corpus(300, 9)
+        assert means._compiled.cache_info().misses == 2
+
     def test_no_cli_value_is_compiled(self, monkeypatch, capsys):
         sources = []
         compiled = means._compiled

@@ -11,6 +11,7 @@ import types
 import pytest
 
 from means_lab import DomainError, certify, theorem_claims, verify_bound, verify_chain, verify_corpus
+from test_kernel_reference import _reference_corpus
 
 CLAIMS = [claim for theorem in ("1.1", "1.2", "1.3") for _, claim in theorem_claims(theorem)]
 SPLITS = [2, 3, 7]
@@ -86,6 +87,29 @@ def test_corpus(monkeypatch, forks, n, seed, parts):
     assert len(forks) == parts - 1
 
 
+@pytest.mark.parametrize("parts", [1] + SPLITS)
+@pytest.mark.parametrize("n", [777, 3001])
+def test_fused_pair_claims_report_as_one_claim_sweeps(monkeypatch, n, parts):
+    # the nine pair claims share the "pairs" draws and one kernel: each
+    # report equals that of a sweep of its claim alone, with its own
+    # reference margin, over the same stream
+    references = _reference_corpus()
+    alone = [report for claim_id in list(references)[1:]
+             for report in _one_process(certify._sampled_sweeps, [
+                 ("pairs", certify._chain_draw, references[claim_id], [claim_id])], n, 42)]
+    _split_in(monkeypatch, parts)
+    assert verify_corpus(n, 42)[1:] == alone
+
+
+def test_corpus_of_10000_samples_forks_one_child_on_two_cpus(monkeypatch, forks):
+    # the split counts the corpus as 10 x samples points, one per report, so
+    # the fused sweep's 2 x 10,000 rows still split in two
+    expected = _one_process(verify_corpus, 10_000, 42)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert verify_corpus(10_000, 42) == expected
+    assert len(forks) == 1
+
+
 def _streams(monkeypatch, random_class) -> None:
     """Make the samplers draw every block from random_class(key)."""
     monkeypatch.setattr(certify, "random", types.SimpleNamespace(Random=random_class))
@@ -94,7 +118,7 @@ def _streams(monkeypatch, random_class) -> None:
 def test_parts_take_blocks_by_stride(monkeypatch):
     # part k of parts sweeps blocks k, k + parts, ...: the grid's low-ladder
     # blocks (with their mirrors, and the seam blocks in the last part) and
-    # each sampled claim's blocks; together the parts take every block once
+    # each sampled stream's blocks; together the parts take every block once
     size = certify._SWEEP_BLOCK
     n = 100_001
     ladder = range(0, (n // 2 - 1) // size * size, size)
@@ -114,7 +138,6 @@ def test_parts_take_blocks_by_stride(monkeypatch):
 
     _streams(monkeypatch, Recorded)
     monkeypatch.setattr(certify, "_fork_map", in_turn)
-    ids = [claim_id for claim_id, _, _ in certify._corpus_claims()]
     blocks = 11  # the last of them one draw
     for parts in SPLITS:
         _split_in(monkeypatch, parts)
@@ -124,14 +147,14 @@ def test_parts_take_blocks_by_stride(monkeypatch):
                         for part in range(parts)]
         keys.clear()
         verify_corpus(10 * size + 1, 42)
-        assert keys == [[f"2a:{c}:{j}" for c in ids for j in range(part, blocks, parts)]
+        assert keys == [[f"2a:{c}:{j}" for c in ("ky-fan", "pairs") for j in range(part, blocks, parts)]
                         for part in range(parts)]
 
 
 @pytest.mark.parametrize("seed", [7, 10**5000], ids=["7", "5001-digits"])
 def test_a_block_is_drawn_from_its_own_stream(monkeypatch, seed):
-    # block j of a claim holds the draws of the stream seeded with
-    # f"{seed:x}:{claim_id}:{j}", whatever the part count and whatever the
+    # block j of a stream holds the draws of the Random seeded with
+    # f"{seed:x}:{stream}:{j}", whatever the part count and whatever the
     # sample count, as far as it covers the block
     size = certify._SWEEP_BLOCK
     drawn = []
@@ -150,21 +173,21 @@ def test_a_block_is_drawn_from_its_own_stream(monkeypatch, seed):
 
     _streams(monkeypatch, Keyed)
     draws = {"chain": certify._chain_draw, "ky-fan": certify._ky_fan_draw}
-    claims = [(claim_id, recorded(draw), lambda pairs: [[1.0] * len(pairs)])
-              for claim_id, draw in draws.items()]
+    sweeps = [(stream, recorded(draw), lambda pairs: [[1.0] * len(pairs)], [stream])
+              for stream, draw in draws.items()]
     for parts in [1, 2, 3, 7]:
         for count in [size, 3 * size + 5, 7 * size]:
             drawn.clear()
             with pytest.MonkeyPatch.context() as patch:
                 _split_in(patch, parts)
                 patch.delattr(os, "fork")
-                certify._sampled_sweeps(claims, count, seed)
-            expected = {f"{seed:x}:{claim_id}:{j}": min(size, count - j * size)
-                        for claim_id in draws for j in range(-(-count // size))}
+                certify._sampled_sweeps(sweeps, count, seed)
+            expected = {f"{seed:x}:{stream}:{j}": min(size, count - j * size)
+                        for stream in draws for j in range(-(-count // size))}
             assert {key: len(pairs) for key, pairs in drawn} == expected
             for key, pairs in drawn:
-                claim_id = key.split(":")[1]
-                assert pairs == draws[claim_id](random.Random(key), size)[:len(pairs)], key
+                stream = key.split(":")[1]
+                assert pairs == draws[stream](random.Random(key), size)[:len(pairs)], key
 
 
 class ZeroGaps(random.Random):
@@ -195,7 +218,7 @@ def test_a_zero_gap_is_drawn_again_inside_its_block(monkeypatch, forks, parts):
         return [[a - b for a, b in pairs]]
 
     def sweep():
-        return certify._sampled_sweeps([("chain", certify._chain_draw, margin_columns)], n, 3)
+        return certify._sampled_sweeps([("chain", certify._chain_draw, margin_columns, ["chain"])], n, 3)
 
     expected = _one_process(sweep)
     assert [len(block) for block in seen] == [size, size, size, 100]
