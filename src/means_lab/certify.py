@@ -19,19 +19,21 @@ Each sweep's margins are output expressions of one kernel compiled by
 ``means._kernel``, which computes every mean and margin of a block in one
 list comprehension.
 Memory so holds one block and does not grow with the grid or sample size.
-A theorem's claims share a sweep, as a ratio function's objectives share one
-scan in ``recover_constant``.
+A theorem's claims share a sweep, and so do the corpus's nine pair claims
+(one stream of draws, one kernel), as a ratio function's objectives share
+one scan in ``recover_constant``.
 A claim's margin is stated once, in ``_margin_fn``: the grid sweep calls it
 per block, and the sharpness ladder is one more column of it.
 
 A long sweep is split over the CPUs this process may use, one part per CPU
-but at most one per ``_MIN_SPLIT`` points.  ``_fork_map`` runs the first
-part here and each other part in a child made by ``os.fork``, which sends
-its scans back through a pipe; ``_merge`` joins the parts' scans by the rule
-``_sweep`` ranks by, so every report is the one-process report.  Every
+but at most one per ``_MIN_SPLIT`` points, a draw counted once per claim.
+``_fork_map`` runs the first part here and each other part in a child made
+by ``os.fork``, which sends its scans back through a pipe; ``_merge`` joins
+the parts' scans by the rule ``_sweep`` ranks by, so every report is the
+one-process report.  Every
 sweep splits by one rule: part k of parts sweeps blocks k, k + parts,
 k + 2 * parts, ... (of the grid's low ladder, with their mirrors, and of
-each sampled claim).  A block of draws has its own seeded stream, so any
+each stream of draws).  A block of draws has its own seeded stream, so any
 part can draw any block, and a zero-gap redraw stays inside its block.  A
 part runs here instead where ``os.fork`` is missing or fails, where a second
 thread runs, or where its child exits non-zero.
@@ -508,9 +510,10 @@ def _sampled_sweeps(sweeps, count: int, seed: int) -> list[tuple[str, Certificat
     """(claim_id, report) per claim over count pairs (a, b) per sweep
     (stream, draw, margin_columns, claim_ids): draw(rng, size) returns a
     block of pairs (a chain pair has a >= b, a ky-fan pair either order),
-    margin_columns maps a block to margin columns, and claim_ids take those
-    columns in equal runs, in order (the chain one claim of eight, the
-    corpus pairs nine claims of one).  Block j of a stream is drawn once,
+    margin_columns maps a block to margin columns, and claim k of n
+    claim_ids reports on columns k, k + n, k + 2 * n, ... (the chain's one
+    claim on its eight steps, each of the nine pair claims on its own
+    column).  Block j of a stream is drawn once,
     from random.Random(f"{seed:x}:{stream}:{j}") (hex, since str() refuses
     an int of over 4,300 digits), so any part can draw any block: part k of
     parts sweeps blocks k, k + parts, k + 2 * parts, ... of every stream.
@@ -525,14 +528,9 @@ def _sampled_sweeps(sweeps, count: int, seed: int) -> list[tuple[str, Certificat
                 for stream, draw, margin_columns, _ in sweeps]
 
     by_part = _fork_map([functools.partial(scans, part) for part in range(parts)])
-    reports = []
-    for (*_, claim_ids), stream_scans in zip(sweeps, zip(*by_part)):
-        merged = _merge(stream_scans)
-        width = len(merged) // len(claim_ids)
-        reports += [(claim_id, _report(count, merged[k * width:(k + 1) * width],
-                                       lambda pair: PositivePair(*pair), seed))
-                    for k, claim_id in enumerate(claim_ids)]
-    return reports
+    return [(claim_id, _report(count, merged[k::len(ids)], lambda pair: PositivePair(*pair), seed))
+            for (*_, ids), merged in zip(sweeps, map(_merge, zip(*by_part)))
+            for k, claim_id in enumerate(ids)]
 
 
 # one step of the chain, normalized by A
@@ -579,12 +577,10 @@ def _ky_fan_draw(rng: random.Random, count: int) -> list[tuple[float, float]]:
 
 
 def _corpus_claims():
-    """verify_corpus's sweeps, (stream, draw, margin_columns, claim_ids) as
-    _sampled_sweeps takes them: ky-fan on its own stream, its one column each
-    pair's smallest normalized margin over its strict inequalities, and the
-    nine pair claims on the stream "pairs", whose one kernel computes A, M
-    and the claims' other means once per pair and returns their nine margin
-    columns."""
+    """verify_corpus's sweeps for _sampled_sweeps: ky-fan, whose one column
+    is each pair's smallest normalized margin over its strict inequalities,
+    and the nine pair claims on the stream "pairs", whose one kernel computes
+    A, M and their other means once per pair and returns nine margin columns."""
     neuman_alpha = (1.0 - ASINH_ONE) / ((math.sqrt(2.0) - 1.0) * ASINH_ONE)
     neuman_lambda = (1.0 - ASINH_ONE) / ASINH_ONE
     ky_fan_means = _columns_fn(_KY_FAN_KINDS)
@@ -624,8 +620,7 @@ def _corpus_claims():
 
 
 def verify_corpus(sample_count: int, seed: int) -> list[tuple[str, CertificationReport]]:
-    """Evaluate every corpus claim: ky-fan on its own seeded block streams,
-    the nine pair claims in one sweep of theirs."""
+    """Evaluate every corpus claim on seeded block streams, the nine pair claims in one sweep."""
     check_int("sample_count", sample_count, 1, sys.maxsize)
     check_int("seed", seed, 0)
     return _sampled_sweeps(_corpus_claims(), sample_count, seed)
