@@ -2,8 +2,8 @@
 
 Everything here evaluates the textbook definitions directly in 40-digit
 arithmetic (mpmath; the ratio functions' 0/0 closed forms with more digits
-as their argument shrinks), independent of the library's stable-branch choices, so
-agreement is a genuine cross-check rather than a tautology.
+as their argument shrinks), independent of the library's stable-branch
+choices, so agreement is a genuine cross-check rather than a tautology.
 """
 
 import mpmath as mp
@@ -54,7 +54,7 @@ def _cancelling(closed_form):
     the current working precision survives the cancellation at any t."""
     def oracle(t) -> mp.mpf:
         t = mp.mpf(t)
-        decades = max(0, -int(mp.floor(mp.log10(abs(t))))) if t else 0
+        decades = max(0, -int(mp.floor(mp.log10(abs(t)))))
         with mp.workdps(mp.mp.dps + 2 * decades):
             return closed_form(t)
     return oracle

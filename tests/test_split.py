@@ -94,9 +94,9 @@ def test_fused_pair_claims_report_as_one_claim_sweeps(monkeypatch, n, parts):
     # report equals that of a sweep of its claim alone, with its own
     # reference margin, over the same stream
     references = _reference_corpus()
-    alone = [report for claim_id in list(references)[1:]
-             for report in _one_process(certify._sampled_sweeps, [
-                 ("pairs", certify._chain_draw, references[claim_id], [claim_id])], n, 42)]
+    alone = [_one_process(certify._sampled_sweeps,
+                          [("pairs", certify._chain_draw, references[claim_id], [claim_id])], n, 42)[0]
+             for claim_id in list(references)[1:]]
     _split_in(monkeypatch, parts)
     assert verify_corpus(n, 42)[1:] == alone
 
