@@ -15,6 +15,8 @@ Each row also holds its limits at 0 and at hi as (closed form, value), and
 ``_THEOREMS`` gives each theorem's two means and ratio function: its lower
 claim weighs at that function's supremum and its upper claim at its infimum,
 each sharp at the end whose limit that is.
+f_p, the paper's sign lemma for theorem 1.2, is ratio_gq - p times positive
+factors; g_p, h_onethird, h_lambda0 and mu_lambda0 hold its spot values.
 """
 
 from __future__ import annotations
@@ -24,11 +26,10 @@ import math
 from enum import Enum, unique
 
 from .exceptions import DomainError, Record, check_real, check_type, shown
-# the columns read neither stable_asinh, which only _asinh_deficit calls, nor
-# truncated_quotient: perfbench/tracer.py rebinds both
+# nothing here calls stable_asinh or truncated_quotient: they are imported
+# because perfbench/tracer.py rebinds both
 from .means import CONTRA_HARMONIC, GEOMETRIC, HARMONIC, QUADRATIC, _compiled, stable_asinh
-from .series import (CoefficientKind, _float_coefficients, _horner, _maclaurin, solve_p0,
-                     truncated_quotient)
+from .series import CoefficientKind, _float_coefficients, solve_p0, truncated_quotient
 
 __all__ = [
     "SharpConstants",
@@ -49,7 +50,6 @@ __all__ = [
     "h_onethird",
     "h_lambda0",
     "mu_lambda0",
-    "locate_h_lambda0_sign_change",
 ]
 
 # asinh(1) = log(1 + sqrt(2)), the upper end of the t-domain.
@@ -228,6 +228,9 @@ def _sharp_limits(kind: RatioFunctionKind) -> list[tuple[Endpoint, str, float]]:
 
 @functools.cache
 def sharp_constants() -> SharpConstants:
+    """The six sharp weights, each theorem's supremum then infimum of its
+    ratio function, read from the closed-form limits in _RATIO_ROWS, with
+    lambda0 and the exponent p0 bisected to 1e-12; computed once per process."""
     weights = [value for _, _, kind in _THEOREMS.values() for _, _, value in _sharp_limits(kind)]
     return SharpConstants(*weights, lambda0=_LAMBDA0[1], p0=solve_p0(1e-12))
 
@@ -242,39 +245,29 @@ def endpoint_value(kind: RatioFunctionKind, end: Endpoint) -> float:
 
 # --- auxiliary sign functions -------------------------------------------
 
-# x - asinh(x) = x^3 * (-(A - 1)/s), with A = asinh(x)/x
-_ASINH_DEFICIT_COEFFS = tuple(-float(c) for c in _maclaurin("asinh", 12)[1:])
-
-
-def _asinh_deficit(x: float) -> float:
-    """x - asinh(x), computed with full relative accuracy also for small x
-    where the direct subtraction would cancel."""
-    if x < 0.1:
-        return x * x * x * _horner(_ASINH_DEFICIT_COEFFS, x * x)
-    return x - stable_asinh(x)
-
-
 def _lemma_arg(x, hi: float) -> tuple[float, float, float]:
-    """x checked to lie in [0, hi], with sqrt(1+x^2) and sqrt(1-x^2)."""
+    """x checked to lie in [0, hi], with sqrt(1+x^2) and sqrt(1-x^2), the
+    latter as sqrt((1-x)(1+x)), which does not cancel as x -> 1."""
     x = check_real("x", x, 0.0, hi)
-    return x, math.sqrt(1.0 + x * x), math.sqrt(1.0 - x * x)
+    return x, math.sqrt(1.0 + x * x), math.sqrt((1.0 - x) * (1.0 + x))
 
 
 def f_p(p: float, x: float) -> float:
     """asinh(x) - x/(sqrt(1+x^2) - p(sqrt(1+x^2) - sqrt(1-x^2))): negative
     on (0,1) for p = 1/3, positive for p = lambda0.
 
-    Rearranged as x*(den-1)/den - (x - asinh(x)) so both O(x^3) pieces keep
-    full relative accuracy; the naive form loses the sign for x below ~1e-3.
+    With Q = sqrt(1+x^2), G = sqrt(1-x^2), d = Q - G and r = ratio_gq(x),
+    asinh(x) = x/M for M = Q - r*d, so f_p is x*(r - p)*d / (M*(Q - p*d)),
+    which has the sign of ratio_gq(x) - p.
     """
     p = check_real("weight p", p, 0.0, 1.0, lo_open=True, hi_open=True)
     x, s1, s2 = _lemma_arg(x, 1.0)
     if x == 0.0:
         return 0.0
-    den = s1 - p * (s1 - s2)  # (1-p)*s1 + p*s2 >= 1-p > 0
-    # den - 1 = (1-p)(s1-1) - p(1-s2), each factor cancellation-free
-    den_minus_1 = x * x * ((1.0 - p) / (1.0 + s1) - p / (1.0 + s2))
-    return x * den_minus_1 / den - _asinh_deficit(x)
+    d = 2.0 * x * x / (s1 + s2)
+    r = _column(RatioFunctionKind.RATIO_GQ)([x])[0]
+    # Q - p*d = (1-p)*Q + p*G >= 1-p > 0
+    return x * (r - p) * d / ((s1 - r * d) * (s1 - p * d))
 
 
 def g_p(p: float, x: float) -> float:
@@ -310,27 +303,3 @@ def mu_lambda0(x: float) -> float:
     first = (18.0 * lam - 18.0 * lam * lam) * sq - (9.0 * lam - 10.0 * lam * lam)
     second = (9.0 - 18.0 * lam) * sq + (4.0 - 9.0 * lam + 2.0 * lam * lam)
     return first * s1 - second * s2
-
-
-_SIGN_SCAN_POINTS = 10_000  # isolate the one sign change of h_lambda0 on (0, 0.9)
-
-
-def locate_h_lambda0_sign_change() -> float:
-    """The unique root of h_lambda0 in (0, 0.9), as the float just below it: a
-    grid scan checks there is one sign change, and bisection narrows it."""
-    n = _SIGN_SCAN_POINTS
-    xs = [0.9 * k / n for k in range(n + 1)]
-    values = [h_lambda0(x) for x in xs]
-    flips = [i for i in range(n) if (values[i] > 0.0) != (values[i + 1] > 0.0)]
-    # one flip, from a positive start, is the one bracket where h_lambda0 falls
-    if len(flips) != 1 or values[0] <= 0.0:
-        raise DomainError(f"expected exactly one sign change on (0, 0.9), found {len(flips)}")
-    lo, hi = xs[flips[0]], xs[flips[0] + 1]
-    # until lo and hi are adjacent, their midpoint rounds to a float between
-    while math.nextafter(lo, hi) < hi:
-        mid = 0.5 * (lo + hi)
-        if h_lambda0(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo

@@ -1,8 +1,8 @@
 """Coefficient sequences of the two odd power series behind the ratio
 functions, the exact Maclaurin series of asinh, asin, atanh and atan that the
-mean kernels' small-gap branches and ratios' asinh deficit are rounded from,
-exact ratio-monotonicity verdicts, truncated-series quotients, and the
-bisection solver for the (p+1)^(1/p) = 2*log(1+sqrt(2)) root.
+mean kernels' small-gap branches are rounded from, exact ratio-monotonicity
+verdicts, truncated-series quotients, and the bisection solver for the
+(p+1)^(1/p) = 2*log(1+sqrt(2)) root.
 Each coefficient is stated once, as integers; the factorial cancels in every
 coefficient ratio, so the verdicts compare ratios by cross-multiplication.
 

@@ -4,6 +4,7 @@ These tests load the tracer read-only and check that every name it and the
 probes rely on still resolves and accepts the arguments they pass, so a
 refactor cannot silently break ``perfbench/run.py --trace 1``."""
 
+import ast
 import importlib
 import importlib.util
 import io
@@ -14,7 +15,9 @@ import pytest
 
 from means_lab import certify, cli, means, ratios, series
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER_PATH = ROOT / "perfbench" / "tracer.py"
+PACKAGE = ROOT / "src" / "means_lab"
 
 
 def _load_tracer():
@@ -73,3 +76,26 @@ def test_probe_entry_points_accept_their_arguments():
     assert len(certify.verify_corpus(5, 42)) == 10
     fn, objective = next(iter(ratios.RatioFunctionKind)), next(iter(certify.Objective))
     assert certify.recover_constant(fn, objective, 1e-9) > 0.0
+
+
+def _unread_imports(source: str) -> set[str]:
+    """The names source imports, __future__ features aside, that it never reads."""
+    tree = ast.parse(source)
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__" for alias in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return imported - read
+
+
+def test_every_unread_import_is_a_tracer_boundary():
+    # a module may import a name it never calls only so that the tracer can rebind it
+    rebound = {(module, name) for module, name, _ in tracer.BOUNDARIES}
+    unread = {(f"means_lab.{path.stem}", name) for path in sorted(PACKAGE.glob("*.py"))
+              if path.name != "__init__.py" for name in _unread_imports(path.read_text())}
+    assert unread <= rebound, sorted(unread - rebound)
+    source = (PACKAGE / "ratios.py").read_text()
+    assert _unread_imports(source + "from .series import _horner\n") == \
+        _unread_imports(source) | {"_horner"}
+

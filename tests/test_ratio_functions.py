@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -21,7 +22,6 @@ from means_lab import (
     h_lambda0,
     h_onethird,
     limit_at,
-    locate_h_lambda0_sign_change,
     mean_shape,
     mu_lambda0,
     pair_from_gap,
@@ -31,7 +31,7 @@ from means_lab import (
     ratio_gq,
     sharp_constants,
 )
-from means_lab.ratios import SERIES_SWITCH
+from means_lab.ratios import SERIES_SWITCH, _RATIO_ROWS
 from oracles import phi_hc_oracle, phi_hq_oracle, ratio_gq_oracle, rel_err
 
 C = sharp_constants()
@@ -308,18 +308,6 @@ class TestLemmaSignFunctions:
         flips = sum(1 for s, t in zip(signs, signs[1:]) if s != t)
         assert flips == 1
 
-    def test_sign_change_location(self):
-        x0 = locate_h_lambda0_sign_change()
-        assert x0 == pytest.approx(0.6400838152032047, abs=1e-9)
-        assert h_lambda0(x0 - 1e-6) > 0.0 > h_lambda0(x0 + 1e-6)
-
-    def test_sign_change_brackets_adjacent_floats(self):
-        # the bisection ends on two adjacent floats, the lower one still
-        # positive; a width tolerance once stopped it 609 ulps past the root,
-        # where h_lambda0 reads -1.77e-13
-        x0 = locate_h_lambda0_sign_change()
-        assert h_lambda0(x0) > 0.0 >= h_lambda0(math.nextafter(x0, 1.0))
-
     def test_mu_lambda0_values(self):
         assert rel_err(mu_lambda0(0.9), "-1.679602424891762267635") < 1e-13
         assert mu_lambda0(0.9) <= -0.3514 + 1e-3
@@ -385,3 +373,133 @@ class TestStructuralIdentities:
         for t in (1e-6, 1e-3, 0.1, 0.5, 0.85):
             x = math.sinh(t)
             assert rel_err(phi_hq(t), mean_ratio_oracle(QUADRATIC, HARMONIC, x)) < 1e-11
+
+
+def _lemma_oracle(x):
+    """x with sqrt(1+x^2) and sqrt(1-x^2) at the working precision."""
+    x = mp.mpf(x)
+    return x, mp.sqrt(1 + x * x), mp.sqrt(1 - x * x)
+
+
+def _f_oracle(p, x):
+    x, q, g = _lemma_oracle(x)
+    return mp.asinh(x) - x / ((1 - p) * q + p * g)
+
+
+def _g_oracle(p, x):
+    x, q, g = _lemma_oracle(x)
+    w = q + p * (g - q)
+    return g * w * w - g - p * (q - g)
+
+
+def _h_onethird_oracle(x):
+    x, q, g = _lemma_oracle(x)
+    return mp.mpf(14) / (9 * (q + g)) - (q + g) - g / 3
+
+
+def _h_lambda0_oracle(x):
+    x, q, g = _lemma_oracle(x)
+    lam, sq = mp.mpf(C.lambda0), x * x
+    first = (2 - 3 * lam - 2 * lam * lam) - (3 - 6 * lam) * sq
+    second = (3 * lam - 2 * lam * lam) + (6 * lam - 6 * lam * lam) * sq
+    return first * q - second * g
+
+
+class TestLemmaAccuracy:
+    def test_factors_keep_their_digits_as_x_tends_to_one(self):
+        # sqrt(1 - x*x) lost up to 1.5e-12 relative here; as sqrt((1-x)(1+x)) it does not
+        rng = random.Random(35)
+        xs = [1.0 - 10.0 ** rng.uniform(-16.0, -2.0) for _ in range(1500)]
+        cases = [(lambda x: g_p(1.0 / 3.0, x), lambda x: _g_oracle(mp.mpf(1) / 3, x)),
+                 (lambda x: g_p(C.lambda0, x), lambda x: _g_oracle(mp.mpf(C.lambda0), x)),
+                 (h_onethird, _h_onethird_oracle), (h_lambda0, _h_lambda0_oracle)]
+        with mp.workdps(60):
+            for fn, oracle in cases:
+                for x in xs:
+                    assert rel_err(fn(x), oracle(x)) < 1e-14, x
+
+    @pytest.mark.parametrize("p", [1.0 / 3.0, C.lambda0, 0.1, 0.25, 0.3, 0.9])
+    def test_f_value_within_a_cubic_bound(self, p):
+        # f_p is O(x^3) at 0; the points cover ratio_gq's branch switch and x -> 1
+        rng = random.Random(3035)
+        xs = [10.0 ** rng.uniform(-4.0, 0.0) for _ in range(1200)]
+        xs += [1.0 - 10.0 ** rng.uniform(-16.0, -1.0) for _ in range(1200)]
+        xs += [rng.uniform(0.02, 0.03) for _ in range(600)]
+        with mp.workdps(50):
+            for x in xs:
+                assert abs(f_p(p, x) - _f_oracle(mp.mpf(p), x)) <= 1e-12 * x**3, x
+
+    def test_f_has_the_sign_of_ratio_gq_minus_p(self):
+        for k in range(1, 10_000):
+            x = k / 10_000.0
+            for p in (1.0 / 3.0, C.lambda0):
+                f = f_p(p, x)
+                assert f != 0.0 and (f > 0.0) == (ratio_gq(x) > p), (p, x)
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return out
+
+
+def _poly_deriv(a):
+    return [k * c for k, c in enumerate(a)][1:]
+
+
+def _poly_sub(a, b):
+    n = max(len(a), len(b))
+    return [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
+
+
+class TestTheorem12Corollary:
+    """ratio_gq = phi_hq(asinh x) * psi(x), and psi strictly decreases on
+    (0, 1): with phi_hq decreasing, criterion 5's signs of f_p follow.  Each
+    check is exact, in Fraction or integer arithmetic; polynomials are
+    coefficient lists, lowest degree first."""
+
+    # m = (Q + 1)/(1 + G) runs over (1, 1 + sqrt(2)) as x runs over (0, 1); any
+    # identity below, cleared of denominators, is a polynomial of degree at
+    # most 5 in m, so agreement at these 6 points (none a pole) proves it
+    POINTS = [Fraction(k, 4) for k in range(5, 11)]
+
+    @staticmethod
+    def _circle(m):
+        return 1 + 2 * (m - 1) / (1 + m * m), (1 + 2 * m - m * m) / (1 + m * m)
+
+    @staticmethod
+    def _psi(m):
+        return (3 * m * m + 2 * m + 1) / ((m + 1) * (m * m + 1))
+
+    def test_parametrisation(self):
+        for m in self.POINTS:
+            q, g = self._circle(m)
+            assert q * q + g * g == 2
+            assert (q + 1) / (1 + g) == m
+
+    def test_psi_is_both_quotients(self):
+        assert "((s1 + s2) * (s1 + 2.0) / (2.0 * (s1 + 1.0)))" in _RATIO_ROWS[
+            RatioFunctionKind.RATIO_GQ].source
+        for m in self.POINTS:
+            q, g = self._circle(m)
+            psi = self._psi(m)
+            assert psi == (q - g * g) / (q - g)
+            assert psi == (q + g) * (q + 2) / (2 * (q + 1))
+        # at x = 0 (m = 1): phi_hq's 2/9 times psi's 3/2 is ratio_gq's 1/3
+        assert Fraction(2, 9) * self._psi(Fraction(1)) == Fraction(1, 3)
+
+    def test_psi_strictly_decreasing(self):
+        num, den = [1, 2, 3], [1, 1, 1, 1]  # 3m^2 + 2m + 1 and (m + 1)(m^2 + 1)
+        assert den == _poly_mul([1, 1], [1, 0, 1])
+        # d psi/dm = (num' den - num den') / den^2
+        deriv = _poly_sub(_poly_mul(_poly_deriv(num), den), _poly_mul(num, _poly_deriv(den)))
+        assert deriv == [1, 4, -2, -4, -3]
+        # m = 1 + u: sum c_k (1 + u)^k, expanded
+        shifted = deriv[-1:]
+        for c in reversed(deriv[:-1]):
+            shifted = _poly_sub(_poly_mul(shifted, [1, 1]), [-c])
+        assert shifted == [-4, -24, -32, -16, -3]
+        assert all(c < 0 for c in shifted)
+
