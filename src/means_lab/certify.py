@@ -42,7 +42,6 @@ thread runs, or where its child exits non-zero.
 from __future__ import annotations
 
 import functools
-import itertools
 import marshal
 import math
 import operator
@@ -75,7 +74,7 @@ from .ratios import (
     Endpoint,
     RatioFunctionKind,
     _THEOREMS,
-    _ratio_column,
+    _column,
     _sharp_limits,
     endpoint_value,
     evaluate_ratio_function,
@@ -456,8 +455,7 @@ def _golden_refine(fn, lo: float, hi: float, maximize: bool, width: float) -> fl
 @functools.cache
 def _scan_points(hi: float) -> tuple[float, ...]:
     """recover_constant's 2,023 points on (0, hi): 2,001 at half-offsets, then 11 toward each end."""
-    # the half-offsets i + 0.5 counted in floats, exact, so no int is converted per point
-    points = [hi * h / 2001.0 for h in itertools.islice(itertools.count(0.5, 1.0), 2001)]
+    points = [hi * (i + 0.5) / 2001.0 for i in range(2001)]
     return (*points, *(hi * 10.0**-j for j in range(2, 13)), *(hi - hi * 10.0**-j for j in range(2, 13)))
 
 
@@ -478,7 +476,7 @@ def recover_constant(fn: RatioFunctionKind,
     value = functools.partial(evaluate_ratio_function, fn)
     scan_points = _scan_points(hi)
     # all values are finite, so max/min and index pick the first equal extremum
-    values = _ratio_column(fn, scan_points)
+    values = _column(fn)(scan_points)
     step = span / 2001.0
     ends = [endpoint_value(fn, Endpoint.LOWER), endpoint_value(fn, Endpoint.UPPER)]
     results = []
@@ -496,8 +494,9 @@ def recover_constant(fn: RatioFunctionKind,
 
 def _chain_draw(rng: random.Random, count: int) -> list[tuple[float, float]]:
     """count random pairs (a, b), as pair_from_gap builds them, each at a
-    log-uniform scale and then a uniform nonzero gap; a >= b, since the gap
-    is positive, rounding is monotone and the scale is positive."""
+    log-uniform scale s in [1e-3, 1e3] and then a uniform gap x >= 2**-53.
+    Each is ordinary, as means._kernel states it: a > b, since 2sx is at
+    least ulp(s), and a + b <= about 2e3 with 2b/(a + b) >= about 2**-54."""
     r = rng.random
     # 10.0 ** rng.uniform(-3.0, 3.0) as CPython computes it, without the method
     # call; a gap of 0.0 is drawn again, up to the stream's next nonzero value
@@ -562,12 +561,15 @@ _KY_FAN_KINDS = (GEOMETRIC, LOGARITHMIC, SEIFFERT_FIRST, ARITHMETIC,
 
 
 def _ky_fan_pair(r) -> tuple[float, float]:
-    """A random pair (a, b) of distinct reals in (0, 1/2) from the stream r."""
+    """A random pair (a, b) of reals in (0, 1/2) from the stream r whose
+    mirrors 1 - a and 1 - b differ, so the pair and its mirror pair are both
+    ordinary, as means._kernel states it.  Draws are multiples of 2**-54 and
+    mirrors of 2**-53, so two distinct draws can share a mirror."""
     while True:
         # rng.uniform(0.0, 0.5) as CPython computes it, without the method call;
-        # it is below 0.5, so only a 0.0 or a repeat is drawn again
+        # it is below 0.5, so only a 0.0, a repeat or a shared mirror is drawn again
         a, b = 0.5 * r(), 0.5 * r()
-        if a and b and a != b:
+        if a and b and 1.0 - a != 1.0 - b:
             return a, b
 
 

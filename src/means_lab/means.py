@@ -302,24 +302,14 @@ _LP_STEPS = (("hl{k}", "atanh(x) if x <= 0.5 else 0.5 * log((1.0 + x) / v)"),
 
 # Per kernel form (unit or pair): its parameters, its row loop and the names
 # bound per row before the means.  A unit kernel reads gaps; a pair kernel
-# reads pairs (a, b) with a >= b > 0, both finite.  A pair row is not ok
-# where _mean answers it itself for a kind of the kernel: the diagonal, a sum
-# past max_float and, if a kind is a _log_kind, a gap complement v below
-# 1e-300, so {ok} is "t < inf", else "1e-300 <= v" (v is 0 when t is inf).
-# Those rows take their means from _mean, and x = 0, at which every binding
-# is defined; _mean hands a one-kind kernel only rows it computes.
+# reads only ordinary rows (a, b): a > b > 0, a + b finite and, if a kind is
+# L or L_p, 2b/(a + b) >= 1e-300.  _mean answers every other row itself.
 _FORMS = {
     True: ("xs", "x in xs", (("v", "1.0 - x"), ("s", "x * x"))),
     False: ("rows", "hi, lo in rows", (
-        ("t", "lo + hi"), ("v", "2.0 * lo / t"), ("ok", "lo < hi and {ok}"), ("x", "(hi - lo) / t"),
-        ("x", "(_LARGEST_GAP if _LARGEST_GAP < x else x) if ok else 0.0"), ("s", "x * x"),
-        ("h", "0.5 * t"))),
+        ("t", "lo + hi"), ("v", "2.0 * lo / t"), ("x", "(hi - lo) / t"),
+        ("x", "_LARGEST_GAP if _LARGEST_GAP < x else x"), ("s", "x * x"), ("h", "0.5 * t"))),
 }
-
-
-def _log_kind(kind: MeanKind) -> bool:
-    """Whether _mean reads kind's mean from log(hi/lo) once v < 1e-300: L and every L_p."""
-    return kind.p is not None or kind.family is MeanFamily.LOGARITHMIC
 
 
 def _mean_steps(kind: MeanKind, k: int, unit: bool, values: dict) -> list[tuple[str, str]]:
@@ -334,10 +324,8 @@ def _mean_steps(kind: MeanKind, k: int, unit: bool, values: dict) -> list[tuple[
         values.update({f"p{k}": p, f"q{k}": p + 1.0,
                        f"cut{k}": 1e-3 if abs(p) >= _GLOG_CUMULANT_LIMIT else math.inf})
     mean = shape if unit else pair_form or "h * (" + shape + ")"
-    if not unit:
-        values[f"K{k}"] = kind
-        mean = mean if p is None else "min(max(" + mean + ", lo), hi)"
-        mean = "(" + mean + ") if ok else _mean(K{k}, lo, hi)"
+    if not unit and p is not None:
+        mean = "min(max(" + mean + ", lo), hi)"
     return [(name.format(k=k), source.format(k=k)) for name, source in steps + [("m{k}", mean)]]
 
 
@@ -355,7 +343,7 @@ def _compiled(source: str):
                  "atan": math.atan, "atanh": math.atanh, "asinh": stable_asinh, "log": math.log,
                  "log1p": math.log1p, "exp": math.exp, "expm1": math.expm1, "pi": math.pi,
                  "inf": math.inf, "SMALL_GAP": SMALL_GAP, "_LARGEST_GAP": _LARGEST_GAP,
-                 "_mean": _mean, "_glog_log_shape": _glog_log_shape}
+                 "_glog_log_shape": _glog_log_shape}
     exec(compile(tree, "<means kernel>", "exec"), namespace)
     return namespace["make"]
 
@@ -366,9 +354,10 @@ def _kernel(outputs, *, unit: bool = False):
     MeanKind, standing for its mean on the row (its shape if unit), or a
     float passed in and never written into the source, so one compiled
     source serves every weight and L_p exponent.  Each mean is computed once
-    per row.  A unit kernel maps gaps xs, a pair kernel pairs (a, b) with
-    a >= b > 0 finite, to one column per output, in one list comprehension;
-    its means equal _mean(kind, b, a) bit for bit."""
+    per row.  A unit kernel maps gaps xs, a pair kernel ordinary pairs
+    (a, b), to one column per output, in one list comprehension; its means
+    equal _mean(kind, b, a) bit for bit.  A pair is ordinary if a > b > 0,
+    a + b is finite and, if a kind is L or L_p, 2b/(a + b) >= 1e-300."""
     values, binds, exprs, kinds = {}, [], [], {}
     for template, slots in outputs:
         names = {}
@@ -383,8 +372,7 @@ def _kernel(outputs, *, unit: bool = False):
                 values[names[slot]] = item
         exprs.append(template.format(**names))
     head, loop, prelude = _FORMS[unit]
-    ok = "1e-300 <= v" if any(map(_log_kind, kinds)) else "t < inf"
-    binds = [(name, source.format(ok=ok)) for name, source in prelude] + binds
+    binds = [*prelude, *binds]
     out = exprs[0] if len(exprs) == 1 else "(" + "".join(expr + ", " for expr in exprs) + ")"
     rows = f"[{out} for {loop}" + "".join(f" for {name} in [{source}]" for name, source in binds) + "]"
     body = f"[{rows}]" if len(exprs) == 1 else f"list(zip(*{rows}))"
@@ -393,10 +381,10 @@ def _kernel(outputs, *, unit: bool = False):
 
 @functools.lru_cache(maxsize=256)
 def _columns_fn(kinds: tuple, unit: bool = False):
-    """The kernel of kinds' columns, built once per (kinds, unit): pairs
-    (a, b), a >= b > 0 finite -> per kind the column (_mean(kind, b, a) for
-    a, b in pairs), bit for bit, or if unit gaps xs -> per kind its column of
-    shapes.  A single call runs it on a block of one row."""
+    """The kernel of kinds' columns, built once per (kinds, unit): ordinary
+    pairs (a, b), as _kernel states them -> per kind the column (_mean(kind,
+    b, a) for a, b in pairs), bit for bit, or if unit gaps xs -> per kind its
+    column of shapes.  A single call runs it on a block of one row."""
     return _kernel([("{m}", {"m": kind}) for kind in kinds], unit=unit)
 
 
@@ -410,7 +398,10 @@ def mean_shape(kind: MeanKind, x: float) -> float:
 
 
 def _mean(kind: MeanKind, lo: float, hi: float) -> float:
-    """evaluate_mean without the argument checks: 0 < lo <= hi, both finite."""
+    """evaluate_mean without the argument checks: 0 < lo <= hi, both finite.
+    It answers the diagonal, a sum past max_float and, for L and L_p, a gap
+    complement 2*lo/(lo + hi) below 1e-300 itself, and every other row by
+    kind's pair kernel."""
     if lo == hi:
         return lo
     t = lo + hi
@@ -420,7 +411,7 @@ def _mean(kind: MeanKind, lo: float, hi: float) -> float:
     # 2*lo/t keeps the gap complement accurate where 1-x has already rounded
     # away; once it is below 1e-300 the log forms read log(hi/lo) directly
     v = 2.0 * lo / t
-    if v < 1e-300 and _log_kind(kind):
+    if v < 1e-300 and (kind.p is not None or kind.family is MeanFamily.LOGARITHMIC):
         p, x = kind.p, min((hi - lo) / t, _LARGEST_GAP)
         log_ratio = math.log(hi) - math.log(lo)
         if p is None or abs(p + 1.0) < _GLOG_SPECIAL_EPS:  # L, and L_p near p = -1

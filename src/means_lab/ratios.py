@@ -179,14 +179,9 @@ def evaluate_ratio_function(kind: RatioFunctionKind, t: float) -> float:
 
 @functools.cache
 def _column(kind: RatioFunctionKind):
-    """kind's column kernel, ts -> [f(t) for t in ts], built once per process."""
+    """kind's column kernel, ts -> [evaluate_ratio_function(kind, t) for t
+    in ts], each t in [0, hi] and unchecked, built once per process."""
     return _compiled(_RATIO_ROWS[kind].source)()
-
-
-def _ratio_column(kind: RatioFunctionKind, ts) -> list[float]:
-    """evaluate_ratio_function(kind, t) for each t of ts in [0, hi], unchecked,
-    by kind's column kernel."""
-    return _column(kind)(ts)
 
 
 def phi_hq(t: float) -> float:

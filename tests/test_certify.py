@@ -40,6 +40,7 @@ from means_lab import (
     verify_chain,
     verify_corpus,
 )
+from test_means_core import _ordinary_rows
 
 C = sharp_constants()
 ALL_CLAIMS = [item for name in ("1.1", "1.2", "1.3") for item in theorem_claims(name)]
@@ -517,17 +518,16 @@ class TestRecoverConstant:
     def test_scan_column_equals_checked_evaluation(self, monkeypatch, kind):
         scans = []
 
-        def recording(k, ts):
-            scans.append(list(ts))
-            return ratios._ratio_column(k, ts)
+        def recording(k):
+            return lambda ts: scans.append(list(ts)) or ratios._column(k)(ts)
 
-        monkeypatch.setattr(certify, "_ratio_column", recording)
+        monkeypatch.setattr(certify, "_column", recording)
         recover_constant(kind, list(Objective))
         (points,) = scans
         assert len(points) == 2023
         points += [math.nextafter(SERIES_SWITCH, 0.0), SERIES_SWITCH,
                    math.nextafter(SERIES_SWITCH, 1.0)]
-        column = ratios._ratio_column(kind, points)
+        column = ratios._column(kind)(points)
         # bit for bit, and finite: the scan's max/min pick relies on it
         assert [v.hex() for v in column] == [evaluate_ratio_function(kind, t).hex()
                                               for t in points]
@@ -553,11 +553,13 @@ class TestRecoveryCaches:
     def test_phi_hq_and_phi_hc_scan_one_table(self, monkeypatch):
         scans = {}
 
-        def recording(k, ts):
-            scans[k] = ts
-            return ratios._ratio_column(k, ts)
+        def recording(k):
+            def column(ts):
+                scans[k] = ts
+                return ratios._column(k)(ts)
+            return column
 
-        monkeypatch.setattr(certify, "_ratio_column", recording)
+        monkeypatch.setattr(certify, "_column", recording)
         for kind in RatioFunctionKind:
             recover_constant(kind, list(Objective))
         assert scans[RatioFunctionKind.PHI_HQ] is scans[RatioFunctionKind.PHI_HC]
@@ -666,12 +668,12 @@ def _reference_chain_pair(rng):
 
 
 def _reference_ky_fan_pair(rng):
-    """The per-pair ky-fan draw: distinct reals in (0, 1/2), drawn again
-    until they are."""
+    """The per-pair ky-fan draw: reals in (0, 1/2) with distinct mirrors
+    1 - a and 1 - b, drawn again until they are."""
     while True:
         a = rng.uniform(0.0, 0.5)
         b = rng.uniform(0.0, 0.5)
-        if 0.0 < a < 0.5 and 0.0 < b < 0.5 and a != b:
+        if 0.0 < a < 0.5 and 0.0 < b < 0.5 and 1.0 - a != 1.0 - b:
             return a, b
 
 
@@ -718,6 +720,28 @@ class TestBlockDraws:
         assert rng.calls == 8
         assert a0 > b0 and a1 > b1
         assert (a1 + b1) / 2.0 == pytest.approx(1e-3, rel=1e-15)
+
+    def test_ky_fan_pair_with_a_shared_mirror_is_drawn_again(self):
+        # 3 * 2**-54 and 4 * 2**-54 are distinct, but 1 - each rounds to 1 - 2**-52
+        values = iter([3 * 2.0**-53, 4 * 2.0**-53, 0.5, 0.25])
+        assert certify._ky_fan_pair(lambda: next(values)) == (0.25, 0.125)
+
+    @pytest.mark.parametrize("seed", [7, 42, 101])
+    def test_streams_draw_only_ordinary_rows(self, seed):
+        # the streams at the sampled-chain workload's sizes, as _sampled_sweeps
+        # draws them: every chain and pairs row, and every ky-fan pair and
+        # mirror pair, is a row its kernel takes (each kernel has L or L_p)
+        kinds = (means.LOGARITHMIC,)
+        for stream, draw, count in [("chain", certify._chain_draw, 100_000),
+                                    ("pairs", certify._chain_draw, 10_000),
+                                    ("ky-fan", certify._ky_fan_draw, 10_000)]:
+            rows = []
+            for j, start in enumerate(range(0, count, certify._SWEEP_BLOCK)):
+                rng = random.Random(f"{seed:x}:{stream}:{j}")
+                rows += draw(rng, min(certify._SWEEP_BLOCK, count - start))
+            if stream == "ky-fan":
+                rows += [(1.0 - a, 1.0 - b) for a, b in rows]
+            assert len(_ordinary_rows(rows, kinds)) == len(rows), stream
 
     @pytest.mark.parametrize("seed", [7, 42])
     def test_chain_pairs_are_ordered(self, seed):

@@ -158,9 +158,10 @@ class TestVerify:
         assert gating_rows and all(r["holds"] for r in gating_rows)
 
     def test_no_resolvable_margin_fails(self, capsys, monkeypatch):
-        # on the diagonal every chain margin is near zero: nothing is decided,
-        # so the chain does not hold and its min_margin goes out as null
-        monkeypatch.setattr(certify, "_chain_draw", lambda rng, count: [(1.0, 1.0)] * count)
+        # one ulp off the diagonal every chain margin is near zero: nothing is
+        # decided, so the chain does not hold and its min_margin goes out as null
+        pair = (math.nextafter(1.0, 2.0), 1.0)
+        monkeypatch.setattr(certify, "_chain_draw", lambda rng, count: [pair] * count)
         code, out, _ = run_main(capsys, "verify", "chain", "--samples", "50", "--format", "json")
         assert code == 1
         row = json.loads(out)["verdicts"][0]

@@ -39,7 +39,8 @@ from means_lab.ratios import (
     sharp_constants,
 )
 from means_lab.series import CoefficientKind, _horner, truncated_quotient
-from test_means_core import EDGE_GAPS, KERNEL_KIND_LISTS, LP_EDGE_EXPONENTS, _kernel_pairs
+from test_means_core import (EDGE_GAPS, KERNEL_KIND_LISTS, LP_EDGE_EXPONENTS, _kernel_pairs,
+                             _ordinary_rows)
 
 _GLOG_SPECIAL_EPS = 1e-8
 _GLOG_CUMULANT_LIMIT = 3e-3
@@ -142,17 +143,8 @@ def _reference_columns_fn(kinds):
         vs = [2.0 * lo / s for lo, s in zip(los, ss)]
         xs = [_LARGEST_GAP if _LARGEST_GAP < (x := (hi - lo) / s) else x
               for lo, hi, s in zip(los, his, ss)]
-        odd = [i for i, v in enumerate(vs) if not 1e-300 <= v < 1.0]
-        for i in odd:
-            xs[i], vs[i] = 0.0, 1.0
         hs = [0.5 * s for s in ss]
-        cols = []
-        for kind in kinds:
-            col = _regular_means(kind, los, his, ss, hs, xs, vs)
-            for i in odd:
-                col[i] = _reference_mean(kind, los[i], his[i])
-            cols.append(col)
-        return cols
+        return [_regular_means(kind, los, his, ss, hs, xs, vs) for kind in kinds]
 
     return columns
 
@@ -353,14 +345,15 @@ def test_corpus_blocks(seed):
 
 
 def test_columns_and_means_of_the_kernel_pairs():
-    # ordinary pairs with the rows the kernels hand back to _mean among
-    # them, for every kind list and L_p exponent the column tests use
-    pairs = _kernel_pairs()
-    ordered = [(max(pair), min(pair)) for pair in pairs]
-    his, los = [hi for hi, _ in ordered], [lo for _, lo in ordered]
+    # each kernel on the rows of the kernel pairs it takes, and _mean on
+    # every row, the ones it answers itself included, for every kind list
+    # and L_p exponent the column tests use
+    ordered = [(max(pair), min(pair)) for pair in _kernel_pairs()]
     for kinds in KERNEL_KIND_LISTS:
-        _assert_same_columns(_columns_fn(tuple(kinds))(ordered),
-                             _reference_columns_fn(kinds)(los, his), kinds)
+        rows = _ordinary_rows(ordered, kinds)
+        _assert_same_columns(_columns_fn(tuple(kinds))(rows),
+                             _reference_columns_fn(kinds)([lo for _, lo in rows],
+                                                          [hi for hi, _ in rows]), kinds)
         for kind in kinds:
             assert [_mean(kind, lo, hi) for hi, lo in ordered] == \
                 [_reference_mean(kind, lo, hi) for hi, lo in ordered], kind
@@ -376,8 +369,8 @@ def test_mean_shape(kind):
 def _scan_points(monkeypatch, kind):
     """The points recover_constant scans kind at."""
     scans = []
-    monkeypatch.setattr(certify, "_ratio_column", lambda k, ts: scans.append(list(ts)) or
-                        ratios._ratio_column(k, ts))
+    monkeypatch.setattr(certify, "_column",
+                        lambda k: lambda ts: scans.append(list(ts)) or ratios._column(k)(ts))
     recover_constant(kind, list(Objective))
     (points,) = scans
     return points
@@ -395,7 +388,7 @@ def test_ratio_functions(monkeypatch, kind):
     points += [hi * rng.random() for _ in range(5_000)]
     points += [SERIES_SWITCH * rng.random() for _ in range(5_000)]
     expected = [_reference_ratio(kind, t).hex() for t in points]
-    assert [v.hex() for v in ratios._ratio_column(kind, points)] == expected
+    assert [v.hex() for v in ratios._column(kind)(points)] == expected
     assert [evaluate_ratio_function(kind, t).hex() for t in points] == expected
     if kind is RatioFunctionKind.PHI_HC:
         assert [evaluate_ratio_function(kind, -t).hex() for t in points] == expected

@@ -345,29 +345,73 @@ def _kernel_pairs():
     return pairs + [(lo, math.nextafter(lo, math.inf)) for lo in (1.0, 3.0, 1e300)]
 
 
+def _is_ordinary(hi, lo, kinds):
+    """Whether a pair kernel of kinds takes the row (hi, lo): hi > lo > 0, a
+    finite sum and, if a kind is L or L_p, 2*lo/(lo + hi) >= 1e-300."""
+    t = lo + hi
+    logs = any(kind.p is not None or kind.family is MeanFamily.LOGARITHMIC for kind in kinds)
+    return 0.0 < lo < hi and t < math.inf and not (logs and 2.0 * lo / t < 1e-300)
+
+
+def _ordinary_rows(pairs, kinds):
+    """The rows (hi, lo) of pairs that a pair kernel of kinds takes."""
+    return [(hi, lo) for hi, lo in ((max(pair), min(pair)) for pair in pairs)
+            if _is_ordinary(hi, lo, kinds)]
+
+
 def _assert_columns_equal_mean(pairs):
-    ordered = [(max(pair), min(pair)) for pair in pairs]
+    """Each kind list's kernel on the rows of pairs it takes equals _mean,
+    bit for bit; at least one kind list takes a row."""
+    fed = 0
     for kinds in KERNEL_KIND_LISTS:
+        ordered = _ordinary_rows(pairs, kinds)
+        if not ordered:
+            continue
+        fed += 1
         columns = _columns_fn(tuple(kinds))(ordered)
         assert len(columns) == len(kinds)
         for kind, column in zip(kinds, columns):
             assert list(column) == [_mean(kind, lo, hi) for hi, lo in ordered], (kinds, kind)
+    assert fed
 
 
 class TestColumnKernel:
     def test_equals_mean_bit_for_bit(self):
-        # one block of 1,500 pairs, the odd rows among ordinary ones
+        # one block of the ordinary rows among 1,503 pairs
         _assert_columns_equal_mean(_kernel_pairs())
 
     def test_block_of_odd_rows(self):
+        # the rows _mean answers itself for some kinds, of which a kernel with
+        # no L or L_p takes those with lo subnormal under hi >= 1
         pairs = _kernel_pairs()
-        odd = [pairs[i] for i in range(len(pairs)) if i % 5 in (0, 3, 4)]
-        _assert_columns_equal_mean(odd)
+        _assert_columns_equal_mean([pairs[i] for i in range(len(pairs)) if i % 5 in (0, 3, 4)])
 
-    @pytest.mark.parametrize("pair", [(1.0, 2.0), (3.0, 3.0), (0.9 * MAX_FLOAT, MAX_FLOAT),
-                                      (5e-324, 1.0)])
+    @pytest.mark.parametrize("pair", [(1.0, 2.0), (3.0, math.nextafter(3.0, 4.0)),
+                                      (0.4 * MAX_FLOAT, 0.5 * MAX_FLOAT), (5e-324, 1.0)])
     def test_block_of_one_pair(self, pair):
         _assert_columns_equal_mean([pair])
+
+    @pytest.mark.parametrize("kind", [LOGARITHMIC, _P0, generalized_log(2.0)],
+                             ids=["L", "Lp-p0", "Lp-2"])
+    @pytest.mark.parametrize("pair", [(3.0, 3.0), (0.9 * MAX_FLOAT, MAX_FLOAT), (5e-324, 1.0)],
+                             ids=["diagonal", "sum-past-max", "complement-below-1e-300"])
+    def test_mean_answers_odd_rows_itself(self, monkeypatch, kind, pair):
+        # no kernel gets a row it does not take: a sum past max_float reaches
+        # one only as its quarter, the others none at all
+        expected, kernels, fed = _mean(kind, *pair), means._columns_fn, []
+
+        def guarded(kinds, unit=False):
+            def kernel(rows):
+                if not all(_is_ordinary(hi, lo, kinds) for hi, lo in rows):
+                    raise AssertionError(f"a kernel of {kinds} got {rows}")
+                fed.extend(rows)
+                return kernels(kinds, unit)(rows)
+            return kernel
+
+        monkeypatch.setattr(means, "_columns_fn", guarded)
+        assert _mean(kind, *pair) == expected
+        assert evaluate_mean(kind, pair[::-1]) == expected
+        assert fed == ([(0.25 * pair[1], 0.25 * pair[0])] * 2 if pair[1] == MAX_FLOAT else [])
 
 
 def _float_constants(code):
@@ -406,6 +450,19 @@ class TestKernelCompiler:
         means._columns_fn.cache_clear()
         certify.verify_corpus(300, 9)
         assert means._compiled.cache_info().misses == 2
+
+    @pytest.mark.parametrize("unit", [False, True], ids=["pairs", "gaps"])
+    def test_kernels_cannot_reach_mean(self, unit):
+        # a kernel binds no per-row ok flag and calls nothing back
+        for kinds in KERNEL_KIND_LISTS:
+            kernel = _columns_fn(tuple(kinds), unit)
+            codes, names = [kernel.__code__], set()
+            while codes:
+                code = codes.pop()
+                names.update(code.co_names, code.co_varnames, code.co_freevars)
+                codes += [const for const in code.co_consts if isinstance(const, types.CodeType)]
+            assert "_mean" not in kernel.__globals__ and "evaluate_mean" not in kernel.__globals__
+            assert names.isdisjoint({"_mean", "ok"}), kinds
 
     def test_no_cli_value_is_compiled(self, monkeypatch, capsys):
         sources = []

@@ -4,7 +4,8 @@
 
 Runs every command of ``tests/test_report_identity.py``'s ``COMMANDS`` as
 json, table and csv, plus two usage errors, ``verify 2.1`` and ``sharpness
-1.1 --side lower --epsilon 0``, in each tree.  Each tree gets one fresh
+1.1 --side lower --epsilon 0``, and the help texts, ``--help`` and
+``<command> --help`` for each of the five commands, in each tree.  Each tree gets one fresh
 interpreter, with the tree's ``src`` as its only ``PYTHONPATH`` entry, which
 runs the commands in process through ``means_lab.cli.main``.  The command
 list is read from this repository's test file, so both trees run the same
@@ -27,6 +28,8 @@ ROOT = Path(__file__).resolve().parent.parent
 REPORT_IDENTITY = ROOT / "tests" / "test_report_identity.py"
 FORMATS = ("json", "table", "csv")
 USAGE_ERRORS = (["verify", "2.1"], ["sharpness", "1.1", "--side", "lower", "--epsilon", "0"])
+HELP = (["--help"], *([command, "--help"] for command in ("eval", "verify", "sharpness", "constants",
+                                                          "series")))
 
 # run in each tree: argv lists on stdin, one [stdout, stderr, exit code] per argv on stdout
 CHILD = """\
@@ -38,7 +41,7 @@ for argv in json.load(sys.stdin):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
-        except SystemExit as exc:  # argparse's usage errors
+        except SystemExit as exc:  # argparse's usage errors and help
             code = exc.code
     results.append([out.getvalue(), err.getvalue(), code])
 json.dump(results, sys.stdout)
@@ -55,9 +58,10 @@ def report_commands(path: Path = REPORT_IDENTITY) -> list[list[str]]:
 
 
 def commands() -> list[list[str]]:
-    """Every report-identity command in each format, then the usage errors."""
+    """Every report-identity command in each format, then the usage errors
+    and the help texts."""
     return [argv + ["--format", fmt] for argv in report_commands() for fmt in FORMATS] \
-        + [list(argv) for argv in USAGE_ERRORS]
+        + [list(argv) for argv in USAGE_ERRORS + HELP]
 
 
 def run_tree(tree: Path, argvs: list[list[str]]) -> list[list]:
