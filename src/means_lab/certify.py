@@ -77,7 +77,7 @@ from .ratios import (
     _column,
     _sharp_limits,
     endpoint_value,
-    evaluate_ratio_function,
+    evaluate_ratio_function,  # unused here but rebound by perfbench/tracer.py
     ratio_function_domain,
     sharp_constants,
 )
@@ -430,28 +430,6 @@ def sharpness_probe(claim: BoundClaim, epsilon: float) -> SharpnessReport:
     return SharpnessReport(epsilon, pair_from_gap(x, 1.0), True, x)
 
 
-def _golden_refine(fn, lo: float, hi: float, maximize: bool, width: float) -> float:
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    sign = 1.0 if maximize else -1.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = sign * fn(c), sign * fn(d)
-    for _ in range(120):
-        if b - a < width:
-            break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = sign * fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = sign * fn(d)
-    best = max(fc, fd)
-    return sign * best
-
-
 @functools.cache
 def _scan_points(hi: float) -> tuple[float, ...]:
     """recover_constant's 2,023 points on (0, hi): 2,001 at half-offsets, then 11 toward each end."""
@@ -462,33 +440,24 @@ def _scan_points(hi: float) -> tuple[float, ...]:
 def recover_constant(fn: RatioFunctionKind,
                      objective: Objective | list[Objective] | tuple[Objective, ...],
                      tol: float = 1e-9) -> float | list[float]:
-    """Numerically extremize a ratio function over its open domain: uniform
-    scan, geometric endpoint approach (one table per domain end, _scan_points,
-    which phi_hq and phi_hc share), golden-section refinement of the best
-    interior bracket down to width tol, plus the continuous endpoint extensions.
+    """The supremum or infimum of a ratio function over its open domain (0, hi):
+    the extreme of its two continuous end values (endpoint_value) and of its
+    column at 2,023 scan points (_scan_points: a uniform scan, then a
+    geometric approach to each end; phi_hq and phi_hc share one table).
+    Each ratio function is monotone, so an end value decides every result.
+    The scan is the check: a kernel that rose past an end value in the
+    interior would win it, and ``constants`` would then fail.  tol is
+    checked (at least 1e-12) and bounds nothing.
     Given a list or tuple of objectives, return one value per objective from
-    one scan of the ratio function, refined per objective."""
+    one scan of the ratio function."""
     single = not isinstance(objective, (list, tuple))
     objectives = [check_type("objective", o, Objective) for o in ([objective] if single else objective)]
     check_real("tolerance", tol, 1e-12)
-    # every domain is (0, hi), so its span is hi and a point needs no offset from 0
-    span = hi = ratio_function_domain(fn)[1]
-    value = functools.partial(evaluate_ratio_function, fn)
-    scan_points = _scan_points(hi)
-    # all values are finite, so max/min and index pick the first equal extremum
-    values = _column(fn)(scan_points)
-    step = span / 2001.0
-    ends = [endpoint_value(fn, Endpoint.LOWER), endpoint_value(fn, Endpoint.UPPER)]
-    results = []
-    for o in objectives:
-        maximize = o is Objective.SUPREMUM
-        best_v = max(values) if maximize else min(values)
-        best_x = scan_points[values.index(best_v)]
-        bracket_lo = max(span * 1e-13, best_x - step)
-        bracket_hi = min(hi - span * 1e-13, best_x + step)
-        refined = _golden_refine(value, bracket_lo, bracket_hi, maximize, tol)
-        candidates = [best_v, refined] + ends
-        results.append(max(candidates) if maximize else min(candidates))
+    # every domain is (0, hi)
+    hi = ratio_function_domain(fn)[1]
+    candidates = [*_column(fn)(_scan_points(hi)),
+                  endpoint_value(fn, Endpoint.LOWER), endpoint_value(fn, Endpoint.UPPER)]
+    results = [max(candidates) if o is Objective.SUPREMUM else min(candidates) for o in objectives]
     return results[0] if single else results
 
 

@@ -211,7 +211,7 @@ def cmd_constants(args) -> tuple[dict, bool]:
     constants = []
     for i, (_, _, fn) in enumerate(_THEOREMS.values(), 1):
         # one scan per ratio function for both objectives: (supremum, infimum)
-        extremes = recover_constant(fn, list(Objective), 1e-9)
+        extremes = recover_constant(fn, list(Objective))
         for name, (_, form, value), found in zip(("alpha", "beta"), _sharp_limits(fn), extremes):
             constants.append((f"{name}{i}", form, value, found))
     # lambda0 is beta2, theorem 1.2's infimum

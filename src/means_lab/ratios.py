@@ -166,8 +166,6 @@ def _is_lower(end: Endpoint) -> bool:
 def evaluate_ratio_function(kind: RatioFunctionKind, t: float) -> float:
     """The ratio function kind at t, from its series below SERIES_SWITCH
     and its closed form above."""
-    # checked inline, not by calls: this runs once per golden-section step of
-    # recover_constant
     if isinstance(kind, RatioFunctionKind) and isinstance(t, (int, float)) and not isinstance(t, bool):
         row = _RATIO_ROWS[kind]
         u = -t if row.even and t < 0.0 else t

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import re
@@ -23,6 +24,7 @@ from means_lab import (
     RatioFunctionKind,
     SERIES_SWITCH,
     SharpAt,
+    endpoint_value,
     evaluate_mean,
     evaluate_ratio_function,
     gap_grid,
@@ -485,20 +487,38 @@ class TestRecoverConstant:
         with pytest.raises(DomainError):
             recover_constant(RatioFunctionKind.PHI_HQ, Objective.SUPREMUM, True)
 
-    def test_tolerance_sets_refinement_width(self, monkeypatch):
-        calls = []
+    @pytest.mark.parametrize("kind", list(RatioFunctionKind))
+    def test_end_values_decide_at_every_tolerance(self, kind):
+        # each ratio function is monotone, so its supremum and infimum are
+        # its end values, bit for bit, and no scan value lies beyond them
+        ends = [endpoint_value(kind, end) for end in Endpoint]
+        expected = [max(ends).hex(), min(ends).hex()]
+        for tol in (1e-12, 1e-9, 1e-3, 1.0):
+            assert [v.hex() for v in recover_constant(kind, list(Objective), tol)] == expected
+        column = ratios._column(kind)(certify._scan_points(ratio_function_domain(kind)[1]))
+        assert min(ends) <= min(column) and max(column) <= max(ends)
 
-        def counting(kind, t):
-            calls.append(t)
-            return evaluate_ratio_function(kind, t)
+    def test_scan_is_the_check(self, monkeypatch, capsys):
+        # a kernel that rose past its supremum end in the interior wins the
+        # recovery, and constants fails on it
+        from means_lab.cli import main
 
-        monkeypatch.setattr(certify, "evaluate_ratio_function", counting)
-        counts = []
-        for tol in (1e-3, 1e-12):
-            calls.clear()
-            recover_constant(RatioFunctionKind.PHI_HQ, Objective.INFIMUM, tol)
-            counts.append(len(calls))
-        assert counts[0] < counts[1]
+        kind = RatioFunctionKind.PHI_HQ
+        raised = max(endpoint_value(kind, end) for end in Endpoint) + 1e-6
+
+        def raising(k):
+            def column(ts):
+                values = ratios._column(k)(ts)
+                if k is kind:
+                    values[1000] = raised
+                return values
+            return column
+
+        monkeypatch.setattr(certify, "_column", raising)
+        assert recover_constant(kind, Objective.SUPREMUM) == raised
+        assert main(["constants", "--format", "json"]) == 1
+        rows = {row["id"]: row for row in json.loads(capsys.readouterr().out)["verdicts"]}
+        assert rows["alpha1"]["recovered"] == raised and rows["alpha1"]["abs_diff"] >= 1e-9
 
     @pytest.mark.parametrize("tol", [1e-3, 1e-9, 1e-12])
     @pytest.mark.parametrize("kind", list(RatioFunctionKind))

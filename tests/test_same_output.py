@@ -1,6 +1,7 @@
-"""tools/same_output.py: the command list it reads, and a run on a short list
+"""tools/same_output.py: the command list it reads, a run on a short list
 of commands against the repository itself and against a stub tree whose
-cli.main prints one extra byte."""
+cli.main prints one extra byte, and its exit code for a stub tree whose
+package fails to import and for a missing tree."""
 
 import importlib.util
 import shutil
@@ -43,3 +44,17 @@ def test_only_a_differing_tree_is_reported(tmp_path):
     # argparse exits before the stub's extra byte, so the usage error and the help match
     assert tool.differing(tool.ROOT, stub, SHORT) == ["constants --format json",
                                                       "series HC --terms 5 --format csv"]
+
+
+def test_a_tree_that_cannot_run_exits_2(tmp_path, capsys):
+    stub = tmp_path / "stub"
+    (stub / "src" / "means_lab").mkdir(parents=True)
+    (stub / "src" / "means_lab" / "__init__.py").write_text("raise ImportError('stub tree')\n")
+    # the stub runs first, so the repository's commands never run
+    assert tool.main([str(stub), str(tool.ROOT)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {stub}: the command runner exited 1: ImportError: stub tree\n"
+    missing = tmp_path / "missing"
+    assert tool.main([str(missing), str(tool.ROOT)]) == 2
+    assert capsys.readouterr() == ("", f"error: {missing}: No such file or directory\n")

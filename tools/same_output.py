@@ -10,7 +10,11 @@ interpreter, with the tree's ``src`` as its only ``PYTHONPATH`` entry, which
 runs the commands in process through ``means_lab.cli.main``.  The command
 list is read from this repository's test file, so both trees run the same
 commands.  Prints each command whose stdout, stderr or exit code differs
-between the trees, then a count; exits 1 if any command differs, else 0.
+between the trees, then a count.  Exits 0 if no command differs, 1 if any
+command differs, and 2 if a tree cannot run its commands (it is missing, or
+its package fails to import), after one ``error: <tree>: ...`` line on
+stderr, which ends with the runner's last stderr line if the runner ran;
+argparse's usage errors exit 2 too.
 Standard library only.
 """
 
@@ -68,10 +72,14 @@ def run_tree(tree: Path, argvs: list[list[str]]) -> list[list]:
     """[stdout, stderr, exit code] of each argv, run in one fresh interpreter
     on tree's src."""
     env = dict(os.environ, PYTHONPATH=str(Path(tree).resolve() / "src"), PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run([sys.executable, "-c", CHILD], cwd=tree, env=env, input=json.dumps(argvs),
-                          capture_output=True, text=True)
+    try:
+        proc = subprocess.run([sys.executable, "-c", CHILD], cwd=tree, env=env, input=json.dumps(argvs),
+                              capture_output=True, text=True)
+    except OSError as exc:  # no such tree, say
+        raise RuntimeError(f"{tree}: {exc.strerror}") from exc
     if proc.returncode:
-        raise RuntimeError(f"{tree}: the command runner exited {proc.returncode}:\n{proc.stderr}")
+        last = proc.stderr.strip().rpartition("\n")[2]
+        raise RuntimeError(f"{tree}: the command runner exited {proc.returncode}: {last}")
     return json.loads(proc.stdout)
 
 
@@ -88,7 +96,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("change_tree", type=Path)
     args = parser.parse_args(argv)
     argvs = commands()
-    differ = differing(args.parent_tree, args.change_tree, argvs)
+    try:
+        differ = differing(args.parent_tree, args.change_tree, argvs)
+    except RuntimeError as exc:  # a tree that cannot run
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     for command in differ:
         print(f"differs: {command}")
     print(f"{len(argvs)} commands compared, {len(differ)} differ")
