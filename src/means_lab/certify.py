@@ -30,12 +30,12 @@ but at most one per ``_MIN_SPLIT`` points, a draw counted once per claim.
 ``_fork_map`` runs the first part here and each other part in a child made
 by ``os.fork``, which sends its scans back through a pipe; ``_merge`` joins
 the parts' scans by the rule ``_sweep`` ranks by, so every report is the
-one-process report.  Every
-sweep splits by one rule: part k of parts sweeps blocks k, k + parts,
-k + 2 * parts, ... (of the grid's low ladder, with their mirrors, and of
-each stream of draws).  A block of draws has its own seeded stream, so any
-part can draw any block, and a zero-gap redraw stays inside its block.  A
-part runs here instead where ``os.fork`` is missing or fails, where a second
+one-process report.  Every sweep splits by one rule: part k of parts sweeps
+blocks k, k + parts, k + 2 * parts, ... (of the grid's two ladders, which
+both end at 0.5, each low block with its high block's mirror, and of each
+stream of draws).  A block of draws has its own seeded stream, so any part
+can draw any block, and a zero-gap redraw stays inside its block.  A part
+runs here instead where ``os.fork`` is missing or fails, where a second
 thread runs, or where its child exits non-zero.
 """
 
@@ -196,9 +196,10 @@ def theorem_claims(which: str) -> list[tuple[str, BoundClaim]]:
 
 
 def gap_grid(n: int) -> list[float]:
-    """n gaps log-dense toward both endpoints: a geometric ladder from
-    GRID_EDGE to 0.5 and its mirror 1-x, because every sharp constant lives
-    in an endpoint limit and uniform grids under-sample there."""
+    """n gaps log-dense toward both endpoints: a geometric ladder of n // 2
+    rungs from GRID_EDGE up to 0.5 itself, then the mirror 1-x of one of
+    n - n // 2 rungs, because every sharp constant lives in an endpoint limit
+    and uniform grids under-sample there."""
     blocks = _grid_blocks(n)  # checks n before the grid is allocated
     grid = [0.0] * n
     for start, block in blocks:
@@ -209,11 +210,12 @@ def gap_grid(n: int) -> list[float]:
 def _grid_blocks(n: int, part: int = 0, parts: int = 1):
     """gap_grid(n) as (start, block) pairs, block being the non-empty run of
     at most _SWEEP_BLOCK ascending gaps at grid positions start, start + 1, ...;
-    the blocks tile range(n) once, not in order: each block of the low ladder
-    is followed by its mirror, made from the same exp calls when n is even.
-    Split in parts, the blocks of the part-th: low-ladder blocks part,
-    part + parts, part + 2 * parts, ... with their mirrors, and in the last
-    part the seam blocks too."""
+    the blocks tile range(n) once, not in order.  Both ladders end at 0.5
+    itself, so nothing interleaves: ladder block j is the low block at
+    j * _SWEEP_BLOCK (empty past the low ladder when n is odd, and then not
+    yielded), then the high block mirrored, made from the same exp calls when
+    n is even.  Split in parts, the blocks of the part-th: ladder blocks part,
+    part + parts, part + 2 * parts, ..."""
     check_int("grid size n", n, 2, sys.maxsize)
     exp, size = math.exp, _SWEEP_BLOCK
     log_edge = math.log(GRID_EDGE)
@@ -221,32 +223,19 @@ def _grid_blocks(n: int, part: int = 0, parts: int = 1):
     lo_count, hi_count = n // 2, n - n // 2
 
     def rungs(count: int, start: int, stop: int) -> list[float]:
-        if count == 1:
-            return [0.5]
-        d = float(count - 1)
-        return [exp(log_edge + span * i / d) for i in range(start, min(stop, count))]
-
-    def ladders(start: int, stop: int) -> tuple[list[float], list[float]]:
-        # rungs start..stop-1 of the low and the high ladder, one list if equal
-        low = rungs(lo_count, start, stop)
-        return low, low if hi_count == lo_count else rungs(hi_count, start, stop)
-
-    seam = (lo_count - 1) // size * size
+        # rungs start..stop-1 of count; the top is 0.5, which exp rounds up to 2.7e-15 above
+        top, d = count - 1, float(count - 1)
+        block = [exp(log_edge + span * i / d) for i in range(start, min(stop, top))]
+        return block + [0.5] if start <= top < stop else block
 
     def blocks():
-        for start in range(part * size, seam, parts * size):
-            low, high = ladders(start, start + size)
-            yield start, low
+        for start in range(part * size, hi_count, parts * size):
+            low = rungs(lo_count, start, start + size)
+            high = low if hi_count == lo_count else rungs(hi_count, start, start + size)
+            if low:
+                yield start, low
             # high rung i mirrors to grid position n - 1 - i
-            yield n - start - size, [1.0 - g for g in reversed(high)]
-        if part < parts - 1:
-            return
-        # the top rung 0.5000000000000009 lies above the first mirror rung; only
-        # rungs this close to 0.5 interleave, all in the blocks merged here
-        low, high = ladders(seam, hi_count)
-        middle = sorted(low + [1.0 - g for g in reversed(high)])
-        for i in range(0, len(middle), size):
-            yield seam + i, middle[i:i + size]
+            yield n - start - len(high), [1.0 - g for g in reversed(high)]
 
     return blocks()
 

@@ -28,7 +28,6 @@ from means_lab import (
     evaluate_mean,
     evaluate_ratio_function,
     gap_grid,
-    limit_at,
     normalized_gap,
     pair_from_gap,
     phi_hq,
@@ -102,6 +101,18 @@ class TestClaimConstruction:
             BoundClaim(**fields)
 
 
+def _reference_grid(n):
+    """gap_grid(n) as stated: a ladder of n // 2 rungs from GRID_EDGE up to
+    0.5, then the mirror of one of n - n // 2 rungs."""
+    log_edge = math.log(GRID_EDGE)
+    span = math.log(0.5) - log_edge
+
+    def ladder(count):
+        return [math.exp(log_edge + span * i / (count - 1)) for i in range(count - 1)] + [0.5]
+
+    return ladder(n // 2) + [1.0 - g for g in reversed(ladder(n - n // 2))]
+
+
 class TestGapGrid:
     def test_shape(self):
         grid = gap_grid(1000)
@@ -116,21 +127,15 @@ class TestGapGrid:
         assert sum(1 for g in grid if g > 1.0 - 1e-4) > 1000
 
     def test_order_and_blocks(self):
-        # the ladder and its mirror, sorted together: the grid as it was first
-        # stated; its top rung, 0.5000000000000009, sorts after its mirror
-        log_edge = math.log(GRID_EDGE)
-        span = math.log(0.5) - log_edge
-
-        def ladder(count):
-            if count == 1:
-                return [0.5]
-            return [math.exp(log_edge + span * i / (count - 1)) for i in range(count)]
-
+        # the ladder and its mirror, appended: each ladder's rungs below the
+        # top from exp, then 0.5 itself (exp would round it above), so
+        # nothing needs sorting
         for n in [*range(2, 1201), 4095, 4096, 4097, 8193, 12295, 99_999, 100_000, 100_001,
                   250_000]:
-            low, high = ladder(n // 2), ladder(n - n // 2)
-            reference = sorted(low + [1.0 - g for g in high])
-            assert list(map(float.hex, gap_grid(n))) == list(map(float.hex, reference)), n
+            reference, grid = _reference_grid(n), gap_grid(n)
+            assert all(a <= b for a, b in zip(reference, reference[1:])), n
+            assert list(map(float.hex, grid)) == list(map(float.hex, reference)), n
+            assert grid[n // 2 - 1:n // 2 + 1] == [0.5, 0.5], n
             assert all(0 < len(block) <= BLOCK for block in certify._grid_blocks(n)), n
 
     @pytest.mark.parametrize("n", [2, 100, 2000, 100_000])
@@ -148,25 +153,21 @@ class TestGapGrid:
                                for i in range(start, start + len(block)))
             assert positions == list(range(n)), n
 
-    @pytest.mark.parametrize("n,most", [(100_000, 50_512), (100_001, 100_001)])
-    def test_exp_calls(self, monkeypatch, n, most):
+    @pytest.mark.parametrize("n,calls", [(100_000, 49_999), (100_001, 99_999)])
+    def test_exp_calls(self, monkeypatch, n, calls):
         # an even grid's mirror blocks reuse their low block's rungs; an odd
-        # grid's two ladders differ, and each rung is still made once
-        log_edge = math.log(GRID_EDGE)
-        span = math.log(0.5) - log_edge
-        ladders = [[math.exp(log_edge + span * i / (count - 1)) for i in range(count)]
-                   for count in (n // 2, n - n // 2)]
-        reference = sorted(ladders[0] + [1.0 - g for g in ladders[1]])
-        calls, exp = [0], math.exp
+        # grid's two ladders differ; each rung below a top is made once
+        reference = _reference_grid(n)
+        count, exp = [0], math.exp
 
         def counted(y):
-            calls[0] += 1
+            count[0] += 1
             return exp(y)
 
         monkeypatch.setattr(math, "exp", counted)
         blocks = list(certify._grid_blocks(n))
         monkeypatch.undo()
-        assert calls[0] <= most
+        assert count[0] == calls
         grid = [0.0] * n
         for start, block in blocks:
             grid[start:start + len(block)] = block
@@ -554,16 +555,17 @@ class TestRecoverConstant:
         assert all(math.isfinite(v) for v in column)
 
     def test_monotone_recovery_no_interior_extremum(self):
-        # no interior sample may exceed the endpoint-limit envelope
+        # at 1,999 interior points each ratio function is strictly monotone,
+        # from one end value toward the other, and lies between the two
+        rising = {RatioFunctionKind.PHI_HQ: False, RatioFunctionKind.PHI_HC: True,
+                  RatioFunctionKind.RATIO_GQ: False}
         for kind in RatioFunctionKind:
             lo, hi = ratio_function_domain(kind)
-            lim_lo = limit_at(kind, Endpoint.LOWER)
-            lim_hi = limit_at(kind, Endpoint.UPPER)
-            upper, lower = max(lim_lo, lim_hi), min(lim_lo, lim_hi)
-            for k in range(1, 2000):
-                t = lo + (hi - lo) * k / 2000.0
-                v = evaluate_ratio_function(kind, t)
-                assert lower - 1e-12 <= v <= upper + 1e-12
+            values = [evaluate_ratio_function(kind, lo + (hi - lo) * k / 2000.0) for k in range(1, 2000)]
+            if not rising[kind]:
+                values.reverse()
+            ends = sorted(endpoint_value(kind, end) for end in Endpoint)
+            assert all(a < b for a, b in zip([ends[0], *values], [*values, ends[1]])), kind
 
 
 class TestRecoveryCaches:

@@ -62,9 +62,12 @@ def test_grid_parts_tile_the_grid():
     for parts in SPLITS:
         split = [list(certify._grid_blocks(n, part, parts)) for part in range(parts)]
         assert sorted(block for part in split for block in part) == whole
-        # the seam blocks, above the last ladder block, are all in the last part
-        assert all(start < n // 2 - certify._SWEEP_BLOCK or start > n // 2
-                   for part in split[:-1] for start, _ in part)
+        # part k's low-ladder blocks are blocks k, k + parts, ... of the
+        # ceil(n / 2) ladder rungs, each followed by its mirror above n // 2
+        size = certify._SWEEP_BLOCK
+        for k, part in enumerate(split):
+            assert [start for start, _ in part if start < n // 2] == \
+                list(range(k * size, -(-n // 2), parts * size))
 
 
 @pytest.mark.parametrize("parts", SPLITS)
@@ -117,15 +120,15 @@ def _streams(monkeypatch, random_class) -> None:
 
 def test_parts_take_blocks_by_stride(monkeypatch):
     # part k of parts sweeps blocks k, k + parts, ...: the grid's low-ladder
-    # blocks (with their mirrors, and the seam blocks in the last part) and
-    # each sampled stream's blocks; together the parts take every block once
+    # blocks (each with its high block's mirror) and each sampled stream's
+    # blocks; together the parts take every block once
     size = certify._SWEEP_BLOCK
     n = 100_001
-    ladder = range(0, (n // 2 - 1) // size * size, size)
+    ladder = range(0, n - n // 2, size)
     for parts in SPLITS:
         for part in range(parts):
             starts = [start for start, _ in certify._grid_blocks(n, part, parts)]
-            assert [start for start in starts if start in ladder] == list(ladder[part::parts])
+            assert starts[::2] == list(ladder[part::parts])
     keys = []  # per part, the key of every stream it drew a block from
 
     class Recorded(random.Random):
@@ -244,7 +247,8 @@ def test_a_zero_gap_is_drawn_again_inside_its_block(monkeypatch, forks, parts):
 
 def _failing_at_the_seam(monkeypatch):
     """Make verify_bound's margins raise DomainError on a block with a gap
-    within 1e-4 of 0.5: only the last part of a split sweeps such a block."""
+    within 1e-4 of 0.5: at 100,000 points only ladder block 195, which holds
+    both top rungs, and its mirror."""
     real = certify._margin_fn
 
     def margin_fn(claims):
@@ -262,6 +266,11 @@ def _failing_at_the_seam(monkeypatch):
 
 def test_error_in_a_forked_part_is_raised_here(monkeypatch, forks):
     _failing_at_the_seam(monkeypatch)
+    # the gaps near 0.5 are the two top rungs: ladder block 195, at 49,920,
+    # and its mirror, which part 1 of 2 sweeps, a forked part
+    near = [[start for start, block in certify._grid_blocks(100_000, part, 2)
+             if any(abs(x - 0.5) < 1e-4 for x in block)] for part in (0, 1)]
+    assert near == [[], [195 * certify._SWEEP_BLOCK, 50_000]]
     with pytest.raises(DomainError) as alone:
         _one_process(verify_bound, CLAIMS, 100_000)
     _split_in(monkeypatch, 2)
