@@ -109,8 +109,8 @@ class Record:
         try:
             return self._hash
         except AttributeError:
-            # a pair is built on every evaluate_mean call and seldom hashed,
-            # so the hash is made on first use rather than at construction
+            # made once, on first use: a MeanKind is _columns_fn's cache key on
+            # every evaluate_mean and mean_shape call; most records are never hashed
             object.__setattr__(self, "_hash", hash(self._key(self)))
             return self._hash
 

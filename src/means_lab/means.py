@@ -277,10 +277,9 @@ def _small_gap(f: str) -> str:
 # SMALL_GAP, L, P, M and T are x/f(x) by _small_gap's series, whose omitted x^8
 # term is below 1e-32 relative at the switch.  Past 0.5, P uses asin(x) =
 # pi/2 - 2*asin(sqrt(v/2)) and L atanh(x) = 0.5*log((1+x)/v), which keep full
-# accuracy as x -> 1.  L_p's shape is _glog_log_shape's main branch, inline
-# for cut <= w < inf; it reads hl = atanh(x) and w = 2*q*hl, bound first by
-# _LP_STEPS, and the exponent p, q = p+1 and the cut-off, passed in when a
-# kernel is built.  Names bound per kind carry the kind's index k in the kernel.
+# accuracy as x -> 1.  L_p's shape is the exp of _glog_log_shape, which alone
+# chooses its branches, called with L's atanh(x); its exponent p is passed in
+# when a kernel is built, as p{k}, k the kind's index in the kernel.
 _SHAPES = {
     MeanFamily.HARMONIC: ("(1.0 + x) * v", "2.0 * lo * (hi / t)"),
     MeanFamily.GEOMETRIC: ("sqrt((1.0 + x) * v)", "sqrt(lo) * sqrt(hi)"),
@@ -293,12 +292,9 @@ _SHAPES = {
     MeanFamily.SEIFFERT_SECOND: (_small_gap("atan") + "x / atan(x)", None),
     MeanFamily.QUADRATIC: ("sqrt(1.0 + s)", None),
     MeanFamily.CONTRA_HARMONIC: ("1.0 + s", None),
-    MeanFamily.GENERALIZED_LOG: (
-        "exp((q{k} * log1p(x) + log(-expm1(-w{k}) / w{k}) + log(hl{k} / x)) / p{k})"
-        " if cut{k} <= w{k} < inf else exp(_glog_log_shape(p{k}, x, v, hl{k}))", None),
+    MeanFamily.GENERALIZED_LOG: ("exp(_glog_log_shape(p{k}, x, v, atanh(x) if x <= 0.5"
+                                 " else 0.5 * log((1.0 + x) / v)))", None),
 }
-_LP_STEPS = (("hl{k}", "atanh(x) if x <= 0.5 else 0.5 * log((1.0 + x) / v)"),
-             ("w{k}", "2.0 * q{k} * hl{k}"))
 
 # Per kernel form (unit or pair): its parameters, its row loop and the names
 # bound per row before the means.  A unit kernel reads gaps; a pair kernel
@@ -312,21 +308,19 @@ _FORMS = {
 }
 
 
-def _mean_steps(kind: MeanKind, k: int, unit: bool, values: dict) -> list[tuple[str, str]]:
-    """The (name, source) bindings that compute kind's mean, or its shape if
-    unit, as m{k}; the values they read are added to values."""
+def _mean_binding(kind: MeanKind, k: int, unit: bool, values: dict) -> tuple[str, str]:
+    """The (name, source) binding that computes kind's mean, or its shape if
+    unit, as m{k}; an L_p exponent it reads is added to values as p{k}."""
     shape, pair_form = _SHAPES[kind.family]
-    steps, p = [], kind.p
+    p = kind.p
     if p is not None and abs(p + 1.0) < _GLOG_SPECIAL_EPS:
         shape = _SHAPES[MeanFamily.LOGARITHMIC][0]
     elif p is not None:
-        steps += _LP_STEPS
-        values.update({f"p{k}": p, f"q{k}": p + 1.0,
-                       f"cut{k}": 1e-3 if abs(p) >= _GLOG_CUMULANT_LIMIT else math.inf})
+        values[f"p{k}"] = p
     mean = shape if unit else pair_form or "h * (" + shape + ")"
     if not unit and p is not None:
         mean = "min(max(" + mean + ", lo), hi)"
-    return [(name.format(k=k), source.format(k=k)) for name, source in steps + [("m{k}", mean)]]
+    return f"m{k}", mean.format(k=k)
 
 
 @functools.lru_cache(maxsize=128)
@@ -341,9 +335,8 @@ def _compiled(source: str):
             node.col_offset = node.end_col_offset = 0
     namespace = {"sqrt": math.sqrt, "cosh": math.cosh, "sinh": math.sinh, "asin": math.asin,
                  "atan": math.atan, "atanh": math.atanh, "asinh": stable_asinh, "log": math.log,
-                 "log1p": math.log1p, "exp": math.exp, "expm1": math.expm1, "pi": math.pi,
-                 "inf": math.inf, "SMALL_GAP": SMALL_GAP, "_LARGEST_GAP": _LARGEST_GAP,
-                 "_glog_log_shape": _glog_log_shape}
+                 "exp": math.exp, "pi": math.pi, "SMALL_GAP": SMALL_GAP,
+                 "_LARGEST_GAP": _LARGEST_GAP, "_glog_log_shape": _glog_log_shape}
     exec(compile(tree, "<means kernel>", "exec"), namespace)
     return namespace["make"]
 
@@ -365,7 +358,7 @@ def _kernel(outputs, *, unit: bool = False):
             if isinstance(item, MeanKind):
                 if item not in kinds:
                     kinds[item] = len(kinds)
-                    binds += _mean_steps(item, kinds[item], unit, values)
+                    binds.append(_mean_binding(item, kinds[item], unit, values))
                 names[slot] = f"m{kinds[item]}"
             else:
                 names[slot] = f"c{len(exprs)}{slot}"

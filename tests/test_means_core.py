@@ -34,7 +34,7 @@ from means_lab import (
     sharp_constants,
     stable_asinh,
 )
-from means_lab import certify, means
+from means_lab import certify, means, ratios
 from means_lab.certify import theorem_claims
 from means_lab.cli import main
 from means_lab.means import SMALL_GAP, _columns_fn, _glog_log_shape, _kernel, _mean
@@ -464,6 +464,19 @@ class TestKernelCompiler:
             assert "_mean" not in kernel.__globals__ and "evaluate_mean" not in kernel.__globals__
             assert names.isdisjoint({"_mean", "ok"}), kinds
 
+    @pytest.mark.parametrize("unit", [False, True], ids=["pairs", "gaps"])
+    def test_generalized_log_kernel_closes_over_only_its_exponent(self, unit):
+        # _glog_log_shape chooses L_p's branches, so a kernel is passed p alone
+        for p in (-3.16, 1e-9, 1e-3, 2.0, 1.7e308, _P0.p):
+            assert _columns_fn((generalized_log(p),), unit).__code__.co_freevars == ("p0",), p
+
+    def test_kernel_namespace_holds_no_inline_log_shape_names(self):
+        kernels = [_columns_fn(tuple(kinds), unit) for kinds in KERNEL_KIND_LISTS
+                   for unit in (False, True)]
+        kernels += [ratios._column(kind) for kind in ratios.RatioFunctionKind]
+        for kernel in kernels:
+            assert kernel.__globals__.keys().isdisjoint({"expm1", "log1p", "inf"})
+
     def test_no_cli_value_is_compiled(self, monkeypatch, capsys):
         sources = []
         compiled = means._compiled
@@ -623,9 +636,9 @@ class TestBranchEdgeBits:
 
     @pytest.mark.parametrize("p", LP_EDGE_EXPONENTS)
     def test_generalized_log_kernel_keeps_the_log_shape_bits(self, p):
-        # the L_p kernel inlines _glog_log_shape's main branch for w in
-        # [1e-3, inf) and |p| >= 3e-3, with _half_log_ratio's rule; every row
-        # must keep the bits of the scalar log shape it stands for
+        # the L_p kernel calls _glog_log_shape, passing atanh(x) by
+        # _half_log_ratio's rule; every row must keep the bits of the scalar
+        # log shape it stands for
         xs = list(EDGE_GAPS) + _w_edge_gaps(p)
         vs = [1.0 - x for x in xs]
         kind = generalized_log(p)
