@@ -19,7 +19,6 @@ which does a block of rows in one list comprehension.  ``evaluate_mean`` and
 
 from __future__ import annotations
 
-import ast
 import functools
 import math
 from enum import Enum, unique
@@ -326,18 +325,12 @@ def _mean_binding(kind: MeanKind, k: int, unit: bool, values: dict) -> tuple[str
 @functools.lru_cache(maxsize=128)
 def _compiled(source: str):
     """The factory make(*values) -> kernel of a kernel source, compiled on
-    first use.  Every node gets one source location, which keeps the code
-    object's location table short: tracemalloc scans it for each allocation."""
-    tree = ast.parse(source)
-    for node in ast.walk(tree):
-        if "lineno" in node._attributes:
-            node.lineno = node.end_lineno = 1
-            node.col_offset = node.end_col_offset = 0
+    first use."""
     namespace = {"sqrt": math.sqrt, "cosh": math.cosh, "sinh": math.sinh, "asin": math.asin,
                  "atan": math.atan, "atanh": math.atanh, "asinh": stable_asinh, "log": math.log,
                  "exp": math.exp, "pi": math.pi, "SMALL_GAP": SMALL_GAP,
                  "_LARGEST_GAP": _LARGEST_GAP, "_glog_log_shape": _glog_log_shape}
-    exec(compile(tree, "<means kernel>", "exec"), namespace)
+    exec(compile(source, "<means kernel>", "exec"), namespace)
     return namespace["make"]
 
 

@@ -1,9 +1,11 @@
+import ast
 import itertools
 import json
 import math
 import random
 import re
 import tracemalloc
+import types
 from means_lab import replace
 
 import pytest
@@ -250,16 +252,80 @@ def sweep_parts(request, monkeypatch):
         monkeypatch.setattr(certify, "_workers", lambda points: 1)
 
 
+def _flat_compile(source, filename, mode):
+    """compile(source, filename, mode) with every node at one source
+    location: the code objects' location tables stay short, and tracemalloc
+    scans them for each allocation it traces."""
+    tree = ast.parse(source, filename, mode)
+    for node in ast.walk(tree):
+        if "lineno" in node._attributes:
+            node.lineno = node.end_lineno = 1
+            node.col_offset = node.end_col_offset = 0
+    return compile(tree, filename, mode)
+
+
 def traced_peak(fn):
     """Peak bytes traced by tracemalloc while fn runs, after one untraced run
-    has paid the one-time costs (kernels compiled, caches filled)."""
-    fn()
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    has paid the one-time costs (kernels compiled, caches filled).  The
+    kernels of both runs are compiled flat, and dropped after them."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(means, "compile", _flat_compile, raising=False)
+        means._compiled.cache_clear()
+        means._columns_fn.cache_clear()
+        try:
+            fn()
+            tracemalloc.start()
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            means._compiled.cache_clear()
+            means._columns_fn.cache_clear()
+
+
+def _code_objects(code):
+    """code and every code object nested in it, depth first."""
+    yield code
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from _code_objects(const)
+
+
+def _const_key(const):
+    """const, comparable bit for bit: floats by hex, code objects by name."""
+    if isinstance(const, float):
+        return const.hex()
+    if isinstance(const, tuple):
+        return tuple(map(_const_key, const))
+    if isinstance(const, types.CodeType):
+        return const.co_name
+    return type(const), const
+
+
+def test_flat_compile_changes_only_the_location_tables(monkeypatch):
+    # every kernel source the memory tests below build, and the ratio columns
+    sources, compiled = [], means._compiled
+
+    def recording(source):
+        sources.append(source)
+        return compiled(source)
+
+    monkeypatch.setattr(means, "_compiled", recording)
+    means._columns_fn.cache_clear()
+    verify_bound(SWEEP_CASES["1.1"], 10_000)
+    verify_chain(1_000, seed=42)
+    verify_corpus(1_000, seed=42)
+    assert len(sources) == 4
+    sources += [row.source for row in ratios._RATIO_ROWS.values()]
+    for source in sources:
+        flat = list(_code_objects(_flat_compile(source, "<means kernel>", "exec")))
+        plain = list(_code_objects(compile(source, "<means kernel>", "exec")))
+        assert len(flat) == len(plain)
+        for f, p in zip(flat, plain):
+            assert f.co_code == p.co_code, source
+            assert f.co_names == p.co_names, source
+            assert list(map(_const_key, f.co_consts)) == list(map(_const_key, p.co_consts)), source
+        assert sum(len(f.co_linetable) for f in flat) < sum(len(p.co_linetable) for p in plain)
 
 
 class TestOneSweep:

@@ -99,10 +99,11 @@ def test_runtime_code_imports_only_the_standard_library():
 
 def test_cli_start_up_loads_no_unused_standard_modules():
     # the CLI's fixed cost: dataclasses pulls in inspect, typing is slow to
-    # import without site hooks, and only csv output needs csv
+    # import without site hooks, only csv output needs csv, and only the
+    # traced memory tests use ast, to compile kernels flat
     src = Path(means_lab.__file__).parent.parent
     code = ("import sys, means_lab.cli; means_lab.cli.sharp_constants(); "
-            "print(sorted({'dataclasses', 'inspect', 'typing', 'csv'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'typing', 'csv', 'ast'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
                          capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
