@@ -28,15 +28,15 @@ per block, and the sharpness ladder is one more column of it.
 A long sweep is split over the CPUs this process may use, one part per CPU
 but at most one per ``_MIN_SPLIT`` points, a draw counted once per claim.
 ``_fork_map`` runs the first part here and each other part in a child made
-by ``os.fork``, which sends its scans back through a pipe; ``_merge`` joins
-the parts' scans by the rule ``_sweep`` ranks by, so every report is the
-one-process report.  Every sweep splits by one rule: part k of parts sweeps
-blocks k, k + parts, k + 2 * parts, ... (of the grid's two ladders, which
-both end at 0.5, each low block with its high block's mirror, and of each
-stream of draws).  A block of draws has its own seeded stream, so any part
-can draw any block, and a zero-gap redraw stays inside its block.  A part
-runs here instead where ``os.fork`` is missing or fails, where a second
-thread runs, or where its child exits non-zero.
+by ``os.fork``, which sends its scans back through a pipe; ``_report`` joins
+each claim's scans from every part by the rule ``_sweep`` ranks by, so every
+report is the one-process report.  Every sweep splits by one rule: part k of
+parts sweeps blocks k, k + parts, k + 2 * parts, ... (of the grid's two
+ladders, which both end at 0.5, each low block with its high block's mirror,
+and of each stream of draws).  A block of draws has its own seeded stream,
+so any part can draw any block, and a zero-gap redraw stays inside its
+block.  A part runs here instead where ``os.fork`` is missing or fails,
+where a second thread runs, or where its child exits non-zero.
 """
 
 from __future__ import annotations
@@ -289,17 +289,6 @@ def _sweep(blocks, margin_columns) -> list[tuple[float, int, object, int]]:
     return scans
 
 
-def _merge(parts: list) -> list[tuple[float, int, object, int]]:
-    """The scans of a sweep from the _sweep scans of its parts: per column,
-    the least by (margin, index), as _sweep ranks, with the near-zero counts
-    added up; a part with no block ([]) merges as nothing."""
-    merged = []
-    for part in filter(None, parts):
-        merged = [min(a, b, key=_RANK)[:3] + (a[3] + b[3],)
-                  for a, b in zip(merged, part)] if merged else part
-    return merged
-
-
 def _workers(points: int) -> int:
     """How many parts a sweep of points is split into: one per CPU this
     process may use, but at most one per _MIN_SPLIT points."""
@@ -373,11 +362,12 @@ def _serve(task, write_end: int, parent: int) -> None:
 
 
 def _report(size: int, scans, to_pair, seed=None) -> CertificationReport:
-    """The report of a claim from the _sweep scans of its margin columns: its
-    worst point is the least by (margin, index), so a tie between columns goes
-    to the earlier point, and its near-zero count is theirs added up.  It holds
-    iff some margin is resolvable and every resolvable margin is positive; its
-    worst pair is to_pair(point), or with none resolvable the unit gap-0.5 pair."""
+    """The report of a claim from the _sweep scans of its margin columns in
+    every part of a split sweep: its worst point is the least by (margin,
+    index), so a tie goes to the earlier point, and its near-zero count is
+    theirs added up.  It holds iff some margin is resolvable and every
+    resolvable margin is positive; its worst pair is to_pair(point), or with
+    none resolvable the unit gap-0.5 pair."""
     min_margin, _, point, _ = min(scans, key=_RANK)
     worst = pair_from_gap(0.5, 1.0) if point is None else to_pair(point)
     return CertificationReport(size, min_margin, worst, 0.0 < min_margin < math.inf,
@@ -394,10 +384,10 @@ def verify_bound(claim: BoundClaim | list[BoundClaim] | tuple[BoundClaim, ...],
     claims = [check_type("claim", c, BoundClaim) for c in ([claim] if single else claim)]
     check_int("grid_size", grid_size, 100, sys.maxsize)
     margin_columns, parts = _margin_fn(claims), _workers(grid_size)
-    scans = _merge(_fork_map([functools.partial(_sweep, _grid_blocks(grid_size, part, parts),
-                                                margin_columns) for part in range(parts)]))
-    reports = [_report(grid_size, [scan], functools.partial(pair_from_gap, scale=1.0))
-               for scan in scans]
+    by_part = _fork_map([functools.partial(_sweep, _grid_blocks(grid_size, part, parts), margin_columns)
+                         for part in range(parts)])
+    reports = [_report(grid_size, [scans[k] for scans in by_part if scans],
+                       functools.partial(pair_from_gap, scale=1.0)) for k in range(len(claims))]
     return reports[0] if single else reports
 
 
@@ -485,9 +475,9 @@ def _sampled_sweeps(sweeps, count: int, seed: int) -> list[tuple[str, Certificat
                 for stream, draw, margin_columns, _ in sweeps]
 
     by_part = _fork_map([functools.partial(scans, part) for part in range(parts)])
-    return [(claim_id, _report(count, merged[k::len(ids)], lambda pair: PositivePair(*pair), seed))
-            for (*_, ids), merged in zip(sweeps, map(_merge, zip(*by_part)))
-            for k, claim_id in enumerate(ids)]
+    return [(claim_id, _report(count, [scan for scans in by_part for scan in scans[i][k::len(ids)]],
+                               lambda pair: PositivePair(*pair), seed))
+            for i, (*_, ids) in enumerate(sweeps) for k, claim_id in enumerate(ids)]
 
 
 # one step of the chain, normalized by A

@@ -181,23 +181,15 @@ def solve_p0(tolerance: float) -> float:
     past the target 1.7627, so the root is inside and unique."""
     check_real("tolerance", tolerance, 0.0, math.inf, lo_open=True)
     target = 2.0 * math.log1p(math.sqrt(2.0))
-
-    def residual(p: float) -> float:
-        return (p + 1.0) ** (1.0 / p) - target
-
     lo, hi = 1.0, 3.0
-    for _ in range(200):
+    while True:
         mid = 0.5 * (lo + hi)
-        r = residual(mid)
+        r = (mid + 1.0) ** (1.0 / mid) - target
         if abs(r) < tolerance:
             return mid
+        if hi - lo <= math.ulp(lo):
+            raise EvaluationError("bisection stalled before reaching the requested tolerance")
         if r > 0.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= math.ulp(lo):
-            break
-    mid = 0.5 * (lo + hi)
-    if abs(residual(mid)) >= tolerance:
-        raise EvaluationError("bisection stalled before reaching the requested tolerance")
-    return mid

@@ -14,6 +14,7 @@ from means_lab import evaluate_mean, generalized_log, NEUMAN_SANDOR, sharp_const
 from means_lab import certify, cli
 from means_lab.cli import main, parse_mean_token
 from means_lab import HARMONIC, GEOMETRIC, QUADRATIC, CertificationReport, DomainError, PositivePair
+from means_lab import EvaluationError
 from means_lab import CoefficientKind, RatioFunctionKind, coefficient_exact
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -233,6 +234,16 @@ class TestConstants:
         code, _, _ = run_main(capsys, "constants", "--format", "json")
         assert code == 0
         assert sorted(calls, key=list(RatioFunctionKind).index) == list(RatioFunctionKind)
+
+    def test_evaluation_error_exits_2(self, capsys, monkeypatch):
+        message = "bisection stalled before reaching the requested tolerance"
+
+        def stalled(args):
+            raise EvaluationError(message)
+
+        monkeypatch.setattr(cli, "cmd_constants", stalled)
+        code, out, err = run_main(capsys, "constants", "--format", "json")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestSeries:

@@ -112,6 +112,7 @@ class TestSpecExamples:
         for kind in CHAIN_ORDER:
             assert evaluate_mean(kind, pair).hex() == evaluate_mean(kind, record).hex()
         assert normalized_gap(pair).hex() == normalized_gap(record).hex()
+        assert means.as_pair(record) is record
 
     def test_invalid_parameter(self):
         with pytest.raises(DomainError):

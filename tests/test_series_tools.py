@@ -1,13 +1,15 @@
 import math
+import types
 from fractions import Fraction
 
 import pytest
 
-from means_lab import means
+from means_lab import means, series
 from means_lab import (
     CoefficientKind,
     Direction,
     DomainError,
+    EvaluationError,
     MeanFamily,
     coefficient_exact,
     phi_hc,
@@ -171,6 +173,12 @@ class TestSolveP0:
         for tol in (0.0, -1e-9, True):
             with pytest.raises(DomainError):
                 solve_p0(tol)
+
+    def test_a_stalled_bisection_raises(self, monkeypatch):
+        # an ulp of 4.0 ends the bracket at once, before any residual is small
+        monkeypatch.setattr(series, "math", types.SimpleNamespace(**{**vars(math), "ulp": lambda x: 4.0}))
+        with pytest.raises(EvaluationError, match="bisection stalled"):
+            solve_p0(1e-12)
 
 
 # Exact Maclaurin coefficients in s = x^2, as lists of the first `terms`

@@ -348,11 +348,24 @@ def test_results_travel_as_marshal_data():
     assert certify._fork_map([lambda: [], lambda: result]) == [[], result]
 
 
-def test_merge():
-    a = [(0.5, 10, "a", 1), (float("inf"), 0, None, 2)]
-    b = [(0.5, 3, "b", 0), (0.25, 99, "c", 1)]
-    assert certify._merge([[], a, [], b]) == [(0.5, 3, "b", 1), (0.25, 99, "c", 3)]
-    assert certify._merge([[], []]) == []
+def test_report_joins_the_parts():
+    # two columns swept in two parts, and two parts with no block
+    a = [(0.5, 10, 0.125, 1), (float("inf"), 0, None, 2)]
+    b = [(0.5, 3, 0.25, 0), (0.25, 99, 0.375, 1)]
+    by_part = [[], a, [], b]
+
+    def report(scans):
+        return certify._report(100, scans, lambda x: certify.pair_from_gap(x, 1.0))
+
+    def expected(margin, x, near_zero):
+        return certify.CertificationReport(100, margin, certify.pair_from_gap(x, 1.0), True, near_zero)
+
+    # a tie on margin goes to the lower index, and the near-zero counts add up
+    assert report([scans[0] for scans in by_part if scans]) == expected(0.5, 0.25, 1)
+    # a column that ranks nothing in one part reports the other part's point
+    assert report([scans[1] for scans in by_part if scans]) == expected(0.25, 0.375, 3)
+    # columns and parts join in one step, as a chain claim's steps do
+    assert report([scan for scans in by_part for scan in scans]) == expected(0.25, 0.375, 4)
 
 
 def test_part_count(monkeypatch):
